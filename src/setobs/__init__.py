@@ -31,7 +31,6 @@ from .observability import (
     convergence_bound,
     epsilon_observability,
     information_weight_matrix,
-    initial_state_set,
     measurement_uncertainty,
     observability_matrix,
     spectral_norm,
@@ -41,7 +40,6 @@ from .observer import (
     MeasurementRecord,
     ObserverOutput,
     fuse,
-    measurement_info_set,
     observer_run,
     predict_no_delay,
     prior_set,
@@ -84,9 +82,7 @@ __all__ = [
     "evaluate_trigger",
     "fuse",
     "information_weight_matrix",
-    "initial_state_set",
     "intersection_outer",
-    "measurement_info_set",
     "measurement_uncertainty",
     "minkowski_sum_chain",
     "minkowski_sum_outer",

@@ -205,16 +205,17 @@ def _write_log(path: Path, records: list[MeasurementRecord]) -> None:
 
 
 def read_log(path: str | Path) -> list[MeasurementRecord]:
-    """Parse a channel log; steps must be contiguous."""
+    """Parse a channel log; event flags must be 0 or 1 and steps contiguous."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
+                gamma = int(row["gamma"])
+                if gamma not in (0, 1):
+                    raise ValueError(f"event flag gamma must be 0 or 1, got {gamma}")
                 records.append(
-                    MeasurementRecord(
-                        k=int(row["k"]), gamma=bool(int(row["gamma"])), y_tau=float(row["y_tau"])
-                    )
+                    MeasurementRecord(k=int(row["k"]), gamma=bool(gamma), y_tau=float(row["y_tau"]))
                 )
             except (KeyError, TypeError, ValueError) as err:
                 raise ConfigError(f"{path}: malformed log row {row}: {err}") from err
@@ -309,11 +310,8 @@ def cmd_simulate(config_path: str, out_dir: str, seeds: int | None = None) -> in
         print(f"sweep of {len(seed_list)} seeds written to {out / 'sweep_summary.json'}")
         return 0
 
-    report = epsilon_observability(config.model, config.trigger, config.a)
-    if not report.full_rank:
-        print("model is not epsilon-observable; refusing to simulate", file=sys.stderr)
-        return 1
     trace, estimates, metrics = run_closed_loop(config)
+    report = epsilon_observability(config.model, config.trigger, config.a)
     _write_step_table(out / "steps.csv", trace, estimates)
     _write_log(out / "log.csv", trace.records)
     polylines = _write_polylines(out, estimates, config.model.n)

@@ -93,9 +93,6 @@ class SumParameterRange:
         if not (0.0 < self.lower <= self.upper):
             raise ValueError(f"invalid parameter range [{self.lower}, {self.upper}]")
 
-    def clamp(self, p: float) -> float:
-        return min(max(p, self.lower), self.upper)
-
 
 def affine_transform(ell: Ellipsoid, A: np.ndarray, b: np.ndarray | float = 0.0) -> Ellipsoid:
     """Map an ellipsoid through x -> A x + b (exact image for invertible A)."""
@@ -109,10 +106,12 @@ def affine_transform(ell: Ellipsoid, A: np.ndarray, b: np.ndarray | float = 0.0)
 def sum_parameter_range(Q1: np.ndarray, Q2: np.ndarray) -> SumParameterRange:
     """Admissible p interval: square roots of extreme roots of det(Q1 - lam Q2) = 0.
 
+    The estimator never needs it (see ``optimal_sum_parameter``); it is the
+    reference the tests check the trace-optimal parameter against.
+
     Raises:
         SingularShapeError: Q2 is not positive definite (roots unbounded), or
-            Q1 is singular (lower bound collapses to zero); callers then skip
-            clamping and use the unconstrained trace-optimal parameter.
+            Q1 is singular (lower bound collapses to zero).
     """
     Q1 = np.atleast_2d(np.asarray(Q1, dtype=float))
     Q2 = np.atleast_2d(np.asarray(Q2, dtype=float))
@@ -144,10 +143,8 @@ def sum_parameter_range(Q1: np.ndarray, Q2: np.ndarray) -> SumParameterRange:
 def optimal_sum_parameter(Q1: np.ndarray, Q2: np.ndarray) -> float:
     """Trace-minimizing Minkowski-sum parameter p = sqrt(Tr Q1 / Tr Q2).
 
-    The unconstrained minimizer always lies inside the admissible interval
-    (the trace ratio is a convex combination of the generalized eigenvalues),
-    but it is clamped anyway when the interval is computable, as a numerical
-    safeguard; for singular operands the clamp is skipped.
+    p always lies inside the admissible interval of ``sum_parameter_range``:
+    Tr Q1 / Tr Q2 is a weighted mean of the generalized eigenvalues of (Q1, Q2).
 
     Raises:
         DegenerateOperandError: either trace is not positive, in which case
@@ -158,12 +155,7 @@ def optimal_sum_parameter(Q1: np.ndarray, Q2: np.ndarray) -> float:
     t2 = float(np.trace(np.atleast_2d(Q2)))
     if t1 <= 0.0 or t2 <= 0.0:
         raise DegenerateOperandError(f"operand traces {t1:.3e}, {t2:.3e} must be positive")
-    p = float(np.sqrt(t1 / t2))
-    try:
-        p = sum_parameter_range(Q1, Q2).clamp(p)
-    except SingularShapeError:
-        pass
-    return p
+    return float(np.sqrt(t1 / t2))
 
 
 def minkowski_sum_outer(e1: Ellipsoid, e2: Ellipsoid, p: float | None = None) -> Ellipsoid:

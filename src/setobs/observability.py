@@ -12,15 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .ellipsoid import Ellipsoid, minkowski_sum_chain, _symmetrize
-
-if TYPE_CHECKING:
-    from .observer import MeasurementRecord
 
 # Exact pattern enumeration is 2^n; refuse beyond this.
 PATTERN_ENUMERATION_CAP = 20
@@ -39,7 +36,8 @@ class SystemModel:
     """Discrete-time LTI plant x_k = A x_{k-1} + w_{k-1}, y_k = C x_k + v_k.
 
     Disturbance and noise are bounded: w in E(0, Q) with Q positive definite,
-    v in E(0, R) with scalar R > 0. Single-output only (C is one row).
+    v in E(0, R) with scalar R > 0. Single-output only (C is one row). Every
+    entry must be finite.
     """
 
     A: np.ndarray
@@ -51,6 +49,10 @@ class SystemModel:
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         C = np.asarray(self.C, dtype=float).ravel()
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
+        R = float(self.R)
+        for name, value in (("A", A), ("C", C), ("Q", Q), ("R", R)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got {A.shape}")
         n = A.shape[0]
@@ -64,7 +66,6 @@ class SystemModel:
             raise ValueError("Q must be symmetric")
         if float(np.min(np.linalg.eigvalsh(Q))) <= 0.0:
             raise ValueError("Q must be positive definite")
-        R = float(self.R)
         if R <= 0.0:
             raise ValueError(f"R must be positive, got {R}")
         object.__setattr__(self, "A", A)
@@ -90,6 +91,8 @@ class TriggerConfig:
     transmit_error: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.threshold) and np.isfinite(self.transmit_error)):
+            raise ValueError("threshold and transmit_error must be finite")
         if self.threshold <= 0.0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
         if self.transmit_error <= 0.0:
@@ -104,12 +107,14 @@ class TriggerConfig:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Positive weights combining the n window inequalities; must sum to one."""
+    """Positive finite weights combining the n window inequalities; must sum to one."""
 
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float)).ravel()
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w <= 0.0):
             raise ValueError("all weights must be positive")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
@@ -282,6 +287,11 @@ class WindowSolver:
         self.weights = a.weights
 
     def ellipsoid(self, flags: Sequence[int], references: Sequence[float]) -> Ellipsoid:
+        """State set implied by one n-step window of set-valued measurements.
+
+        Returns E(O^-1 Y, O^-1 diag(W_i/a_i) O^-T) where Y stacks the window's
+        reference outputs; realized via linear solves against O.
+        """
         if len(flags) != self.n or len(references) != self.n:
             raise ValueError(f"window must contain exactly {self.n} records")
         w = self.uncertainty[[int(bool(f)) for f in flags], range(self.n)]
@@ -289,40 +299,6 @@ class WindowSolver:
         half = np.linalg.solve(self.matrix, np.diag(w / self.weights))
         shape = np.linalg.solve(self.matrix, half.T).T
         return Ellipsoid(center, _symmetrize(shape))
-
-
-def information_ellipsoid(
-    model: SystemModel,
-    trigger: TriggerConfig,
-    a: WeightVector,
-    flags: Sequence[int],
-    references: Sequence[float],
-) -> Ellipsoid:
-    """State set implied by one n-step window of set-valued measurements.
-
-    Returns E(O^-1 Y, O^-1 diag(W_i/a_i) O^-T) where Y stacks the window's
-    reference outputs; realized via linear solves against O.
-    """
-    return WindowSolver(model, trigger, a).ellipsoid(flags, references)
-
-
-def initial_state_set(
-    model: SystemModel,
-    trigger: TriggerConfig,
-    a: WeightVector,
-    records: Sequence["MeasurementRecord"],
-) -> Ellipsoid:
-    """Guaranteed initial-state ellipsoid from the first n channel records."""
-    if len(records) < model.n:
-        raise ValueError(f"need {model.n} records, got {len(records)}")
-    window = records[: model.n]
-    return information_ellipsoid(
-        model,
-        trigger,
-        a,
-        [int(r.gamma) for r in window],
-        [float(r.y_tau) for r in window],
-    )
 
 
 def spectral_norm(A: np.ndarray) -> float:
@@ -339,7 +315,8 @@ def convergence_bound(
     """Asymptotic upper bound on sqrt(Tr) of the posterior estimation ellipsoid.
 
     Equals max over event patterns of (sqrt(Tr(P_window)) + sqrt(Tr(Q))) /
-    (1 - ||A||); finite only for a strictly stable A.
+    (1 - ||A||); finite only for a strictly stable A. The map is monotone in
+    the pattern trace, so the max is taken at epsilon, the largest trace.
 
     Raises:
         UnstableSystemError: ||A|| >= 1 (trace growth is unbounded).
@@ -353,7 +330,4 @@ def convergence_bound(
     if not report.full_rank:
         raise NotObservableError("observability matrix is rank deficient")
     sqrt_trace_q = float(np.sqrt(np.trace(model.Q)))
-    return max(
-        (np.sqrt(trace) + sqrt_trace_q) / (1.0 - norm_a)
-        for trace in report.pattern_traces.values()
-    )
+    return (np.sqrt(report.epsilon) + sqrt_trace_q) / (1.0 - norm_a)

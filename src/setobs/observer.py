@@ -5,13 +5,13 @@ through the dynamics plus disturbance (prior set), and the set implied by the
 next n channel records (measurement information set). The fusion is the
 trace-optimal outer approximation of their intersection. Because a window of
 n records is needed, the estimate of step k is only available at step k+n-1;
-delay-free predictions bridge the gap.
+``predict_no_delay`` bridges the gap on demand, from any finalized posterior.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .ellipsoid import (
     Ellipsoid,
     SingularShapeError,
     affine_transform,
-    intersection_outer,
     minkowski_sum_outer,
     optimal_fusion_matrix,
     optimal_sum_parameter,
@@ -34,7 +33,6 @@ from .observability import (
     WindowSolver,
     convergence_bound,
     epsilon_observability,
-    information_ellipsoid,
 )
 
 # Abort when the posterior trace exceeds this multiple of the squared
@@ -71,9 +69,10 @@ class ObserverOutput:
     """Estimation sets for one target step.
 
     ``available_at`` is the step at which the window completes (k + n - 1);
-    ``predictions`` carries the delay-free forecast ellipsoids for offsets
-    1 .. n-1 past the target step. ``prior_set`` is None at the first step,
-    where the posterior is the measurement set itself.
+    forecasts for offsets 1 .. n-1 past the target step come from
+    ``predict_no_delay(posterior_set, model, n - 1)`` when a caller needs them.
+    ``prior_set`` is None at the first step, where the posterior is the
+    measurement set itself.
     """
 
     k: int
@@ -81,7 +80,6 @@ class ObserverOutput:
     measurement_set: Ellipsoid
     posterior_set: Ellipsoid
     prior_set: Ellipsoid | None = None
-    predictions: list[tuple[int, Ellipsoid]] = field(default_factory=list)
 
 
 def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
@@ -93,27 +91,6 @@ def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
     """
     mapped = affine_transform(previous, model.A)
     return minkowski_sum_outer(mapped, Ellipsoid(np.zeros(model.n), model.Q))
-
-
-def measurement_info_set(
-    window: list[MeasurementRecord],
-    model: SystemModel,
-    trigger: TriggerConfig,
-    a: WeightVector,
-) -> Ellipsoid:
-    """State set implied by n consecutive channel records starting at step k."""
-    if len(window) != model.n:
-        raise ValueError(f"window must contain exactly {model.n} records, got {len(window)}")
-    ks = [r.k for r in window]
-    if ks != list(range(ks[0], ks[0] + model.n)):
-        raise ValueError(f"window steps {ks} are not consecutive")
-    return information_ellipsoid(
-        model,
-        trigger,
-        a,
-        [int(r.gamma) for r in window],
-        [float(r.y_tau) for r in window],
-    )
 
 
 def fuse(measurement: Ellipsoid, prior: Ellipsoid) -> tuple[Ellipsoid, np.ndarray, float]:
@@ -133,15 +110,14 @@ def fuse(measurement: Ellipsoid, prior: Ellipsoid) -> tuple[Ellipsoid, np.ndarra
         total = measurement.shape + prior.shape
         bump = 1e-12 * float(np.trace(total)) / n * np.eye(n)
         M = optimal_fusion_matrix(measurement.shape + bump, prior.shape + bump)
-    complement = np.eye(n) - M
+    # The split of intersection_outer, with p computed once and passed on.
     part_meas = affine_transform(measurement, M)
-    part_prior = affine_transform(prior, complement)
+    part_prior = affine_transform(prior, np.eye(n) - M)
     try:
         p = optimal_sum_parameter(part_meas.shape, part_prior.shape)
     except DegenerateOperandError:
         p = 1.0  # one side degenerate; the outer sum is exact and ignores p
-    posterior = intersection_outer(measurement, prior, M)
-    return posterior, M, p
+    return minkowski_sum_outer(part_meas, part_prior, p), M, p
 
 
 def predict_no_delay(
@@ -203,11 +179,6 @@ def observer_run(
                 f"posterior trace {trace:.3e} at step {target} exceeds divergence "
                 f"guard {guard:.3e}; the model is likely unstable"
             )
-        predictions = []
-        if n >= 2:
-            predictions = list(
-                enumerate(predict_no_delay(posterior, model, n - 1), start=1)
-            )
         outputs.append(
             ObserverOutput(
                 k=target,
@@ -215,7 +186,6 @@ def observer_run(
                 measurement_set=measurement,
                 posterior_set=posterior,
                 prior_set=prior,
-                predictions=predictions,
             )
         )
     return outputs

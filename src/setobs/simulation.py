@@ -8,7 +8,6 @@ Identical configurations, seed included, reproduce traces bit for bit.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,8 @@ from .observability import (
     SystemModel,
     TriggerConfig,
     WeightVector,
-    epsilon_observability,
+    is_full_rank,
+    observability_matrix,
 )
 from .observer import MeasurementRecord, ObserverOutput, observer_run
 
@@ -39,6 +39,8 @@ class SimConfig:
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float)).ravel()
         if x0.size != self.model.n:
             raise ValueError(f"x0 has dimension {x0.size}, model has {self.model.n}")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("x0 must be finite")
         if self.N < self.model.n:
             raise ValueError(f"horizon N = {self.N} must be at least n = {self.model.n}")
         object.__setattr__(self, "x0", x0)
@@ -109,11 +111,11 @@ def run_closed_loop(config: SimConfig) -> tuple[Trace, list[ObserverOutput], Met
 
     The first transmission is forced (gamma_0 = 1, y_tau_0 = y_0) so the
     send-on-delta reference is well defined from the start. Raises
-    NotObservableError before simulating anything if the model fails the
-    observability test.
+    NotObservableError before simulating anything if the observability matrix
+    is rank deficient.
     """
     model, trigger = config.model, config.trigger
-    if not epsilon_observability(model, trigger, config.a).full_rank:
+    if not is_full_rank(observability_matrix(model)):
         raise NotObservableError("model is not observable; refusing to simulate")
     rng = np.random.default_rng(config.seed)
     n, N = model.n, config.N
@@ -180,21 +182,18 @@ def compute_metrics(trace: Trace, estimates: list[ObserverOutput]) -> Metrics:
     )
 
 
-def run_seed_sweep(
-    base: SimConfig, seeds: list[int], max_workers: int | None = None
-) -> list[tuple[int, Metrics]]:
-    """Run independent seeds concurrently; results come back ordered by seed.
+def run_seed_sweep(base: SimConfig, seeds: list[int]) -> list[tuple[int, Metrics]]:
+    """Run independent seeds one after another, in seed order.
 
-    Each run owns its random stream, so the sweep is deterministic regardless
-    of scheduling.
+    Each run owns its random stream, so every seed's metrics equal those of a
+    single run with that seed. The runs are small matrix work that holds the
+    GIL, so threads would not overlap them.
     """
-    def one(seed: int) -> tuple[int, Metrics]:
+    results = []
+    for seed in sorted(seeds):
         cfg = SimConfig(
             model=base.model, trigger=base.trigger, x0=base.x0, N=base.N, seed=seed, a=base.a
         )
         _, _, metrics = run_closed_loop(cfg)
-        return seed, metrics
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(one, seeds))
-    return sorted(results, key=lambda item: item[0])
+        results.append((seed, metrics))
+    return results

@@ -68,6 +68,24 @@ class TestConfigParsing:
         config = build_sim_config(load_config(path))
         assert np.allclose(config.a.weights, [0.5, 0.5])
 
+    @pytest.mark.parametrize("key, value", [
+        ("A", [[float("nan"), 0.2], [0.5, 0.3]]),
+        ("C", [0.5, float("nan")]),
+        ("Q", [[float("inf"), 0.0], [0.0, 5.0]]),
+        ("R", float("nan")),
+        ("Gamma", float("inf")),
+        ("x0", [float("nan"), 0.0]),
+        ("a", [float("nan"), 0.5]),
+    ])
+    def test_nonfinite_entry_is_config_error(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, **{key: value})
+        # x0 is read by simulate only; the model keys are read by every command.
+        argv = ["simulate", "--out", str(tmp_path / "out")] if key == "x0" else ["check"]
+        code = main(argv + ["--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "finite" in err
+
 
 class TestCheck:
     def test_bench_output(self, bench_config_file, capsys):
@@ -232,6 +250,19 @@ class TestReplay:
         ])
         assert code == 2
         assert "k=3" in capsys.readouterr().err
+
+    def test_event_flag_other_than_zero_or_one_rejected(self, bench_config_file, tmp_path,
+                                                        capsys):
+        log = tmp_path / "flag.csv"
+        log.write_text("k,gamma,y_tau\n0,1,0.5\n1,2,0.5\n2,0,0.5\n")
+        code = main([
+            "replay", "--config", str(bench_config_file),
+            "--log", str(log), "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "gamma" in err
+        assert not (tmp_path / "out").exists()
 
     def test_three_row_log_two_estimates(self, bench_config_file, tmp_path):
         log = tmp_path / "hand.csv"

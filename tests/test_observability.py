@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from setobs import (
-    MeasurementRecord,
     NotObservableError,
     SystemModel,
     TriggerConfig,
@@ -16,11 +15,11 @@ from setobs import (
     convergence_bound,
     epsilon_observability,
     information_weight_matrix,
-    initial_state_set,
     measurement_uncertainty,
     observability_matrix,
     spectral_norm,
 )
+from setobs.observability import WindowSolver
 
 from conftest import scalar_chain
 
@@ -194,36 +193,35 @@ class TestEpsilonObservability:
 
 
 class TestInitialStateSet:
+    # The initial-state set is the window ellipsoid of the first n records.
     def test_zero_references_center_zero(self, bench_model, bench_trigger, bench_weights):
-        records = [MeasurementRecord(k, False, 0.0) for k in range(2)]
-        out = initial_state_set(bench_model, bench_trigger, bench_weights, records)
+        out = WindowSolver(bench_model, bench_trigger, bench_weights).ellipsoid([0, 0], [0.0, 0.0])
         assert np.allclose(out.center, 0.0)
 
     def test_shape_trace_matches_pattern_trace(self, bench_model, bench_trigger, bench_weights):
-        records = [MeasurementRecord(0, False, 0.3), MeasurementRecord(1, False, -0.1)]
-        out = initial_state_set(bench_model, bench_trigger, bench_weights, records)
+        solver = WindowSolver(bench_model, bench_trigger, bench_weights)
+        out = solver.ellipsoid([0, 0], [0.3, -0.1])
         assert np.trace(out.shape) == pytest.approx(bench_window_trace((0, 0)), rel=1e-12)
 
     def test_contains_consistent_initial_state(self, bench_model, bench_trigger, bench_weights):
         # Closed-loop oracle: simulate the plant, feed the first n records back.
         from setobs import SimConfig, run_closed_loop
 
+        solver = WindowSolver(bench_model, bench_trigger, bench_weights)
         for seed in range(5):
             config = SimConfig(
                 model=bench_model, trigger=bench_trigger, x0=[1.0, -2.0], N=5, seed=seed
             )
             trace, _, _ = run_closed_loop(config)
-            out = initial_state_set(
-                bench_model, bench_trigger, bench_weights, trace.records[:2]
-            )
+            window = trace.records[:2]
+            out = solver.ellipsoid([r.gamma for r in window], [r.y_tau for r in window])
             inside, _ = contains(out, trace.states[0])
             assert inside
 
     def test_rank_deficient_rejected(self, bench_trigger):
         model = SystemModel(A=np.eye(2), C=[1.0, 0.0], Q=np.eye(2), R=1.0)
-        records = [MeasurementRecord(k, False, 0.0) for k in range(2)]
         with pytest.raises(NotObservableError):
-            initial_state_set(model, bench_trigger, WeightVector.uniform(2), records)
+            WindowSolver(model, bench_trigger, WeightVector.uniform(2))
 
 
 class TestSpectralNorm:

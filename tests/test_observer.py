@@ -15,7 +15,7 @@ from setobs import (
     contains,
     convergence_bound,
     fuse,
-    measurement_info_set,
+    intersection_outer,
     observer_run,
     optimal_fusion_matrix,
     predict_no_delay,
@@ -24,6 +24,7 @@ from setobs import (
     sample_point,
     spectral_norm,
 )
+from setobs.observability import WindowSolver
 
 from conftest import rand_spd, scalar_chain
 
@@ -67,37 +68,28 @@ class TestPriorSet:
 
 
 class TestMeasurementInfoSet:
-    def test_zero_references_center_zero(self, bench_model, bench_trigger, bench_weights):
-        window = [MeasurementRecord(5, False, 0.0), MeasurementRecord(6, False, 0.0)]
-        out = measurement_info_set(window, bench_model, bench_trigger, bench_weights)
+    # The measurement set of a window is WindowSolver.ellipsoid; non-consecutive
+    # windows are refused by observer_run (TestObserverRun.test_gap_in_log_rejected).
+    @pytest.fixture
+    def solver(self, bench_model, bench_trigger, bench_weights) -> WindowSolver:
+        return WindowSolver(bench_model, bench_trigger, bench_weights)
+
+    def test_zero_references_center_zero(self, solver):
+        out = solver.ellipsoid([0, 0], [0.0, 0.0])
         assert np.allclose(out.center, 0.0)
 
-    def test_no_event_window_trace(self, bench_model, bench_trigger, bench_weights):
-        window = [MeasurementRecord(0, False, 0.1), MeasurementRecord(1, False, 0.2)]
-        out = measurement_info_set(window, bench_model, bench_trigger, bench_weights)
+    def test_no_event_window_trace(self, solver):
+        out = solver.ellipsoid([0, 0], [0.1, 0.2])
         assert np.trace(out.shape) == pytest.approx(323.43, abs=0.01)
 
-    def test_event_window_strictly_tighter(self, bench_model, bench_trigger, bench_weights):
-        quiet = [MeasurementRecord(0, False, 0.1), MeasurementRecord(1, False, 0.2)]
-        active = [MeasurementRecord(0, True, 0.1), MeasurementRecord(1, True, 0.2)]
-        t_quiet = np.trace(
-            measurement_info_set(quiet, bench_model, bench_trigger, bench_weights).shape
-        )
-        t_active = np.trace(
-            measurement_info_set(active, bench_model, bench_trigger, bench_weights).shape
-        )
+    def test_event_window_strictly_tighter(self, solver):
+        t_quiet = np.trace(solver.ellipsoid([0, 0], [0.1, 0.2]).shape)
+        t_active = np.trace(solver.ellipsoid([1, 1], [0.1, 0.2]).shape)
         assert t_active < t_quiet
 
-    def test_wrong_window_length(self, bench_model, bench_trigger, bench_weights):
+    def test_wrong_window_length(self, solver):
         with pytest.raises(ValueError, match="exactly"):
-            measurement_info_set(
-                [MeasurementRecord(0, False, 0.0)], bench_model, bench_trigger, bench_weights
-            )
-
-    def test_nonconsecutive_window(self, bench_model, bench_trigger, bench_weights):
-        window = [MeasurementRecord(0, False, 0.0), MeasurementRecord(2, False, 0.0)]
-        with pytest.raises(ValueError, match="consecutive"):
-            measurement_info_set(window, bench_model, bench_trigger, bench_weights)
+            solver.ellipsoid([0], [0.0])
 
 
 class TestFuse:
@@ -130,6 +122,21 @@ class TestFuse:
             part2 = np.trace((I - M) @ prior.shape @ (I - M).T)
             expected = (np.sqrt(part1) + np.sqrt(part2)) ** 2
             assert np.trace(posterior.shape) == pytest.approx(expected, rel=1e-12)
+
+    def test_equals_intersection_outer_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        cases = [(Ellipsoid([1.0, 2.0], np.zeros((2, 2))), Ellipsoid([0.0, 0.0], np.eye(2)))]
+        for _ in range(30):
+            d = int(rng.integers(1, 4))
+            cases.append((
+                Ellipsoid(rng.standard_normal(d), rand_spd(rng, d, scale=2.0)),
+                Ellipsoid(rng.standard_normal(d), rand_spd(rng, d, scale=5.0)),
+            ))
+        for meas, prior in cases:
+            posterior, M, _ = fuse(meas, prior)
+            reference = intersection_outer(meas, prior, M)
+            assert np.array_equal(posterior.center, reference.center)
+            assert np.array_equal(posterior.shape, reference.shape)
 
 
 class TestPredictNoDelay:
@@ -181,9 +188,10 @@ class TestObserverRun:
         records = [MeasurementRecord(k, False, 0.0) for k in range(10)]
         outputs = observer_run(records, bench_model, bench_trigger)
         assert len(outputs) == 9  # N - (n-1) + 1 targets for N = 9
+        n = bench_model.n
         for out in outputs:
             assert out.available_at == out.k + 1
-            assert [offset for offset, _ in out.predictions] == [1]
+            assert len(predict_no_delay(out.posterior_set, bench_model, n - 1)) == n - 1
 
     def test_short_log_rejected(self, bench_model, bench_trigger):
         with pytest.raises(ValueError, match="at least"):
