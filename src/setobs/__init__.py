@@ -30,7 +30,6 @@ from .observability import (
     WeightVector,
     convergence_bound,
     epsilon_observability,
-    information_weight_matrix,
     measurement_uncertainty,
     observability_matrix,
     spectral_norm,
@@ -81,7 +80,6 @@ __all__ = [
     "epsilon_observability",
     "evaluate_trigger",
     "fuse",
-    "information_weight_matrix",
     "intersection_outer",
     "measurement_uncertainty",
     "minkowski_sum_chain",

@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .observability import (
     TriggerConfig,
     UnstableSystemError,
     WeightVector,
+    WindowSolver,
     convergence_bound,
     epsilon_observability,
 )
@@ -32,6 +33,8 @@ from .simulation import Metrics, SimConfig, Trace, run_closed_loop, run_seed_swe
 
 BOUNDARY_POINTS = 64
 PLOT_STEPS = 10
+# check lists every one of the 2^n event patterns; refuse beyond this n.
+PATTERN_LISTING_CAP = 20
 
 
 class ConfigError(ValueError):
@@ -60,6 +63,13 @@ def _require(raw: dict, key: str):
     return raw[key]
 
 
+def _require_int(raw: dict, key: str) -> int:
+    value = _require(raw, key)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_system(raw: dict) -> tuple[SystemModel, TriggerConfig, WeightVector]:
     """Model, trigger, and weights from a parsed config (weights default uniform)."""
     try:
@@ -74,6 +84,8 @@ def build_system(raw: dict) -> tuple[SystemModel, TriggerConfig, WeightVector]:
             WeightVector(raw["a"]) if raw.get("a") is not None
             else WeightVector.uniform(model.n)
         )
+        if len(weights) != model.n:
+            raise ConfigError(f"'a' has {len(weights)} entries, expected {model.n}")
     except ConfigError:
         raise
     except (TypeError, ValueError) as err:
@@ -88,8 +100,8 @@ def build_sim_config(raw: dict) -> SimConfig:
             model=model,
             trigger=trigger,
             x0=_require(raw, "x0"),
-            N=int(_require(raw, "N")),
-            seed=int(_require(raw, "seed")),
+            N=_require_int(raw, "N"),
+            seed=_require_int(raw, "seed"),
             a=weights,
         )
     except ConfigError:
@@ -116,6 +128,11 @@ def config_echo(config: SimConfig) -> dict:
 
 def cmd_check(config_path: str) -> int:
     model, trigger, weights = build_system(load_config(config_path))
+    if model.n > PATTERN_LISTING_CAP:
+        raise ValueError(
+            f"check lists all 2^n event patterns; n = {model.n} exceeds the cap of "
+            f"{PATTERN_LISTING_CAP}"
+        )
     report = epsilon_observability(model, trigger, weights)
     print(f"observability matrix:\n{report.matrix}")
     print(f"full_rank: {str(report.full_rank).lower()}")
@@ -125,8 +142,10 @@ def cmd_check(config_path: str) -> int:
         return 1
     print(f"epsilon: {_fmt(report.epsilon)}")
     print(f"worst_pattern: {report.worst_pattern}")
-    for pattern in sorted(report.pattern_traces):
-        print(f"pattern {pattern}: {_fmt(report.pattern_traces[pattern])}")
+    solver = WindowSolver(model, trigger, weights)
+    # product() yields the patterns in sorted bit-string order.
+    for bits in product((0, 1), repeat=model.n):
+        print(f"pattern {''.join(map(str, bits))}: {_fmt(solver.pattern_trace(bits))}")
     print("epsilon-observable: yes")
     return 0
 
@@ -207,7 +226,11 @@ def _write_log(path: Path, records: list[MeasurementRecord]) -> None:
 def read_log(path: str | Path) -> list[MeasurementRecord]:
     """Parse a channel log; event flags must be 0 or 1 and steps contiguous."""
     records = []
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as err:
+        raise ConfigError(f"cannot open log file {path}: {err.strerror}") from err
+    with fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
@@ -355,6 +378,13 @@ def cmd_replay(config_path: str, log_path: str, out_dir: str) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="setobs",
@@ -371,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sim = sub.add_parser("simulate", help="closed-loop simulation with estimator")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--seeds", type=int, default=None,
+    p_sim.add_argument("--seeds", type=_positive_int, default=None,
                        help="run a Monte Carlo sweep of this many consecutive seeds")
 
     p_replay = sub.add_parser("replay", help="run the observer on a recorded log")

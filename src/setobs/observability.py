@@ -4,23 +4,20 @@ At a no-event step the estimator still learns that the output lies within the
 trigger threshold of the last transmitted value, so every step contributes a
 set-valued measurement. Stacking n consecutive such sets through the
 observability matrix yields an ellipsoid guaranteed to contain the state; the
-worst pattern of event flags bounds how large that ellipsoid can get, and a
-spectral-norm condition turns the per-step bound into an asymptotic one.
+worst pattern of event flags (always "no event") bounds how large that
+ellipsoid can get, and a spectral-norm condition turns the per-step bound into
+an asymptotic one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .ellipsoid import Ellipsoid, minkowski_sum_chain, _symmetrize
-
-# Exact pattern enumeration is 2^n; refuse beyond this.
-PATTERN_ENUMERATION_CAP = 20
 
 
 class NotObservableError(ValueError):
@@ -134,17 +131,18 @@ class ObservabilityReport:
     """Result of the worst-case observability test.
 
     ``epsilon`` is the largest trace, over all 2^n event patterns, of the
-    initial-state ellipsoid recoverable from one n-step measurement window
-    (None when the observability matrix is rank deficient). ``pattern_traces``
-    maps each pattern, written as a bit string with position i holding the
-    flag of window offset i, to its trace.
+    initial-state ellipsoid recoverable from one n-step measurement window,
+    and ``worst_pattern`` is the pattern that attains it, written as a bit
+    string with position i holding the flag of window offset i. The worst
+    pattern is always all zeros (see ``WindowSolver``), so both are closed
+    form; ``WindowSolver.pattern_trace`` gives the trace of any other pattern.
+    Both are None when the observability matrix is rank deficient.
     """
 
     matrix: np.ndarray
     full_rank: bool
     horizon: int
     epsilon: float | None = None
-    pattern_traces: dict[str, float] = field(default_factory=dict)
     worst_pattern: str | None = None
 
 
@@ -196,83 +194,50 @@ def _uncertainty_table(model: SystemModel, trigger: TriggerConfig) -> np.ndarray
     )
 
 
-def information_weight_matrix(
-    model: SystemModel,
-    trigger: TriggerConfig,
-    a: WeightVector,
-    pattern: Sequence[int],
-) -> np.ndarray:
-    """Diagonal window-information matrix diag(a_i / W_i) for given event flags."""
-    if len(pattern) != model.n:
-        raise ValueError(f"pattern has length {len(pattern)}, expected {model.n}")
-    if len(a) != model.n:
-        raise ValueError(f"weight vector has length {len(a)}, expected {model.n}")
-    diag = [
-        a.weights[i] / measurement_uncertainty(model, trigger, bool(flag), i)
-        for i, flag in enumerate(pattern)
-    ]
-    return np.diag(diag)
-
-
-def _pattern_trace_fn(model: SystemModel, trigger: TriggerConfig, a: WeightVector, O: np.ndarray):
-    """Closure computing Tr(O^-1 diag(W_i/a_i) O^-T) per pattern, via one solve.
-
-    Tr(O^-1 D^-1 O^-T) = sum_i (W_i/a_i) * [(O O^T)^-1]_ii, so the O-dependent
-    part is solved once and each pattern costs O(n).
-    """
-    gram_inv_diag = np.diag(cho_solve(cho_factor(O @ O.T), np.eye(model.n)))
-    table = _uncertainty_table(model, trigger)
-
-    def trace_for(pattern: tuple[int, ...]) -> float:
-        w = table[list(pattern), range(model.n)]
-        return float(np.sum(w / a.weights * gram_inv_diag))
-
-    return trace_for
-
-
 def epsilon_observability(
     model: SystemModel, trigger: TriggerConfig, a: WeightVector | None = None
 ) -> ObservabilityReport:
     """Worst-case initial-state recovery test over all 2^n event patterns.
 
     The system passes when the observability matrix has full rank with an
-    n-step window; ``epsilon`` is then the maximum window-ellipsoid trace over
-    every pattern of event flags (exact enumeration, capped at n <= 20).
+    n-step window; ``epsilon`` is then the window-ellipsoid trace of the
+    all-zeros pattern, which is the maximum over every pattern of event flags
+    (``WindowSolver.epsilon``). Costs O(n^3); nothing is enumerated.
     """
-    if model.n > PATTERN_ENUMERATION_CAP:
-        raise ValueError(
-            f"pattern enumeration is 2^n; n = {model.n} exceeds the cap of "
-            f"{PATTERN_ENUMERATION_CAP}"
-        )
     a = a if a is not None else WeightVector.uniform(model.n)
-    O = observability_matrix(model)
-    if not is_full_rank(O):
-        return ObservabilityReport(matrix=O, full_rank=False, horizon=model.n - 1)
-    trace_for = _pattern_trace_fn(model, trigger, a, O)
-    traces: dict[str, float] = {}
-    worst_pattern, worst = None, -np.inf
-    for bits in product((0, 1), repeat=model.n):
-        key = "".join(map(str, bits))
-        traces[key] = trace_for(bits)
-        # Strict > keeps the lexicographically smallest pattern on ties.
-        if traces[key] > worst:
-            worst_pattern, worst = key, traces[key]
+    try:
+        solver = WindowSolver(model, trigger, a)
+    except NotObservableError:
+        return ObservabilityReport(
+            matrix=observability_matrix(model), full_rank=False, horizon=model.n - 1
+        )
     return ObservabilityReport(
-        matrix=O,
+        matrix=solver.matrix,
         full_rank=True,
         horizon=model.n - 1,
-        epsilon=worst,
-        pattern_traces=traces,
-        worst_pattern=worst_pattern,
+        epsilon=solver.epsilon,
+        worst_pattern="0" * model.n,
     )
 
 
 class WindowSolver:
-    """Precomputed machinery for repeatedly inverting n-step windows.
+    """The observability facts of one (model, trigger, weights) triple.
 
-    Caches the observability matrix (validated full rank) and the per-offset
-    uncertainty table, which depend only on the model and trigger, so that the
-    per-window work reduces to a diagonal scale and two linear solves.
+    Caches the observability matrix O (validated full rank), the per-offset
+    uncertainty table W[flag, i], the weights a and the diagonal of
+    (O O^T)^-1. Inverting a window then reduces to a diagonal scale and two
+    linear solves, and the window-ellipsoid trace of an event pattern is
+    Tr(O^-1 diag(W_i/a_i) O^-T) = sum_i (W_i/a_i) [(O O^T)^-1]_ii, an O(n) sum.
+
+    ``epsilon``, the largest such trace over all 2^n patterns, is the trace of
+    the all-zeros (no event) pattern. Every term of the sum is positive, and
+    each W_i grows with the channel uncertainty it starts from: the scalar
+    Minkowski chain is (sqrt(channel) + sqrt(rest))^2, and the no-event
+    channel term (threshold) exceeds the event term (transmit_error). So
+    replacing any event flag by "no event" can only raise the sum. Rounding
+    keeps this order wherever the computed W_i keep theirs: a product or
+    quotient of positives and a fixed-order float sum are monotone in each
+    operand.
     """
 
     def __init__(self, model: SystemModel, trigger: TriggerConfig, a: WeightVector):
@@ -285,6 +250,17 @@ class WindowSolver:
         self.matrix = O
         self.uncertainty = _uncertainty_table(model, trigger)
         self.weights = a.weights
+        self.gram_inv_diag = np.diag(cho_solve(cho_factor(O @ O.T), np.eye(model.n)))
+        # The terms (W_i/a_i) [(O O^T)^-1]_ii of the pattern trace, by flag.
+        self._trace_terms = self.uncertainty / self.weights * self.gram_inv_diag
+        self.epsilon = self.pattern_trace([0] * self.n)
+
+    def pattern_trace(self, flags: Sequence[int]) -> float:
+        """Trace of the window ellipsoid for one pattern of event flags."""
+        if len(flags) != self.n:
+            raise ValueError(f"pattern has length {len(flags)}, expected {self.n}")
+        terms = self._trace_terms
+        return float(np.sum(np.where(np.asarray(flags, dtype=bool), terms[1], terms[0])))
 
     def ellipsoid(self, flags: Sequence[int], references: Sequence[float]) -> Ellipsoid:
         """State set implied by one n-step window of set-valued measurements.
@@ -294,7 +270,7 @@ class WindowSolver:
         """
         if len(flags) != self.n or len(references) != self.n:
             raise ValueError(f"window must contain exactly {self.n} records")
-        w = self.uncertainty[[int(bool(f)) for f in flags], range(self.n)]
+        w = np.where(np.asarray(flags, dtype=bool), self.uncertainty[1], self.uncertainty[0])
         center = np.linalg.solve(self.matrix, np.asarray(references, dtype=float))
         half = np.linalg.solve(self.matrix, np.diag(w / self.weights))
         shape = np.linalg.solve(self.matrix, half.T).T
@@ -314,9 +290,10 @@ def convergence_bound(
 ) -> float:
     """Asymptotic upper bound on sqrt(Tr) of the posterior estimation ellipsoid.
 
-    Equals max over event patterns of (sqrt(Tr(P_window)) + sqrt(Tr(Q))) /
-    (1 - ||A||); finite only for a strictly stable A. The map is monotone in
-    the pattern trace, so the max is taken at epsilon, the largest trace.
+    Equals (sqrt(epsilon) + sqrt(Tr(Q))) / (1 - ||A||) with epsilon the
+    largest window-ellipsoid trace (``WindowSolver.epsilon``); the map is
+    monotone, so this is the max of the same expression over every event
+    pattern. Finite only for a strictly stable A.
 
     Raises:
         UnstableSystemError: ||A|| >= 1 (trace growth is unbounded).
@@ -326,8 +303,6 @@ def convergence_bound(
     norm_a = spectral_norm(model.A)
     if norm_a >= 1.0:
         raise UnstableSystemError(f"spectral norm {norm_a:.6f} >= 1; bound is unbounded")
-    report = epsilon_observability(model, trigger, a)
-    if not report.full_rank:
-        raise NotObservableError("observability matrix is rank deficient")
+    epsilon = WindowSolver(model, trigger, a).epsilon
     sqrt_trace_q = float(np.sqrt(np.trace(model.Q)))
-    return (np.sqrt(report.epsilon) + sqrt_trace_q) / (1.0 - norm_a)
+    return (np.sqrt(epsilon) + sqrt_trace_q) / (1.0 - norm_a)

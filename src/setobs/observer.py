@@ -25,14 +25,11 @@ from .ellipsoid import (
     optimal_sum_parameter,
 )
 from .observability import (
-    NotObservableError,
     SystemModel,
     TriggerConfig,
-    UnstableSystemError,
     WeightVector,
     WindowSolver,
-    convergence_bound,
-    epsilon_observability,
+    spectral_norm,
 )
 
 # Abort when the posterior trace exceeds this multiple of the squared
@@ -155,7 +152,7 @@ def observer_run(
     if len(records) < n:
         raise ValueError(f"log holds {len(records)} records; at least {n} are required")
     solver = WindowSolver(model, trigger, a)
-    guard = DIVERGENCE_FACTOR * guard_threshold(model, trigger, a) ** 2
+    guard = DIVERGENCE_FACTOR * guard_threshold(model, solver.epsilon) ** 2
     ks = [r.k for r in records]
     if ks != list(range(ks[0], ks[0] + len(records))):
         raise ValueError("record log has non-consecutive step indices")
@@ -191,19 +188,16 @@ def observer_run(
     return outputs
 
 
-def guard_threshold(model: SystemModel, trigger: TriggerConfig, a: WeightVector) -> float:
-    """Reference sqrt-trace level for the divergence guard.
+def guard_threshold(model: SystemModel, epsilon: float) -> float:
+    """Reference sqrt-trace level for the divergence guard, from the model's epsilon.
 
-    The asymptotic bound when A is strictly stable; otherwise the undamped
-    single-step gain sqrt(epsilon) + sqrt(Tr Q), which every healthy posterior
-    stays below regardless of stability (the window information alone caps the
-    fused trace). The guard is pure defense in depth: it trips only on numeric
+    The asymptotic bound (sqrt(epsilon) + sqrt(Tr Q)) / (1 - ||A||) when A is
+    strictly stable; otherwise the undamped single-step gain
+    sqrt(epsilon) + sqrt(Tr Q), which every healthy posterior stays below
+    regardless of stability (the window information alone caps the fused
+    trace). The guard is pure defense in depth: it trips only on numeric
     breakdown, never in a well-posed run.
     """
-    try:
-        return convergence_bound(model, trigger, a)
-    except UnstableSystemError:
-        report = epsilon_observability(model, trigger, a)
-        if not report.full_rank:
-            raise NotObservableError("observability matrix is rank deficient") from None
-        return float(np.sqrt(report.epsilon) + np.sqrt(np.trace(model.Q)))
+    gain = np.sqrt(epsilon) + float(np.sqrt(np.trace(model.Q)))
+    norm_a = spectral_norm(model.A)
+    return float(gain / (1.0 - norm_a) if norm_a < 1.0 else gain)

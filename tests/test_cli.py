@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from setobs import SystemModel, TriggerConfig
+from setobs import SystemModel, TriggerConfig, convergence_bound, run_closed_loop
 from setobs.cli import build_sim_config, load_config, main, read_log
 
 BENCH = {
@@ -86,6 +86,30 @@ class TestConfigParsing:
         assert code == 2
         assert "config error" in err and "finite" in err
 
+    @pytest.mark.parametrize("command", ["check", "bound", "simulate", "replay"])
+    def test_weight_vector_of_wrong_length(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, a=[0.25, 0.25, 0.5])
+        log = tmp_path / "log.csv"
+        log.write_text("k,gamma,y_tau\n0,1,0.5\n1,0,0.5\n2,0,0.5\n")
+        extra = {
+            "simulate": ["--out", str(tmp_path / "out")],
+            "replay": ["--log", str(log), "--out", str(tmp_path / "out")],
+        }.get(command, [])
+        code = main([command, "--config", str(path)] + extra)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "'a' has 3 entries, expected 2" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("N", 50.9), ("seed", 3.7)])
+    def test_non_integral_count_is_config_error(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, **{key: value})
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and f"'{key}' must be an integer" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCheck:
     def test_bench_output(self, bench_config_file, capsys):
@@ -114,6 +138,18 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 0
         assert sum(1 for l in out.splitlines() if l.startswith("pattern ")) == 2
+
+    def test_enumeration_cap(self, tmp_path, capsys):
+        # The listing is 2^n lines; it is refused before anything is printed.
+        n = 21
+        path = write_config(
+            tmp_path, A=(0.5 * np.eye(n)).tolist(), C=[1.0] * n, Q=np.eye(n).tolist(), a=None
+        )
+        code = main(["check", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "cap" in captured.err
+        assert captured.out == ""
 
 
 class TestBound:
@@ -201,6 +237,18 @@ class TestSimulate:
         assert code == 1
         assert "observable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_nonpositive_seed_count_rejected(self, bench_config_file, tmp_path, capsys, count):
+        out_dir = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "simulate", "--config", str(bench_config_file), "--out", str(out_dir),
+                "--seeds", count,
+            ])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_seed_sweep_summary(self, bench_config_file, tmp_path):
         out_dir = tmp_path / "sweep"
         code = main([
@@ -264,6 +312,16 @@ class TestReplay:
         assert "config error" in err and "gamma" in err
         assert not (tmp_path / "out").exists()
 
+    def test_missing_log_file(self, bench_config_file, tmp_path, capsys):
+        code = main([
+            "replay", "--config", str(bench_config_file),
+            "--log", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "nope.csv" in err
+        assert not (tmp_path / "out").exists()
+
     def test_three_row_log_two_estimates(self, bench_config_file, tmp_path):
         log = tmp_path / "hand.csv"
         log.write_text("k,gamma,y_tau\n0,1,0.4\n1,0,0.4\n2,1,-0.3\n")
@@ -284,6 +342,42 @@ class TestReplay:
         records = read_log(sim_dir / "log.csv")
         assert len(records) == BENCH["N"] + 1
         assert records[0].gamma and records[0].k == 0
+
+
+class TestBeyondListingCap:
+    """n = 21 is past the cap of check's listing; nothing else enumerates patterns."""
+
+    def test_bound_replay_and_closed_loop(self, tmp_path, capsys):
+        # A = rho * U with U a fixed random orthogonal matrix: strictly stable, observable.
+        n = 21
+        rng = np.random.default_rng(21)
+        path = write_config(
+            tmp_path,
+            A=(0.9 * np.linalg.qr(rng.standard_normal((n, n)))[0]).tolist(),
+            C=rng.standard_normal(n).tolist(), Q=np.eye(n).tolist(), a=None, x0=[0.0] * n,
+        )
+        config = build_sim_config(load_config(path))
+        trace, estimates, metrics = run_closed_loop(config)
+        assert len(estimates) == config.N + 1 - (n - 1)
+        assert metrics.containment_violations == 0
+
+        assert main(["bound", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        value = float(next(l for l in out.splitlines() if "sqrt-trace" in l).split(":")[1])
+        assert value == convergence_bound(config.model, config.trigger, config.a)
+
+        log = tmp_path / "log.csv"
+        log.write_text("k,gamma,y_tau\n" + "".join(
+            f"{r.k},{int(r.gamma)},{float(r.y_tau)!r}\n" for r in trace.records
+        ))
+        assert main([
+            "replay", "--config", str(path), "--log", str(log), "--out", str(tmp_path / "rep"),
+        ]) == 0
+        rows = list(csv.DictReader(open(tmp_path / "rep" / "replay_steps.csv")))
+        filled = [r for r in rows if r["x_hat1"] != ""]
+        assert len(filled) == len(estimates)
+        for row, est in zip(filled, estimates):
+            assert float(row["x_hat1"]) == est.posterior_set.center[0]
 
 
 class TestRandomConfigRoundTrips:

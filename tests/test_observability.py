@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from setobs import (
     contains,
     convergence_bound,
     epsilon_observability,
-    information_weight_matrix,
     measurement_uncertainty,
     observability_matrix,
     spectral_norm,
@@ -39,6 +40,14 @@ def bench_window_trace(flags, threshold=0.6, transmit_error=1e-4) -> float:
     Oinv = np.array([[O[1, 1], -O[0, 1]], [-O[1, 0], O[0, 0]]]) / det
     D_inv = np.diag([w0 / 0.5, w1 / 0.5])
     return float(np.trace(Oinv @ D_inv @ Oinv.T))
+
+
+def enumerated_traces(solver: WindowSolver) -> dict[str, float]:
+    """Trace of every one of the 2^n patterns, keyed by bit string in sorted order."""
+    return {
+        "".join(map(str, bits)): solver.pattern_trace(bits)
+        for bits in product((0, 1), repeat=solver.n)
+    }
 
 
 class TestSystemModelType:
@@ -118,42 +127,17 @@ class TestMeasurementUncertainty:
             measurement_uncertainty(bench_model, bench_trigger, False, 2)
 
 
-class TestInformationWeightMatrix:
-    def test_bench_no_event_pattern(self, bench_model, bench_trigger, bench_weights):
-        D = information_weight_matrix(bench_model, bench_trigger, bench_weights, (0, 0))
-        w0 = scalar_chain([0.6, 0.5])
-        w1 = scalar_chain([0.6, 2.5, 0.5])
-        assert np.allclose(D, np.diag([0.5 / w0, 0.5 / w1]), rtol=1e-12)
-
-    def test_pattern_independence_when_error_matches_threshold(self, bench_model):
-        trigger = TriggerConfig(threshold=0.6, transmit_error=0.6 * (1 - 1e-12))
-        weights = WeightVector([0.5, 0.5])
-        D0 = information_weight_matrix(bench_model, trigger, weights, (0, 0))
-        D1 = information_weight_matrix(bench_model, trigger, weights, (1, 1))
-        assert np.allclose(D0, D1, rtol=1e-9)
-
-    def test_scalar_model(self):
-        model = SystemModel(A=[[0.5]], C=[1.0], Q=[[1.0]], R=0.5)
-        trigger = TriggerConfig(threshold=1.5, transmit_error=0.1)
-        # W = (sqrt(1.5) + sqrt(0.5))^2; one weight of 1.
-        D = information_weight_matrix(model, trigger, WeightVector([1.0]), (0,))
-        assert D[0, 0] == pytest.approx(1.0 / scalar_chain([1.5, 0.5]), rel=1e-12)
-
-    def test_rejects_wrong_pattern_length(self, bench_model, bench_trigger, bench_weights):
-        with pytest.raises(ValueError, match="pattern"):
-            information_weight_matrix(bench_model, bench_trigger, bench_weights, (0, 0, 0))
-
-
 class TestEpsilonObservability:
     def test_bench_report_matches_bruteforce(self, bench_model, bench_trigger, bench_weights):
         report = epsilon_observability(bench_model, bench_trigger, bench_weights)
         assert report.full_rank
         assert report.horizon == 1
-        assert len(report.pattern_traces) == 4
+        traces = enumerated_traces(WindowSolver(bench_model, bench_trigger, bench_weights))
+        assert len(traces) == 4
         expected = {
             f"{f0}{f1}": bench_window_trace((f0, f1)) for f0 in (0, 1) for f1 in (0, 1)
         }
-        for pattern, trace in report.pattern_traces.items():
+        for pattern, trace in traces.items():
             assert trace == pytest.approx(expected[pattern], rel=1e-12)
         assert report.worst_pattern == "00"
         assert report.epsilon == pytest.approx(max(expected.values()), rel=1e-12)
@@ -164,18 +148,53 @@ class TestEpsilonObservability:
         report = epsilon_observability(model, bench_trigger)
         assert not report.full_rank
         assert report.epsilon is None
-        assert report.pattern_traces == {}
+        assert report.worst_pattern is None
 
     def test_pattern_traces_equal_when_error_matches_threshold(self, bench_model):
         trigger = TriggerConfig(threshold=0.6, transmit_error=0.6 * (1 - 1e-12))
-        report = epsilon_observability(bench_model, trigger)
-        values = list(report.pattern_traces.values())
+        solver = WindowSolver(bench_model, trigger, WeightVector.uniform(2))
+        values = list(enumerated_traces(solver).values())
         assert np.allclose(values, values[0], rtol=1e-9)
 
     def test_epsilon_is_max_of_traces(self, bench_model, bench_trigger):
         report = epsilon_observability(bench_model, bench_trigger)
-        assert report.epsilon == max(report.pattern_traces.values())
-        assert report.pattern_traces[report.worst_pattern] == report.epsilon
+        solver = WindowSolver(bench_model, bench_trigger, WeightVector.uniform(2))
+        traces = enumerated_traces(solver)
+        assert report.epsilon == max(traces.values())
+        assert traces[report.worst_pattern] == report.epsilon
+
+    def test_closed_form_is_enumerated_max_on_random_systems(self):
+        # Bit for bit, and the first maximal pattern in sorted order is all zeros.
+        rng = np.random.default_rng(2203)
+        checked = 0
+        while checked < 200:
+            n = int(rng.integers(1, 9))
+            A = rng.standard_normal((n, n))
+            A *= rng.uniform(0.2, 1.5) / max(np.linalg.norm(A, 2), 1e-9)
+            G = rng.standard_normal((n, n))
+            model = SystemModel(
+                A=A, C=rng.standard_normal(n), Q=G @ G.T + 0.1 * np.eye(n),
+                R=float(rng.uniform(0.05, 2.0)),
+            )
+            threshold = float(rng.uniform(0.05, 5.0))
+            trigger = TriggerConfig(threshold, threshold * 10.0 ** rng.uniform(-8.0, 0.0))
+            raw = rng.uniform(0.1, 1.0, n)
+            weights = WeightVector(raw / raw.sum())
+            try:
+                solver = WindowSolver(model, trigger, weights)
+            except NotObservableError:
+                continue
+            traces = enumerated_traces(solver)
+            argmax = max(traces, key=traces.get)
+            report = epsilon_observability(model, trigger, weights)
+            assert report.epsilon == solver.epsilon == traces[argmax]
+            assert argmax == report.worst_pattern == "0" * n
+            checked += 1
+
+    def test_pattern_trace_rejects_wrong_length(self, bench_model, bench_trigger, bench_weights):
+        solver = WindowSolver(bench_model, bench_trigger, bench_weights)
+        with pytest.raises(ValueError, match="pattern"):
+            solver.pattern_trace((0, 0, 0))
 
     def test_monotone_in_threshold(self, bench_model, bench_weights):
         last = 0.0
@@ -184,12 +203,6 @@ class TestEpsilonObservability:
             report = epsilon_observability(bench_model, trigger, bench_weights)
             assert report.epsilon >= last - 1e-12
             last = report.epsilon
-
-    def test_enumeration_cap(self, bench_trigger):
-        n = 21
-        model = SystemModel(A=0.5 * np.eye(n), C=np.ones(n), Q=np.eye(n), R=1.0)
-        with pytest.raises(ValueError, match="cap"):
-            epsilon_observability(model, bench_trigger)
 
 
 class TestInitialStateSet:
@@ -256,10 +269,13 @@ class TestConvergenceBound:
         assert bounds[-1] < 1e-2 * bounds[0]
 
     def test_zero_dynamics_denominator_one(self):
+        # Scalar model: O = [1], a = [1], so epsilon = W = (sqrt(1.0) + sqrt(0.5))^2.
         model = SystemModel(A=[[0.0]], C=[1.0], Q=[[2.0]], R=0.5)
         trigger = TriggerConfig(threshold=1.0, transmit_error=0.1)
-        report = epsilon_observability(model, trigger)
-        expected = float(np.sqrt(report.epsilon) + np.sqrt(2.0))
+        assert epsilon_observability(model, trigger).epsilon == pytest.approx(
+            scalar_chain([1.0, 0.5]), rel=1e-12
+        )
+        expected = float(np.sqrt(scalar_chain([1.0, 0.5])) + np.sqrt(2.0))
         assert convergence_bound(model, trigger) == pytest.approx(expected, rel=1e-12)
 
     def test_unstable_rejected(self, bench_trigger):
@@ -268,8 +284,8 @@ class TestConvergenceBound:
             convergence_bound(model, bench_trigger)
 
     def test_bound_dominates_every_pattern(self, bench_model, bench_trigger, bench_weights):
-        report = epsilon_observability(bench_model, bench_trigger, bench_weights)
+        solver = WindowSolver(bench_model, bench_trigger, bench_weights)
         bound = convergence_bound(bench_model, bench_trigger, bench_weights)
         denom = 1.0 - spectral_norm(bench_model.A)
-        for trace in report.pattern_traces.values():
+        for trace in enumerated_traces(solver).values():
             assert bound >= np.sqrt(trace) / denom

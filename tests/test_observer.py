@@ -280,22 +280,23 @@ class TestObserverRun:
         model = SystemModel(A=[[1.3, 0.1], [0.0, 1.2]], C=[1.0, 0.0], Q=np.eye(2), R=0.5)
         records = [MeasurementRecord(k, False, 0.0) for k in range(200)]
         outputs = observer_run(records, model, bench_trigger)
-        level = guard_threshold(model, bench_trigger, WeightVector.uniform(2))
+        epsilon = WindowSolver(model, bench_trigger, WeightVector.uniform(2)).epsilon
+        level = guard_threshold(model, epsilon)
         for out in outputs:
             assert np.sqrt(np.trace(out.posterior_set.shape)) <= 2.0 * level
 
     def test_guard_threshold_levels(self, bench_model, bench_trigger):
-        from setobs import epsilon_observability
         from setobs.observer import guard_threshold
 
         weights = WeightVector.uniform(2)
-        assert guard_threshold(bench_model, bench_trigger, weights) == pytest.approx(
+        epsilon = WindowSolver(bench_model, bench_trigger, weights).epsilon
+        assert guard_threshold(bench_model, epsilon) == pytest.approx(
             convergence_bound(bench_model, bench_trigger, weights)
         )
         unstable = SystemModel(A=[[1.3, 0.1], [0.0, 1.2]], C=[1.0, 0.0], Q=np.eye(2), R=0.5)
-        report = epsilon_observability(unstable, bench_trigger, weights)
-        expected = np.sqrt(report.epsilon) + np.sqrt(np.trace(unstable.Q))
-        assert guard_threshold(unstable, bench_trigger, weights) == pytest.approx(expected)
+        epsilon = WindowSolver(unstable, bench_trigger, weights).epsilon
+        expected = np.sqrt(epsilon) + np.sqrt(np.trace(unstable.Q))
+        assert guard_threshold(unstable, epsilon) == pytest.approx(expected)
 
     def test_divergence_guard_abort_path(self, bench_model, bench_trigger, monkeypatch):
         import setobs.observer as observer_mod
