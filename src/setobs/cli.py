@@ -51,6 +51,10 @@ def load_config(path: str | Path) -> dict:
             return json.load(fh)
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {path}") from err
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: cannot decode text: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
@@ -231,17 +235,20 @@ def read_log(path: str | Path) -> list[MeasurementRecord]:
     except OSError as err:
         raise ConfigError(f"cannot open log file {path}: {err.strerror}") from err
     with fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                gamma = int(row["gamma"])
-                if gamma not in (0, 1):
-                    raise ValueError(f"event flag gamma must be 0 or 1, got {gamma}")
-                records.append(
-                    MeasurementRecord(k=int(row["k"]), gamma=bool(gamma), y_tau=float(row["y_tau"]))
-                )
-            except (KeyError, TypeError, ValueError) as err:
-                raise ConfigError(f"{path}: malformed log row {row}: {err}") from err
+        try:
+            rows = list(csv.DictReader(fh))
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: cannot decode text: {err}") from err
+    for row in rows:
+        try:
+            gamma = int(row["gamma"])
+            if gamma not in (0, 1):
+                raise ValueError(f"event flag gamma must be 0 or 1, got {gamma}")
+            records.append(
+                MeasurementRecord(k=int(row["k"]), gamma=bool(gamma), y_tau=float(row["y_tau"]))
+            )
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"{path}: malformed log row {row}: {err}") from err
     if not records:
         raise ConfigError(f"{path}: log is empty")
     for prev, cur in zip(records, records[1:]):

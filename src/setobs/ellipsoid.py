@@ -11,6 +11,8 @@ manifold.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,27 @@ def _symmetrize(S: np.ndarray) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
+@functools.cache
+def _psd_margin(n: int) -> np.ndarray:
+    margin = PSD_TOL * np.eye(n)
+    margin.flags.writeable = False
+    return margin
+
+
+def _require_psd(shape: np.ndarray) -> np.ndarray:
+    """Return ``shape`` if it is PSD within ``PSD_TOL``; raise ValueError otherwise."""
+    # Cholesky of S + tol*I succeeds exactly when min eig > -tol; it is far
+    # cheaper than a full eigendecomposition on this hot path.
+    try:
+        np.linalg.cholesky(shape + _psd_margin(shape.shape[0]))
+    except np.linalg.LinAlgError:
+        min_eig = float(np.min(np.linalg.eigvalsh(shape)))
+        raise ValueError(
+            f"shape matrix has eigenvalue {min_eig:.3e} below -{PSD_TOL:.0e}"
+        ) from None
+    return shape
+
+
 @dataclass(frozen=True)
 class Ellipsoid:
     """Ellipsoid {x : (x - center)^T shape^-1 (x - center) <= 1}.
@@ -42,6 +65,17 @@ class Ellipsoid:
     The shape matrix must be symmetric within ``SYMMETRY_TOL`` and PSD within
     ``PSD_TOL``; it is stored re-symmetrized. A zero shape matrix describes a
     single point (degenerate ellipsoid).
+
+    ``Ellipsoid(...)`` validates everything. Results of the calculus
+    (``affine_transform``, ``minkowski_sum_outer``) and of
+    ``WindowSolver.ellipsoid`` are built by ``_trusted`` instead, which skips
+    the conversions and the symmetry test: their shapes come straight out of
+    ``_symmetrize``, and (S + S^T) / 2 is exactly symmetric in IEEE arithmetic
+    because addition commutes, so that test could only pass and the stored
+    re-symmetrized copy would equal S bit for bit. The PSD test still runs on
+    every such shape. Only a repeat on identical bits is skipped: a window
+    shape is tested once per event pattern, when ``WindowSolver`` first
+    computes it, and the disturbance set E(0, Q) once per model.
     """
 
     center: np.ndarray
@@ -59,18 +93,21 @@ class Ellipsoid:
         asym = np.max(np.abs(shape - shape.T)) if shape.size else 0.0
         if asym > SYMMETRY_TOL:
             raise ValueError(f"shape matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
-        shape = _symmetrize(shape)
-        # Cholesky of S + tol*I succeeds exactly when min eig > -tol; it is far
-        # cheaper than a full eigendecomposition on this hot path.
-        try:
-            np.linalg.cholesky(shape + PSD_TOL * np.eye(shape.shape[0]))
-        except np.linalg.LinAlgError:
-            min_eig = float(np.min(np.linalg.eigvalsh(shape)))
-            raise ValueError(
-                f"shape matrix has eigenvalue {min_eig:.3e} below -{PSD_TOL:.0e}"
-            ) from None
+        shape = _require_psd(_symmetrize(shape))
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "shape", shape)
+
+    @classmethod
+    def _trusted(cls, center: np.ndarray, shape: np.ndarray) -> "Ellipsoid":
+        """Internal result from a float vector and a float shape of matching size.
+
+        ``shape`` must come out of ``_symmetrize`` and have passed
+        ``_require_psd``; nothing is checked or copied.
+        """
+        ell = object.__new__(cls)
+        object.__setattr__(ell, "center", center)
+        object.__setattr__(ell, "shape", shape)
+        return ell
 
     @property
     def dim(self) -> int:
@@ -100,7 +137,7 @@ def affine_transform(ell: Ellipsoid, A: np.ndarray, b: np.ndarray | float = 0.0)
     if A.shape[1] != ell.dim:
         raise ValueError(f"matrix has {A.shape[1]} columns, ellipsoid has dimension {ell.dim}")
     b = np.broadcast_to(np.atleast_1d(np.asarray(b, dtype=float)).ravel(), (A.shape[0],))
-    return Ellipsoid(A @ ell.center + b, _symmetrize(A @ ell.shape @ A.T))
+    return Ellipsoid._trusted(A @ ell.center + b, _require_psd(_symmetrize(A @ ell.shape @ A.T)))
 
 
 def sum_parameter_range(Q1: np.ndarray, Q2: np.ndarray) -> SumParameterRange:
@@ -174,12 +211,13 @@ def minkowski_sum_outer(e1: Ellipsoid, e2: Ellipsoid, p: float | None = None) ->
     t1 = float(np.trace(e1.shape))
     t2 = float(np.trace(e2.shape))
     if t1 <= DEGENERATE_TRACE:
-        return Ellipsoid(center, e2.shape)
+        return Ellipsoid._trusted(center, _require_psd(e2.shape.copy()))
     if t2 <= DEGENERATE_TRACE:
-        return Ellipsoid(center, e1.shape)
+        return Ellipsoid._trusted(center, _require_psd(e1.shape.copy()))
     if p is None:
-        p = optimal_sum_parameter(e1.shape, e2.shape)
-    return Ellipsoid(center, _symmetrize((1.0 + 1.0 / p) * e1.shape + (1.0 + p) * e2.shape))
+        p = math.sqrt(t1 / t2)  # optimal_sum_parameter, from the traces at hand
+    shape = _symmetrize((1.0 + 1.0 / p) * e1.shape + (1.0 + p) * e2.shape)
+    return Ellipsoid._trusted(center, _require_psd(shape))
 
 
 def minkowski_sum_chain(ellipsoids: list[Ellipsoid]) -> Ellipsoid:
@@ -276,16 +314,24 @@ def sample_point(
     Samples always satisfy ``contains``; a zero shape returns the center.
     With ``size`` a (size, d) batch is drawn in one vectorized pass.
     """
-    d = ell.dim
+    return _draw(ell.center, shape_sqrt(ell.shape), rng, size)
+
+
+def _draw(
+    center: np.ndarray, root: np.ndarray, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """``sample_point`` for E(center, S) given root = shape_sqrt(S), so a caller
+    drawing many points from one set computes the root once."""
+    d = center.size
     if size is None:
         direction = rng.standard_normal(d)
         norm = np.linalg.norm(direction)
         if norm > 0.0:
             direction /= norm
         radius = rng.random() ** (1.0 / d)
-        return ell.center + shape_sqrt(ell.shape) @ (radius * direction)
+        return center + root @ (radius * direction)
     directions = rng.standard_normal((int(size), d))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     np.divide(directions, norms, out=directions, where=norms > 0.0)
     radii = rng.random((int(size), 1)) ** (1.0 / d)
-    return ell.center + (radii * directions) @ shape_sqrt(ell.shape)
+    return center + (radii * directions) @ root

@@ -12,12 +12,13 @@ an asymptotic one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .ellipsoid import Ellipsoid, minkowski_sum_chain, _symmetrize
+from .ellipsoid import Ellipsoid, minkowski_sum_chain, _require_psd, _symmetrize
 
 
 class NotObservableError(ValueError):
@@ -73,6 +74,14 @@ class SystemModel:
     @property
     def n(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def _disturbance_set(self) -> Ellipsoid:
+        """E(0, Q), validated once per model; read-only, as every prior shares it."""
+        ell = Ellipsoid(np.zeros(self.n), self.Q)
+        ell.center.flags.writeable = False
+        ell.shape.flags.writeable = False
+        return ell
 
 
 @dataclass(frozen=True)
@@ -254,6 +263,8 @@ class WindowSolver:
         # The terms (W_i/a_i) [(O O^T)^-1]_ii of the pattern trace, by flag.
         self._trace_terms = self.uncertainty / self.weights * self.gram_inv_diag
         self.epsilon = self.pattern_trace([0] * self.n)
+        # Window shape per event pattern, PSD-tested once when first computed.
+        self._shapes: dict[tuple[bool, ...], np.ndarray] = {}
 
     def pattern_trace(self, flags: Sequence[int]) -> float:
         """Trace of the window ellipsoid for one pattern of event flags."""
@@ -266,15 +277,22 @@ class WindowSolver:
         """State set implied by one n-step window of set-valued measurements.
 
         Returns E(O^-1 Y, O^-1 diag(W_i/a_i) O^-T) where Y stacks the window's
-        reference outputs; realized via linear solves against O.
+        reference outputs; realized via linear solves against O. The shape
+        depends on the flags alone, so it is computed once per pattern and
+        shared, read-only, by every window with that pattern.
         """
         if len(flags) != self.n or len(references) != self.n:
             raise ValueError(f"window must contain exactly {self.n} records")
-        w = np.where(np.asarray(flags, dtype=bool), self.uncertainty[1], self.uncertainty[0])
+        pattern = tuple(map(bool, flags))
+        shape = self._shapes.get(pattern)
+        if shape is None:
+            w = np.where(pattern, self.uncertainty[1], self.uncertainty[0])
+            half = np.linalg.solve(self.matrix, np.diag(w / self.weights))
+            shape = _require_psd(_symmetrize(np.linalg.solve(self.matrix, half.T).T))
+            shape.flags.writeable = False
+            self._shapes[pattern] = shape
         center = np.linalg.solve(self.matrix, np.asarray(references, dtype=float))
-        half = np.linalg.solve(self.matrix, np.diag(w / self.weights))
-        shape = np.linalg.solve(self.matrix, half.T).T
-        return Ellipsoid(center, _symmetrize(shape))
+        return Ellipsoid._trusted(center, shape)
 
 
 def spectral_norm(A: np.ndarray) -> float:

@@ -87,7 +87,7 @@ def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
     sqrt(Tr(A P A^T)) + sqrt(Tr(Q)).
     """
     mapped = affine_transform(previous, model.A)
-    return minkowski_sum_outer(mapped, Ellipsoid(np.zeros(model.n), model.Q))
+    return minkowski_sum_outer(mapped, model._disturbance_set)
 
 
 def fuse(measurement: Ellipsoid, prior: Ellipsoid) -> tuple[Ellipsoid, np.ndarray, float]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, contains, sample_point
+from .ellipsoid import Ellipsoid, _draw, contains, shape_sqrt
 from .observability import (
     NotObservableError,
     SystemModel,
@@ -101,9 +101,25 @@ def evaluate_trigger(
 
 def sample_noise(model: SystemModel, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Draw (w, v) uniformly from their bounded-noise ellipsoids."""
-    w = sample_point(Ellipsoid(np.zeros(model.n), model.Q), rng)
-    v = float(sample_point(Ellipsoid([0.0], [[model.R]]), rng)[0])
-    return w, v
+    return _draw_noise(_noise_roots(model), rng)
+
+
+def _noise_roots(model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
+    """shape_sqrt of the validated disturbance set E(0, Q) and noise set E(0, R)."""
+    noise_set = Ellipsoid([0.0], [[model.R]])
+    return shape_sqrt(model._disturbance_set.shape), shape_sqrt(noise_set.shape)
+
+
+def _draw_v(roots: tuple[np.ndarray, np.ndarray], rng: np.random.Generator) -> float:
+    return float(_draw(np.zeros(1), roots[1], rng)[0])
+
+
+def _draw_noise(
+    roots: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
+) -> tuple[np.ndarray, float]:
+    """``sample_noise`` from precomputed roots: w first, then v."""
+    w = _draw(np.zeros(roots[0].shape[0]), roots[0], rng)
+    return w, _draw_v(roots, rng)
 
 
 def run_closed_loop(config: SimConfig) -> tuple[Trace, list[ObserverOutput], Metrics]:
@@ -126,20 +142,17 @@ def run_closed_loop(config: SimConfig) -> tuple[Trace, list[ObserverOutput], Met
     measurement_noise = np.empty(N + 1)
     records: list[MeasurementRecord] = []
 
-    # Same draws as sample_noise, with the noise sets built once per run.
-    disturbance_set = Ellipsoid(np.zeros(n), model.Q)
-    noise_set = Ellipsoid([0.0], [[model.R]])
+    roots = _noise_roots(model)  # once per run; every draw reuses them
 
     states[0] = config.x0
-    v = float(sample_point(noise_set, rng)[0])
+    v = _draw_v(roots, rng)
     measurement_noise[0] = v
     outputs[0] = float(model.C @ states[0]) + v
     y_tau = outputs[0]
     records.append(MeasurementRecord(k=0, gamma=True, y_tau=y_tau))
 
     for k in range(1, N + 1):
-        w = sample_point(disturbance_set, rng)
-        v = float(sample_point(noise_set, rng)[0])
+        w, v = _draw_noise(roots, rng)
         process_noise[k - 1] = w
         measurement_noise[k] = v
         states[k] = step_plant(states[k - 1], w, model)

@@ -63,6 +63,18 @@ class TestConfigParsing:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"A": "\xff"}')
+        code = main(["check", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and str(path) in err
+
     def test_weights_default_to_uniform(self, tmp_path):
         path = write_config(tmp_path, a=None)
         config = build_sim_config(load_config(path))
@@ -320,6 +332,18 @@ class TestReplay:
         err = capsys.readouterr().err
         assert code == 2
         assert "config error" in err and "nope.csv" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_log_that_is_not_utf8(self, bench_config_file, tmp_path, capsys):
+        log = tmp_path / "binary.csv"
+        log.write_bytes(b"k,gamma,y_tau\n0,1,0.5\n1,0,\xff\n2,0,0.5\n")
+        code = main([
+            "replay", "--config", str(bench_config_file),
+            "--log", str(log), "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "binary.csv" in err
         assert not (tmp_path / "out").exists()
 
     def test_three_row_log_two_estimates(self, bench_config_file, tmp_path):

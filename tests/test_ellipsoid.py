@@ -367,6 +367,49 @@ class TestSamplePoint:
         assert np.allclose(scalar.var(axis=0), batch.var(axis=0), rtol=0.08)
 
 
+def unvalidated(center, shape) -> Ellipsoid:
+    """An Ellipsoid that skipped validation, to feed the calculus a bad operand."""
+    ell = object.__new__(Ellipsoid)
+    object.__setattr__(ell, "center", np.asarray(center, dtype=float))
+    object.__setattr__(ell, "shape", np.asarray(shape, dtype=float))
+    return ell
+
+
+class TestInternalResults:
+    # Calculus results skip the conversions and the symmetry test but keep the
+    # PSD test, and each owns its arrays.
+    def test_affine_transform_tests_psd(self):
+        indefinite = unvalidated([0.0, 0.0], np.diag([3.0, -1.0]))
+        with pytest.raises(ValueError, match="eigenvalue"):
+            affine_transform(indefinite, np.eye(2))
+
+    @pytest.mark.parametrize("degenerate_first", [False, True])
+    def test_minkowski_sum_tests_psd(self, degenerate_first):
+        indefinite = unvalidated([0.0, 0.0], np.diag([3.0, -1.0]))
+        other = Ellipsoid([0.0, 0.0], np.zeros((2, 2)) if degenerate_first else 1e-3 * np.eye(2))
+        operands = (other, indefinite) if degenerate_first else (indefinite, other)
+        with pytest.raises(ValueError, match="eigenvalue"):
+            minkowski_sum_outer(*operands)
+
+    def test_results_exactly_symmetric_and_own_their_arrays(self):
+        rng = np.random.default_rng(23)
+        point = Ellipsoid([1.0, 2.0, 3.0], np.zeros((3, 3)))
+        for _ in range(50):
+            e1 = Ellipsoid(rng.standard_normal(3), rand_spd(rng, 3))
+            e2 = Ellipsoid(rng.standard_normal(3), rand_spd(rng, 3))
+            results = [
+                affine_transform(e1, rng.standard_normal((3, 3))),
+                minkowski_sum_outer(e1, e2),
+                minkowski_sum_outer(e1, point),
+                minkowski_sum_outer(point, e2),
+            ]
+            for out in results:
+                assert np.array_equal(out.shape, out.shape.T)
+                for operand in (e1, e2, point):
+                    assert not np.shares_memory(out.shape, operand.shape)
+                    assert not np.shares_memory(out.center, operand.center)
+
+
 class TestAffineExactness:
     def test_generalized_distance_preserved_under_invertible_map(self):
         rng = np.random.default_rng(18)

@@ -237,6 +237,56 @@ class TestInitialStateSet:
             WindowSolver(model, bench_trigger, WeightVector.uniform(2))
 
 
+class TestWindowShapeCache:
+    @staticmethod
+    def random_system(n: int, seed: int):
+        rng = np.random.default_rng(seed)
+        model = SystemModel(
+            A=0.9 * np.linalg.qr(rng.standard_normal((n, n)))[0],
+            C=rng.standard_normal(n),
+            Q=np.eye(n),
+            R=0.5,
+        )
+        a = rng.uniform(0.5, 1.5, n)
+        return model, TriggerConfig(0.6, 1e-4), WeightVector(a / a.sum()), rng
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cached_shape_bit_identical_to_fresh_solver(self, n):
+        model, trigger, a, rng = self.random_system(n, 40 + n)
+        solver = WindowSolver(model, trigger, a)
+        O = observability_matrix(model)
+        for flags in product((0, 1), repeat=n):
+            refs = rng.standard_normal(n)
+            first = solver.ellipsoid(flags, refs)
+            cached = solver.ellipsoid(flags, rng.standard_normal(n))
+            fresh = WindowSolver(model, trigger, a).ellipsoid(flags, refs)
+            assert np.array_equal(cached.shape, fresh.shape)
+            assert np.array_equal(first.center, fresh.center)
+            # The window formula of WindowSolver.ellipsoid, written out.
+            w = np.array([measurement_uncertainty(model, trigger, bool(f), i)
+                          for i, f in enumerate(flags)])
+            half = np.linalg.solve(O, np.diag(w / a.weights))
+            shape = np.linalg.solve(O, half.T).T
+            assert np.array_equal(cached.shape, (shape + shape.T) / 2.0)
+
+    def test_returned_shape_is_read_only(self, bench_model, bench_trigger, bench_weights):
+        solver = WindowSolver(bench_model, bench_trigger, bench_weights)
+        for _ in range(2):  # computed, then cached
+            out = solver.ellipsoid([1, 0], [0.1, 0.2])
+            with pytest.raises(ValueError, match="read-only"):
+                out.shape[0, 0] = 1.0
+            assert out.center.flags.writeable
+
+    def test_indefinite_shape_rejected_every_time(self, bench_model, bench_trigger):
+        # Weights that skipped validation make the window shape indefinite.
+        bad = object.__new__(WeightVector)
+        object.__setattr__(bad, "weights", np.array([1.5, -0.5]))
+        solver = WindowSolver(bench_model, bench_trigger, bad)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="eigenvalue"):
+                solver.ellipsoid([0, 0], [0.1, 0.2])
+
+
 class TestSpectralNorm:
     def test_identity(self):
         assert spectral_norm(np.eye(3)) == pytest.approx(1.0)

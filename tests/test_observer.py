@@ -50,6 +50,7 @@ class TestPriorSet:
         out = prior_set(previous, bench_model)
         assert np.allclose(out.center, bench_model.A @ np.array([1.0, 2.0]))
         assert np.allclose(out.shape, bench_model.Q)
+        assert out.shape.flags.writeable and not np.shares_memory(out.shape, bench_model.Q)
 
     def test_scalar_closed_form(self, scalar_model):
         out = prior_set(Ellipsoid([2.0], [[4.0]]), scalar_model)
@@ -305,3 +306,102 @@ class TestObserverRun:
         records = [MeasurementRecord(k, False, 0.0) for k in range(4)]
         with pytest.raises(DivergenceError, match="guard"):
             observer_run(records, bench_model, bench_trigger)
+
+
+def reference_observer_run(records, model, trigger, weights):
+    """Plain-numpy observer recursion: the formulas of the library, written out
+    without the Ellipsoid type, its caches or its trusted constructor.
+
+    Returns (measurement, prior, posterior) triples of (center, shape) per
+    target step; prior is None at the first step.
+    """
+    A, C, Q, R = model.A, model.C, model.Q, model.R
+    n = model.n
+    sym = lambda S: (S + S.T) / 2.0
+
+    def outer_sum(c1, S1, c2, S2, p=None):
+        center = c1 + c2
+        t1, t2 = float(np.trace(S1)), float(np.trace(S2))
+        if t1 <= 1e-12:
+            return center, S2
+        if t2 <= 1e-12:
+            return center, S1
+        if p is None:
+            p = float(np.sqrt(t1 / t2))
+        return center, sym((1.0 + 1.0 / p) * S1 + (1.0 + p) * S2)
+
+    def chain(shapes):
+        acc = np.array([[shapes[0]]])
+        for s in shapes[1:]:
+            _, acc = outer_sum(np.zeros(1), acc, np.zeros(1), np.array([[s]]))
+        return float(acc[0, 0])
+
+    W = np.empty((2, n))
+    for flag, channel in ((0, trigger.threshold), (1, trigger.transmit_error)):
+        for i in range(n):
+            terms = [channel]
+            for j in range(i - 1, -1, -1):
+                Aj = np.linalg.matrix_power(A, j)
+                terms.append(float(C @ Aj @ Q @ Aj.T @ C))
+            W[flag, i] = chain(terms + [R])
+    rows, row = [], C.copy()
+    for _ in range(n):
+        rows.append(row)
+        row = row @ A
+    O = np.vstack(rows)
+
+    def fusion_matrix(S1, S2):
+        total = sym(S1 + S2)
+        eigs = np.linalg.eigvalsh(total)
+        if eigs[-1] <= 0.0 or eigs[0] <= n * 1e-14 * eigs[-1]:
+            return None
+        return np.linalg.solve(total, S2).T
+
+    out, posterior = [], None
+    for offset in range(len(records) - (n - 1)):
+        window = records[offset: offset + n]
+        w = np.where([r.gamma for r in window], W[1], W[0])
+        half = np.linalg.solve(O, np.diag(w / weights.weights))
+        meas = (np.linalg.solve(O, np.array([r.y_tau for r in window])),
+                sym(np.linalg.solve(O, half.T).T))
+        prior = None
+        if posterior is None:
+            posterior = meas
+        else:
+            c, P = posterior
+            prior = outer_sum(A @ c + 0.0, sym(A @ P @ A.T), np.zeros(n), Q)
+            M = fusion_matrix(meas[1], prior[1])
+            if M is None:
+                bump = 1e-12 * float(np.trace(meas[1] + prior[1])) / n * np.eye(n)
+                M = fusion_matrix(meas[1] + bump, prior[1] + bump)
+            K = np.eye(n) - M
+            c1, S1 = M @ meas[0] + 0.0, sym(M @ meas[1] @ M.T)
+            c2, S2 = K @ prior[0] + 0.0, sym(K @ prior[1] @ K.T)
+            t1, t2 = float(np.trace(S1)), float(np.trace(S2))
+            p = float(np.sqrt(t1 / t2)) if t1 > 0.0 and t2 > 0.0 else 1.0
+            posterior = outer_sum(c1, S1, c2, S2, p)
+        out.append((meas, prior, posterior))
+    return out
+
+
+class TestReferenceRecursion:
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.3, 0.7]])
+    def test_observer_run_equals_plain_numpy_reference(self, bench_model, bench_trigger,
+                                                       weights):
+        a = WeightVector(weights)
+        config = SimConfig(model=bench_model, trigger=bench_trigger, x0=[0.0, 0.0], N=300,
+                           seed=301, a=a)
+        trace, _, _ = run_closed_loop(config)
+        outputs = observer_run(trace.records, bench_model, bench_trigger, a)
+        expected = reference_observer_run(trace.records, bench_model, bench_trigger, a)
+        assert len(outputs) == len(expected) == 300
+        assert any(r.gamma for r in trace.records[1:]) and not all(r.gamma for r in trace.records)
+        for out, (meas, prior, posterior) in zip(outputs, expected):
+            pairs = [(out.measurement_set, meas), (out.posterior_set, posterior)]
+            if prior is None:
+                assert out.prior_set is None
+            else:
+                pairs.append((out.prior_set, prior))
+            for ell, (center, shape) in pairs:
+                assert np.array_equal(ell.center, center)
+                assert np.array_equal(ell.shape, shape)

@@ -15,6 +15,7 @@ from setobs import (
     run_closed_loop,
     run_seed_sweep,
     sample_noise,
+    sample_point,
     step_plant,
 )
 
@@ -130,6 +131,17 @@ class TestRunClosedLoop:
         assert not any(r.gamma for r in trace.records[1:])
         assert metrics.communication_rate == 0.0
         assert metrics.mean_estimation_error < 1e-10  # estimates collapse onto x
+
+    def test_noise_stream_matches_per_draw_sampling(self, bench_config):
+        # One v for step 0, then (w, v) per step, all from the seed's stream;
+        # sample_point recomputes the matrix root on every draw.
+        trace, _, _ = run_closed_loop(bench_config)
+        model = bench_config.model
+        rng = np.random.default_rng(bench_config.seed)
+        v0 = float(sample_point(Ellipsoid([0.0], [[model.R]]), rng)[0])
+        draws = [sample_noise(model, rng) for _ in range(bench_config.N)]
+        assert np.array_equal(trace.measurement_noise, [v0] + [v for _, v in draws])
+        assert np.array_equal(trace.process_noise, [w for w, _ in draws])
 
     def test_first_record_forced_transmission(self, bench_config):
         trace, _, _ = run_closed_loop(bench_config)
