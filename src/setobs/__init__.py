@@ -10,27 +10,21 @@ from .ellipsoid import (
     DegenerateOperandError,
     Ellipsoid,
     SingularShapeError,
-    SumParameterRange,
     affine_transform,
     contains,
-    intersection_outer,
-    minkowski_sum_chain,
     minkowski_sum_outer,
     optimal_fusion_matrix,
     optimal_sum_parameter,
     sample_point,
-    sum_parameter_range,
 )
 from .observability import (
     NotObservableError,
-    ObservabilityReport,
     SystemModel,
     TriggerConfig,
     UnstableSystemError,
     WeightVector,
     convergence_bound,
     epsilon_observability,
-    measurement_uncertainty,
     observability_matrix,
     spectral_norm,
 )
@@ -47,11 +41,8 @@ from .simulation import (
     Metrics,
     SimConfig,
     Trace,
-    evaluate_trigger,
     run_closed_loop,
     run_seed_sweep,
-    sample_noise,
-    step_plant,
 )
 
 __version__ = "0.1.0"
@@ -64,11 +55,9 @@ __all__ = [
     "MeasurementRecord",
     "Metrics",
     "NotObservableError",
-    "ObservabilityReport",
     "ObserverOutput",
     "SimConfig",
     "SingularShapeError",
-    "SumParameterRange",
     "SystemModel",
     "Trace",
     "TriggerConfig",
@@ -78,11 +67,7 @@ __all__ = [
     "contains",
     "convergence_bound",
     "epsilon_observability",
-    "evaluate_trigger",
     "fuse",
-    "intersection_outer",
-    "measurement_uncertainty",
-    "minkowski_sum_chain",
     "minkowski_sum_outer",
     "observability_matrix",
     "observer_run",
@@ -92,9 +77,6 @@ __all__ = [
     "prior_set",
     "run_closed_loop",
     "run_seed_sweep",
-    "sample_noise",
     "sample_point",
     "spectral_norm",
-    "step_plant",
-    "sum_parameter_range",
 ]

@@ -252,6 +252,10 @@ def read_log(path: str | Path) -> list[MeasurementRecord]:
     if not records:
         raise ConfigError(f"{path}: log is empty")
     for prev, cur in zip(records, records[1:]):
+        if cur.k <= prev.k:
+            raise ConfigError(
+                f"{path}: step k={cur.k} is not after the previous step k={prev.k}"
+            )
         if cur.k != prev.k + 1:
             raise ConfigError(
                 f"{path}: gap in step sequence at k={cur.k} (expected {prev.k + 1})"

@@ -1,17 +1,18 @@
 """Ellipsoid representation and outer-approximation calculus.
 
 An ellipsoid E(c, S) = {x : (x - c)^T S^-1 (x - c) <= 1} is described by its
-center and a symmetric positive-semidefinite shape matrix. Three primitives
-cover everything the estimator needs: affine maps (exact), Minkowski sums
-(trace-optimal outer approximation), and intersections (trace-optimal outer
-approximation). All operations are pure; shape matrices are re-symmetrized
-after every arithmetic step because repeated products drift off the symmetric
-manifold.
+center and a symmetric positive-semidefinite shape matrix. Two primitives
+cover everything the estimator needs: affine maps (exact) and Minkowski sums
+(trace-optimal outer approximation); the observer's intersection
+(``observer.fuse``) is a Minkowski sum of two affine images. All operations
+are pure; shape matrices are re-symmetrized after every arithmetic step
+because repeated products drift off the symmetric manifold. Every tolerance
+is relative to the scale of the matrix it tests, so a result means the same
+in any units.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,6 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 SYMMETRY_TOL = 1e-9
 PSD_TOL = 1e-9
 CONTAINMENT_TOL = 1e-9
-DEGENERATE_TRACE = 1e-12
 
 
 class SingularShapeError(ValueError):
@@ -37,24 +37,35 @@ def _symmetrize(S: np.ndarray) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
-@functools.cache
-def _psd_margin(n: int) -> np.ndarray:
-    margin = PSD_TOL * np.eye(n)
-    margin.flags.writeable = False
-    return margin
+def _require_symmetric(S: np.ndarray, name: str) -> None:
+    """Raise ValueError unless S is symmetric within ``SYMMETRY_TOL`` of its largest entry."""
+    if not S.size:
+        return
+    asym = float(np.max(np.abs(S - S.T)))
+    scale = float(np.max(np.abs(S)))
+    if asym > SYMMETRY_TOL * scale:
+        raise ValueError(
+            f"{name} asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e} of its largest "
+            f"entry {scale:.3e}"
+        )
 
 
 def _require_psd(shape: np.ndarray) -> np.ndarray:
-    """Return ``shape`` if it is PSD within ``PSD_TOL``; raise ValueError otherwise."""
-    # Cholesky of S + tol*I succeeds exactly when min eig > -tol; it is far
-    # cheaper than a full eigendecomposition on this hot path.
+    """Return ``shape`` if its smallest eigenvalue is at least -``PSD_TOL`` Tr/n.
+
+    The floor scales with the shape, so the test means the same in any units;
+    a zero shape passes. Cholesky, which succeeds exactly on positive-definite
+    shapes, settles the common case without an eigendecomposition.
+    """
     try:
-        np.linalg.cholesky(shape + _psd_margin(shape.shape[0]))
+        np.linalg.cholesky(shape)
     except np.linalg.LinAlgError:
-        min_eig = float(np.min(np.linalg.eigvalsh(shape)))
-        raise ValueError(
-            f"shape matrix has eigenvalue {min_eig:.3e} below -{PSD_TOL:.0e}"
-        ) from None
+        floor = -PSD_TOL * max(float(np.trace(shape)) / shape.shape[0], np.finfo(float).tiny)
+        min_eig = float(np.linalg.eigvalsh(shape)[0])
+        if min_eig < floor:
+            raise ValueError(
+                f"shape matrix has eigenvalue {min_eig:.3e} below the floor {floor:.3e}"
+            ) from None
     return shape
 
 
@@ -63,8 +74,8 @@ class Ellipsoid:
     """Ellipsoid {x : (x - center)^T shape^-1 (x - center) <= 1}.
 
     The shape matrix must be symmetric within ``SYMMETRY_TOL`` and PSD within
-    ``PSD_TOL``; it is stored re-symmetrized. A zero shape matrix describes a
-    single point (degenerate ellipsoid).
+    ``PSD_TOL``, both relative to its own scale; it is stored re-symmetrized.
+    A zero shape matrix describes a single point (degenerate ellipsoid).
 
     ``Ellipsoid(...)`` validates everything. Results of the calculus
     (``affine_transform``, ``minkowski_sum_outer``) and of
@@ -90,9 +101,7 @@ class Ellipsoid:
             raise ValueError(
                 f"center has dimension {center.size} but shape matrix is {shape.shape}"
             )
-        asym = np.max(np.abs(shape - shape.T)) if shape.size else 0.0
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"shape matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
+        _require_symmetric(shape, "shape matrix")
         shape = _require_psd(_symmetrize(shape))
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "shape", shape)
@@ -114,23 +123,6 @@ class Ellipsoid:
         return self.center.size
 
 
-@dataclass(frozen=True)
-class SumParameterRange:
-    """Admissible interval for the Minkowski-sum parameter p.
-
-    Bounds are the square roots of the extreme generalized eigenvalues of
-    (Q1, Q2); any p inside keeps the parametric outer sum tight against the
-    true Minkowski sum in at least one direction.
-    """
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (0.0 < self.lower <= self.upper):
-            raise ValueError(f"invalid parameter range [{self.lower}, {self.upper}]")
-
-
 def affine_transform(ell: Ellipsoid, A: np.ndarray, b: np.ndarray | float = 0.0) -> Ellipsoid:
     """Map an ellipsoid through x -> A x + b (exact image for invertible A)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -140,48 +132,12 @@ def affine_transform(ell: Ellipsoid, A: np.ndarray, b: np.ndarray | float = 0.0)
     return Ellipsoid._trusted(A @ ell.center + b, _require_psd(_symmetrize(A @ ell.shape @ A.T)))
 
 
-def sum_parameter_range(Q1: np.ndarray, Q2: np.ndarray) -> SumParameterRange:
-    """Admissible p interval: square roots of extreme roots of det(Q1 - lam Q2) = 0.
-
-    The estimator never needs it (see ``optimal_sum_parameter``); it is the
-    reference the tests check the trace-optimal parameter against.
-
-    Raises:
-        SingularShapeError: Q2 is not positive definite (roots unbounded), or
-            Q1 is singular (lower bound collapses to zero).
-    """
-    Q1 = np.atleast_2d(np.asarray(Q1, dtype=float))
-    Q2 = np.atleast_2d(np.asarray(Q2, dtype=float))
-    if Q1.shape != Q2.shape:
-        raise ValueError(f"shape matrices differ in size: {Q1.shape} vs {Q2.shape}")
-    if Q1.shape == (1, 1):
-        if Q2[0, 0] <= 0.0:
-            raise SingularShapeError("second operand not positive definite")
-        ratio = Q1[0, 0] / Q2[0, 0]
-        if ratio <= 0.0:
-            raise SingularShapeError("first operand singular: generalized eigenvalue is zero")
-        root = float(np.sqrt(ratio))
-        return SumParameterRange(root, root)
-    # Whitened form: eigenvalues of L^-1 Q1 L^-T where Q2 = L L^T.
-    try:
-        L = np.linalg.cholesky(_symmetrize(Q2))
-    except np.linalg.LinAlgError as err:
-        raise SingularShapeError(f"second operand not positive definite: {err}") from err
-    half = np.linalg.solve(L, _symmetrize(Q1))
-    lam = np.linalg.eigvalsh(_symmetrize(np.linalg.solve(L, half.T)))
-    lam_min, lam_max = float(lam[0]), float(lam[-1])
-    if lam_min <= 0.0:
-        raise SingularShapeError(
-            f"first operand singular: smallest generalized eigenvalue {lam_min:.3e}"
-        )
-    return SumParameterRange(np.sqrt(lam_min), np.sqrt(lam_max))
-
-
 def optimal_sum_parameter(Q1: np.ndarray, Q2: np.ndarray) -> float:
     """Trace-minimizing Minkowski-sum parameter p = sqrt(Tr Q1 / Tr Q2).
 
-    p always lies inside the admissible interval of ``sum_parameter_range``:
-    Tr Q1 / Tr Q2 is a weighted mean of the generalized eigenvalues of (Q1, Q2).
+    p always lies inside the admissible interval, the square roots of the
+    extreme generalized eigenvalues of (Q1, Q2): Tr Q1 / Tr Q2 is a weighted
+    mean of those eigenvalues.
 
     Raises:
         DegenerateOperandError: either trace is not positive, in which case
@@ -200,8 +156,8 @@ def minkowski_sum_outer(e1: Ellipsoid, e2: Ellipsoid, p: float | None = None) ->
 
     Shape is (1 + 1/p) S1 + (1 + p) S2, which contains the exact sum for any
     p > 0 and is trace-minimal at p = sqrt(Tr S1 / Tr S2). If ``p`` is None
-    the trace-optimal parameter is used. An operand whose shape trace is below
-    ``DEGENERATE_TRACE`` is treated as a point and the sum is exact.
+    the trace-optimal parameter is used. An operand whose shape has zero trace
+    is a point, and the sum is exact.
     """
     if e1.dim != e2.dim:
         raise ValueError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
@@ -210,31 +166,14 @@ def minkowski_sum_outer(e1: Ellipsoid, e2: Ellipsoid, p: float | None = None) ->
     center = e1.center + e2.center
     t1 = float(np.trace(e1.shape))
     t2 = float(np.trace(e2.shape))
-    if t1 <= DEGENERATE_TRACE:
+    if t1 == 0.0:
         return Ellipsoid._trusted(center, _require_psd(e2.shape.copy()))
-    if t2 <= DEGENERATE_TRACE:
+    if t2 == 0.0:
         return Ellipsoid._trusted(center, _require_psd(e1.shape.copy()))
     if p is None:
         p = math.sqrt(t1 / t2)  # optimal_sum_parameter, from the traces at hand
     shape = _symmetrize((1.0 + 1.0 / p) * e1.shape + (1.0 + p) * e2.shape)
     return Ellipsoid._trusted(center, _require_psd(shape))
-
-
-def minkowski_sum_chain(ellipsoids: list[Ellipsoid]) -> Ellipsoid:
-    """Left fold of ``minkowski_sum_outer`` with the optimal p at every step.
-
-    For scalar (1-D) ellipsoids the fold is exact and the resulting shape
-    equals (sum_i sqrt(S_i))^2.
-    """
-    if not ellipsoids:
-        raise ValueError("cannot sum an empty list of ellipsoids")
-    dims = {e.dim for e in ellipsoids}
-    if len(dims) > 1:
-        raise ValueError(f"ellipsoids have mixed dimensions {sorted(dims)}")
-    acc = ellipsoids[0]
-    for ell in ellipsoids[1:]:
-        acc = minkowski_sum_outer(acc, ell)
-    return acc
 
 
 def optimal_fusion_matrix(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
@@ -257,21 +196,6 @@ def optimal_fusion_matrix(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
         )
     # M (Q1+Q2) = Q2  =>  (Q1+Q2) M^T = Q2 by symmetry.
     return np.linalg.solve(total, Q2).T
-
-
-def intersection_outer(e1: Ellipsoid, e2: Ellipsoid, M: np.ndarray) -> Ellipsoid:
-    """Outer ellipsoid of e1 ^ e2 from the split x = M x + (I - M) x.
-
-    Returns the trace-optimal outer Minkowski sum of E(M c1, M S1 M^T) and
-    E((I-M) c2, (I-M) S2 (I-M)^T); contains the intersection for any square M.
-    """
-    if e1.dim != e2.dim:
-        raise ValueError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape != (e1.dim, e1.dim):
-        raise ValueError(f"fusion matrix must be {e1.dim}x{e1.dim}, got {M.shape}")
-    complement = np.eye(e1.dim) - M
-    return minkowski_sum_outer(affine_transform(e1, M), affine_transform(e2, complement))
 
 
 def contains(ell: Ellipsoid, x: np.ndarray) -> tuple[bool, float]:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .ellipsoid import Ellipsoid, minkowski_sum_chain, _require_psd, _symmetrize
+from .ellipsoid import Ellipsoid, _require_psd, _require_symmetric, _symmetrize
 
 
 class NotObservableError(ValueError):
@@ -60,15 +60,15 @@ class SystemModel:
             raise ValueError(f"C has {C.size} entries, expected {n}")
         if Q.shape != (n, n):
             raise ValueError(f"Q must be {n}x{n}, got {Q.shape}")
-        if np.max(np.abs(Q - Q.T)) > 1e-9:
-            raise ValueError("Q must be symmetric")
-        if float(np.min(np.linalg.eigvalsh(Q))) <= 0.0:
+        _require_symmetric(Q, "Q")
+        Q = _symmetrize(Q)
+        if float(np.linalg.eigvalsh(Q)[0]) <= 0.0:
             raise ValueError("Q must be positive definite")
         if R <= 0.0:
             raise ValueError(f"R must be positive, got {R}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "Q", _symmetrize(Q))
+        object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
 
     @property
@@ -171,38 +171,6 @@ def is_full_rank(O: np.ndarray) -> bool:
     return bool(svals[-1] > O.shape[0] * 1e-12 * svals[0])
 
 
-def measurement_uncertainty(
-    model: SystemModel, trigger: TriggerConfig, transmitted: bool, i: int
-) -> float:
-    """Total output uncertainty at window offset i, as a 1-D ellipsoid shape.
-
-    Folds the channel uncertainty, the i accumulated disturbance terms
-    C A^j Q (A^j)^T C^T for j = i-1 .. 0, and the measurement noise R into one
-    scalar shape with the trace-optimal Minkowski chain. At offset 0 no
-    disturbance has acted yet and the chain is just [channel, R].
-    """
-    if not 0 <= i <= model.n - 1:
-        raise ValueError(f"window offset {i} outside [0, {model.n - 1}]")
-    # Disturbance terms carry descending powers A^(i-1) .. A^0; none at i = 0.
-    shapes = [trigger.output_uncertainty(transmitted)]
-    for j in range(i - 1, -1, -1):
-        Aj = np.linalg.matrix_power(model.A, j)
-        shapes.append(float(model.C @ Aj @ model.Q @ Aj.T @ model.C))
-    shapes.append(model.R)
-    chain = minkowski_sum_chain([Ellipsoid([0.0], [[s]]) for s in shapes])
-    return float(chain.shape[0, 0])
-
-
-def _uncertainty_table(model: SystemModel, trigger: TriggerConfig) -> np.ndarray:
-    """W[flag, i] for flag in {0, 1} and window offsets i = 0 .. n-1."""
-    return np.array(
-        [
-            [measurement_uncertainty(model, trigger, bool(flag), i) for i in range(model.n)]
-            for flag in (0, 1)
-        ]
-    )
-
-
 def epsilon_observability(
     model: SystemModel, trigger: TriggerConfig, a: WeightVector | None = None
 ) -> ObservabilityReport:
@@ -238,15 +206,19 @@ class WindowSolver:
     linear solves, and the window-ellipsoid trace of an event pattern is
     Tr(O^-1 diag(W_i/a_i) O^-T) = sum_i (W_i/a_i) [(O O^T)^-1]_ii, an O(n) sum.
 
+    W_i bounds the output uncertainty at window offset i: the channel term
+    (threshold without an event, transmit_error with one), the disturbance
+    terms C A^j Q (A^j)^T C^T = O_j Q O_j^T for j < i, and the noise R. The
+    trace-optimal outer sum of scalar shapes s_k is exactly (sum_k sqrt(s_k))^2,
+    so W needs no set arithmetic and no special case for a zero term.
+
     ``epsilon``, the largest such trace over all 2^n patterns, is the trace of
     the all-zeros (no event) pattern. Every term of the sum is positive, and
-    each W_i grows with the channel uncertainty it starts from: the scalar
-    Minkowski chain is (sqrt(channel) + sqrt(rest))^2, and the no-event
-    channel term (threshold) exceeds the event term (transmit_error). So
+    each W_i = (sqrt(channel) + rest)^2 grows with its channel term, where the
+    no-event term (threshold) exceeds the event term (transmit_error). So
     replacing any event flag by "no event" can only raise the sum. Rounding
-    keeps this order wherever the computed W_i keep theirs: a product or
-    quotient of positives and a fixed-order float sum are monotone in each
-    operand.
+    keeps this order: sqrt, a sum or product of positives, a quotient by a
+    positive and a fixed-order float sum are each monotone in every operand.
     """
 
     def __init__(self, model: SystemModel, trigger: TriggerConfig, a: WeightVector):
@@ -257,7 +229,12 @@ class WindowSolver:
             raise NotObservableError("observability matrix is rank deficient")
         self.n = model.n
         self.matrix = O
-        self.uncertainty = _uncertainty_table(model, trigger)
+        # sqrt(O_j Q O_j^T); rounding can leave a tiny negative form when Q is
+        # extremely ill-conditioned, and its true value is then below resolution.
+        drift = np.sqrt(np.clip(np.sum((O @ model.Q) * O, axis=1), 0.0, None))
+        reach = np.concatenate(([0.0], np.cumsum(drift[:-1])))  # sum over j < i
+        channel = np.sqrt([[trigger.output_uncertainty(bool(flag))] for flag in (0, 1)])
+        self.uncertainty = (channel + reach + np.sqrt(model.R)) ** 2
         self.weights = a.weights
         self.gram_inv_diag = np.diag(cho_solve(cho_factor(O @ O.T), np.eye(model.n)))
         # The terms (W_i/a_i) [(O O^T)^-1]_ii of the pattern trace, by flag.
@@ -321,6 +298,14 @@ def convergence_bound(
     norm_a = spectral_norm(model.A)
     if norm_a >= 1.0:
         raise UnstableSystemError(f"spectral norm {norm_a:.6f} >= 1; bound is unbounded")
-    epsilon = WindowSolver(model, trigger, a).epsilon
-    sqrt_trace_q = float(np.sqrt(np.trace(model.Q)))
-    return (np.sqrt(epsilon) + sqrt_trace_q) / (1.0 - norm_a)
+    return _sqrt_trace_level(model, WindowSolver(model, trigger, a).epsilon, norm_a)
+
+
+def _sqrt_trace_level(model: SystemModel, epsilon: float, norm_a: float) -> float:
+    """(sqrt(epsilon) + sqrt(Tr Q)) / (1 - ||A||) if ||A|| < 1, else sqrt(epsilon) + sqrt(Tr Q).
+
+    The one formula behind ``convergence_bound`` and the observer's
+    divergence guard (``observer.guard_threshold``).
+    """
+    gain = np.sqrt(epsilon) + float(np.sqrt(np.trace(model.Q)))
+    return gain / (1.0 - norm_a) if norm_a < 1.0 else gain

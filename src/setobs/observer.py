@@ -30,6 +30,7 @@ from .observability import (
     WeightVector,
     WindowSolver,
     spectral_norm,
+    _sqrt_trace_level,
 )
 
 # Abort when the posterior trace exceeds this multiple of the squared
@@ -107,7 +108,7 @@ def fuse(measurement: Ellipsoid, prior: Ellipsoid) -> tuple[Ellipsoid, np.ndarra
         total = measurement.shape + prior.shape
         bump = 1e-12 * float(np.trace(total)) / n * np.eye(n)
         M = optimal_fusion_matrix(measurement.shape + bump, prior.shape + bump)
-    # The split of intersection_outer, with p computed once and passed on.
+    # The split x = M x + (I - M) x, with p computed once and passed on.
     part_meas = affine_transform(measurement, M)
     part_prior = affine_transform(prior, np.eye(n) - M)
     try:
@@ -198,6 +199,4 @@ def guard_threshold(model: SystemModel, epsilon: float) -> float:
     trace). The guard is pure defense in depth: it trips only on numeric
     breakdown, never in a well-posed run.
     """
-    gain = np.sqrt(epsilon) + float(np.sqrt(np.trace(model.Q)))
-    norm_a = spectral_norm(model.A)
-    return float(gain / (1.0 - norm_a) if norm_a < 1.0 else gain)
+    return float(_sqrt_trace_level(model, epsilon, spectral_norm(model.A)))

@@ -43,6 +43,8 @@ class SimConfig:
             raise ValueError("x0 must be finite")
         if self.N < self.model.n:
             raise ValueError(f"horizon N = {self.N} must be at least n = {self.model.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "x0", x0)
         if self.a is None:
             object.__setattr__(self, "a", WeightVector.uniform(self.model.n))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,9 @@ def scalar_chain(values) -> float:
 def rand_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     G = rng.standard_normal((dim, dim))
     return scale * (G @ G.T + 0.05 * np.eye(dim))
+
+
+def read_rows(path) -> list[dict[str, str]]:
+    """Rows of a CSV file the CLI wrote, keyed by its header."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))

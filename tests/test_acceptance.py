@@ -8,7 +8,6 @@ Criteria 3-6 share one set of 100 runs x 200 steps (seeds 700..799).
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from pathlib import Path
@@ -24,19 +23,17 @@ from setobs import (
     WeightVector,
     contains,
     epsilon_observability,
-    intersection_outer,
-    minkowski_sum_chain,
     minkowski_sum_outer,
     optimal_fusion_matrix,
     optimal_sum_parameter,
     run_closed_loop,
     sample_point,
     spectral_norm,
-    sum_parameter_range,
 )
 from setobs.cli import main
 
-from conftest import rand_spd, scalar_chain
+from conftest import rand_spd, read_rows, scalar_chain
+from oracles import intersection_outer, minkowski_sum_chain, sum_parameter_range
 
 BOUND_PUBLISHED = 557.8243
 ERROR_PUBLISHED = 1.2261
@@ -345,8 +342,8 @@ def test_criterion_8_replay_round_trip(tmp_path, capsys):
             "replay", "--config", str(cfg), "--log", str(case / "log.csv"),
             "--out", str(case),
         ]) == 0
-        sim_rows = list(csv.DictReader(open(case / "steps.csv")))
-        rep_rows = list(csv.DictReader(open(case / "replay_steps.csv")))
+        sim_rows = read_rows(case / "steps.csv")
+        rep_rows = read_rows(case / "replay_steps.csv")
         cols = [f"x_hat{i + 1}" for i in range(n)] + ["trace_P_hat"]
         for s, r in zip(sim_rows, rep_rows):
             for col in cols:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -11,6 +10,8 @@ import pytest
 
 from setobs import SystemModel, TriggerConfig, convergence_bound, run_closed_loop
 from setobs.cli import build_sim_config, load_config, main, read_log
+
+from conftest import read_rows
 
 BENCH = {
     "A": [[0.75, 0.2], [0.5, 0.3]],
@@ -123,6 +124,15 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()
 
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, seed=-1)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "seed must be non-negative" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestCheck:
     def test_bench_output(self, bench_config_file, capsys):
         code = main(["check", "--config", str(bench_config_file)])
@@ -197,7 +207,7 @@ class TestSimulate:
         assert code == 0
         for name in ("steps.csv", "summary.json", "log.csv", "ellipsoids.csv"):
             assert (out_dir / name).exists()
-        rows = list(csv.DictReader(open(out_dir / "steps.csv")))
+        rows = read_rows(out_dir / "steps.csv")
         assert len(rows) == BENCH["N"] + 1
         assert list(rows[0]) == [
             "k", "x1", "x2", "x_hat1", "x_hat2", "gamma", "y", "y_tau",
@@ -210,7 +220,7 @@ class TestSimulate:
     def test_summary_echo_round_trip(self, bench_config_file, tmp_path):
         out_dir = tmp_path / "run"
         main(["simulate", "--config", str(bench_config_file), "--out", str(out_dir)])
-        summary = json.load(open(out_dir / "summary.json"))
+        summary = json.loads((out_dir / "summary.json").read_text())
         echoed = build_sim_config(summary["config"])
         reference = build_sim_config(BENCH)
         assert np.array_equal(echoed.model.A, reference.model.A)
@@ -232,7 +242,7 @@ class TestSimulate:
     def test_ellipsoid_polylines_shape(self, bench_config_file, tmp_path):
         out_dir = tmp_path / "run"
         main(["simulate", "--config", str(bench_config_file), "--out", str(out_dir)])
-        rows = list(csv.DictReader(open(out_dir / "ellipsoids.csv")))
+        rows = read_rows(out_dir / "ellipsoids.csv")
         kinds = {r["set_kind"] for r in rows}
         assert kinds == {"measurement", "prior", "posterior"}
         steps = sorted({int(r["step"]) for r in rows})
@@ -268,7 +278,7 @@ class TestSimulate:
             "--seeds", "3",
         ])
         assert code == 0
-        sweep = json.load(open(out_dir / "sweep_summary.json"))
+        sweep = json.loads((out_dir / "sweep_summary.json").read_text())
         assert [row["seed"] for row in sweep["per_seed"]] == [11, 12, 13]
         assert sweep["aggregate"]["containment_violations"] == 0
         agg = sweep["aggregate"]["communication_rate"]
@@ -284,8 +294,8 @@ class TestReplay:
             "--log", str(sim_dir / "log.csv"), "--out", str(replay_dir),
         ])
         assert code == 0
-        sim_rows = list(csv.DictReader(open(sim_dir / "steps.csv")))
-        rep_rows = list(csv.DictReader(open(replay_dir / "replay_steps.csv")))
+        sim_rows = read_rows(sim_dir / "steps.csv")
+        rep_rows = read_rows(replay_dir / "replay_steps.csv")
         assert len(sim_rows) == len(rep_rows)
         for s, r in zip(sim_rows, rep_rows):
             for col in ("x_hat1", "x_hat2", "trace_P_hat"):
@@ -310,6 +320,20 @@ class TestReplay:
         ])
         assert code == 2
         assert "k=3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", [(0, 1, 1), (0, 1, 0)])
+    def test_repeated_or_decreasing_step_rejected(self, bench_config_file, tmp_path, capsys,
+                                                  steps):
+        log = tmp_path / "order.csv"
+        log.write_text("k,gamma,y_tau\n" + "".join(f"{k},0,0.5\n" for k in steps))
+        code = main([
+            "replay", "--config", str(bench_config_file),
+            "--log", str(log), "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"step k={steps[2]} is not after the previous step k={steps[1]}" in err
+        assert not (tmp_path / "out").exists()
 
     def test_event_flag_other_than_zero_or_one_rejected(self, bench_config_file, tmp_path,
                                                         capsys):
@@ -355,7 +379,7 @@ class TestReplay:
             "--log", str(log), "--out", str(replay_dir),
         ])
         assert code == 0
-        rows = list(csv.DictReader(open(replay_dir / "replay_steps.csv")))
+        rows = read_rows(replay_dir / "replay_steps.csv")
         assert len(rows) == 3
         filled = [r for r in rows if r["x_hat1"] != ""]
         assert [r["k"] for r in filled] == ["0", "1"]
@@ -397,7 +421,7 @@ class TestBeyondListingCap:
         assert main([
             "replay", "--config", str(path), "--log", str(log), "--out", str(tmp_path / "rep"),
         ]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "rep" / "replay_steps.csv")))
+        rows = read_rows(tmp_path / "rep" / "replay_steps.csv")
         filled = [r for r in rows if r["x_hat1"] != ""]
         assert len(filled) == len(estimates)
         for row, est in zip(filled, estimates):
@@ -448,8 +472,8 @@ class TestRandomConfigRoundTrips:
                 "replay", "--config", str(cfg),
                 "--log", str(case_dir / "log.csv"), "--out", str(case_dir),
             ]) == 0
-            sim_rows = list(csv.DictReader(open(case_dir / "steps.csv")))
-            rep_rows = list(csv.DictReader(open(case_dir / "replay_steps.csv")))
+            sim_rows = read_rows(case_dir / "steps.csv")
+            rep_rows = read_rows(case_dir / "replay_steps.csv")
             hat_cols = [f"x_hat{i + 1}" for i in range(n)] + ["trace_P_hat"]
             for s, r in zip(sim_rows, rep_rows):
                 for col in hat_cols:

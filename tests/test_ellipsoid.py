@@ -9,19 +9,21 @@ from setobs import (
     DegenerateOperandError,
     Ellipsoid,
     SingularShapeError,
-    SumParameterRange,
     affine_transform,
     contains,
-    intersection_outer,
-    minkowski_sum_chain,
     minkowski_sum_outer,
     optimal_fusion_matrix,
     optimal_sum_parameter,
     sample_point,
-    sum_parameter_range,
 )
 
 from conftest import rand_spd, scalar_chain
+from oracles import (
+    SumParameterRange,
+    intersection_outer,
+    minkowski_sum_chain,
+    sum_parameter_range,
+)
 
 
 class TestEllipsoidType:
@@ -41,6 +43,11 @@ class TestEllipsoidType:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             Ellipsoid([0.0, 0.0, 0.0], np.eye(2))
+
+    def test_rejects_tiny_indefinite_shape(self):
+        # Eigenvalue -3e-18 is as negative as the shape is large: the floor is relative.
+        with pytest.raises(ValueError, match="eigenvalue"):
+            Ellipsoid([0.0, 0.0], np.diag([1e-18, -3e-18]))
 
     def test_accepts_zero_shape(self):
         assert Ellipsoid([1.0], [[0.0]]).dim == 1
@@ -140,6 +147,17 @@ class TestMinkowskiSum:
         assert np.allclose(out.center, [4.0, 6.0])
         assert np.allclose(out.shape, np.eye(2))
 
+    def test_tiny_operand_is_kept(self):
+        # A point is a zero shape, not a small one: 1e-13 I still widens the sum.
+        big = Ellipsoid([0.0, 0.0], np.eye(2))
+        tiny = Ellipsoid([1.0, 1.0], 1e-13 * np.eye(2))
+        expected = scalar_chain([2.0, 2e-13])
+        for operands in ((big, tiny), (tiny, big)):
+            out = minkowski_sum_outer(*operands)
+            assert np.allclose(out.center, [1.0, 1.0])
+            assert np.trace(out.shape) == pytest.approx(expected, rel=1e-12)
+            assert np.trace(out.shape) > 2.0 + 1e-6
+
     def test_equal_shapes_at_unit_p(self):
         out = minkowski_sum_outer(
             Ellipsoid([1.0, 0.0], np.eye(2)), Ellipsoid([0.0, 1.0], np.eye(2)), 1.0
@@ -204,14 +222,10 @@ class TestMinkowskiChain:
 
     def test_zero_operands_absorbed(self):
         S = np.array([[2.0, 0.0], [0.0, 3.0]])
-        out = minkowski_sum_chain(
-            [
-                Ellipsoid([0.0, 0.0], S),
-                Ellipsoid([0.0, 0.0], np.zeros((2, 2))),
-                Ellipsoid([0.0, 0.0], np.zeros((2, 2))),
-            ]
-        )
-        assert np.allclose(out.shape, S)
+        point = Ellipsoid([0.0, 0.0], np.zeros((2, 2)))
+        out = minkowski_sum_outer(minkowski_sum_outer(Ellipsoid([0.0, 0.0], S), point), point)
+        assert np.array_equal(out.shape, S)
+        assert np.array_equal(minkowski_sum_outer(point, Ellipsoid([0.0, 0.0], S)).shape, S)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):

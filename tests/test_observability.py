@@ -16,7 +16,6 @@ from setobs import (
     contains,
     convergence_bound,
     epsilon_observability,
-    measurement_uncertainty,
     observability_matrix,
     spectral_norm,
 )
@@ -54,6 +53,11 @@ class TestSystemModelType:
     def test_rejects_indefinite_q(self):
         with pytest.raises(ValueError, match="positive definite"):
             SystemModel(A=np.eye(2), C=[1.0, 0.0], Q=np.diag([1.0, 0.0]), R=1.0)
+
+    def test_rejects_tiny_asymmetric_q(self):
+        # eigvalsh reads one triangle only; the symmetrized Q has eigenvalue -3e-18.
+        with pytest.raises(ValueError, match="asymmetry"):
+            SystemModel(A=np.eye(2), C=[1.0, 0.0], Q=[[1e-18, 8e-18], [0.0, 1e-18]], R=1.0)
 
     def test_rejects_nonpositive_r(self, bench_model):
         with pytest.raises(ValueError, match="R"):
@@ -110,21 +114,32 @@ class TestObservabilityMatrix:
 
 
 class TestMeasurementUncertainty:
-    def test_no_event_offset_zero(self, bench_model, bench_trigger):
-        w = measurement_uncertainty(bench_model, bench_trigger, False, 0)
-        assert w == pytest.approx(scalar_chain([0.6, 0.5]), rel=1e-12)
+    # W[flag, i] of WindowSolver: the output uncertainty at window offset i.
+    @pytest.fixture
+    def table(self, bench_model, bench_trigger, bench_weights) -> np.ndarray:
+        return WindowSolver(bench_model, bench_trigger, bench_weights).uncertainty
 
-    def test_no_event_offset_one(self, bench_model, bench_trigger):
-        w = measurement_uncertainty(bench_model, bench_trigger, False, 1)
-        assert w == pytest.approx(scalar_chain([0.6, 2.5, 0.5]), rel=1e-12)
+    def test_no_event_offset_zero(self, table):
+        assert table[0, 0] == pytest.approx(scalar_chain([0.6, 0.5]), rel=1e-12)
 
-    def test_event_offset_zero(self, bench_model, bench_trigger):
-        w = measurement_uncertainty(bench_model, bench_trigger, True, 0)
-        assert w == pytest.approx(scalar_chain([1e-4, 0.5]), rel=1e-12)
+    def test_no_event_offset_one(self, table):
+        assert table[0, 1] == pytest.approx(scalar_chain([0.6, 2.5, 0.5]), rel=1e-12)
 
-    def test_offset_out_of_range(self, bench_model, bench_trigger):
-        with pytest.raises(ValueError, match="offset"):
-            measurement_uncertainty(bench_model, bench_trigger, False, 2)
+    def test_event_offset_zero(self, table):
+        assert table[1, 0] == pytest.approx(scalar_chain([1e-4, 0.5]), rel=1e-12)
+
+    def test_finite_when_a_disturbance_term_rounds_below_zero(self, bench_trigger):
+        # Q has eigenvalues 1 and about 1e-17, and C lies along the weak
+        # direction: C Q C^T rounds to -1.7e-18, far below resolution.
+        model = SystemModel(
+            A=[[0.5, 0.2], [0.1, 0.4]], C=[-0.903565550871845, -0.42844987487179803],
+            Q=[[0.1835692952776594, -0.38713254720950924],
+               [-0.38713254720950924, 0.8164307047223407]],
+            R=0.5,
+        )
+        table = WindowSolver(model, bench_trigger, WeightVector.uniform(2)).uncertainty
+        assert np.all(np.isfinite(table))
+        assert np.all(table[:, 1] >= table[:, 0])
 
 
 class TestEpsilonObservability:
@@ -263,8 +278,7 @@ class TestWindowShapeCache:
             assert np.array_equal(cached.shape, fresh.shape)
             assert np.array_equal(first.center, fresh.center)
             # The window formula of WindowSolver.ellipsoid, written out.
-            w = np.array([measurement_uncertainty(model, trigger, bool(f), i)
-                          for i, f in enumerate(flags)])
+            w = np.array([solver.uncertainty[f, i] for i, f in enumerate(flags)])
             half = np.linalg.solve(O, np.diag(w / a.weights))
             shape = np.linalg.solve(O, half.T).T
             assert np.array_equal(cached.shape, (shape + shape.T) / 2.0)

@@ -11,11 +11,11 @@ from setobs import (
     MeasurementRecord,
     SimConfig,
     SystemModel,
+    TriggerConfig,
     WeightVector,
     contains,
     convergence_bound,
     fuse,
-    intersection_outer,
     observer_run,
     optimal_fusion_matrix,
     predict_no_delay,
@@ -27,6 +27,7 @@ from setobs import (
 from setobs.observability import WindowSolver
 
 from conftest import rand_spd, scalar_chain
+from oracles import intersection_outer
 
 
 @pytest.fixture
@@ -308,6 +309,51 @@ class TestObserverRun:
             observer_run(records, bench_model, bench_trigger)
 
 
+def paper_plant_in_units(s: float, seed: int) -> SimConfig:
+    """The benchmark plant with its state measured in units 1/s: Q, R and both
+    channel shapes scale by s^2, so every set scales by s and the run is the same."""
+    s2 = s * s
+    model = SystemModel(A=[[0.75, 0.2], [0.5, 0.3]], C=[0.5, 0.5], Q=5.0 * s2 * np.eye(2),
+                        R=0.5 * s2)
+    trigger = TriggerConfig(threshold=0.6 * s2, transmit_error=1e-4 * s2)
+    return SimConfig(model=model, trigger=trigger, x0=[0.0, 0.0], N=200, seed=seed)
+
+
+class TestUnitScale:
+    """The guarantee and the estimates do not depend on the units of the state."""
+
+    def test_scaled_plant_gives_the_scaled_run(self):
+        for seed in (1, 2, 3):
+            trace, outputs, _ = run_closed_loop(paper_plant_in_units(1.0, seed))
+            distances = [contains(out.posterior_set, trace.states[out.k])[1] for out in outputs]
+            size = max(np.linalg.norm(out.posterior_set.center) for out in outputs)
+            for s in (1e-9, 1e-7, 1e-6, 1e-3, 1e3, 1e8):
+                trace_s, outputs_s, metrics = run_closed_loop(paper_plant_in_units(s, seed))
+                assert metrics.containment_violations == 0, (seed, s)
+                assert [r.gamma for r in trace_s.records] == [r.gamma for r in trace.records]
+                for out, out_s, dist in zip(outputs, outputs_s, distances):
+                    ref, got = out.posterior_set, out_s.posterior_set
+                    assert np.allclose(got.center / s, ref.center, rtol=1e-13,
+                                       atol=1e-13 * size), (seed, s, out.k)
+                    assert np.allclose(got.shape / (s * s), ref.shape, rtol=0.0,
+                                       atol=1e-13 * np.max(np.abs(ref.shape))), (seed, s, out.k)
+                    _, dist_s = contains(got, trace_s.states[out.k])
+                    assert dist_s == pytest.approx(dist, abs=1e-12), (seed, s, out.k)
+
+    def test_rank_one_dynamics_at_large_scale(self):
+        # A P A^T is singular here; its rounding must not fail an absolute PSD floor.
+        for s in (1.0, 1e3, 1e5):
+            s2 = s * s
+            model = SystemModel(A=[[0.5, 0.5], [0.5, 0.5]],
+                                C=[0.6404226504432821, 0.10490011715303971],
+                                Q=s2 * np.eye(2), R=0.5 * s2)
+            trigger = TriggerConfig(threshold=0.6 * s2, transmit_error=1e-4 * s2)
+            config = SimConfig(model=model, trigger=trigger, x0=[0.0, 0.0], N=300, seed=1)
+            _, outputs, metrics = run_closed_loop(config)
+            assert len(outputs) == 300
+            assert metrics.containment_violations == 0
+
+
 def reference_observer_run(records, model, trigger, weights):
     """Plain-numpy observer recursion: the formulas of the library, written out
     without the Ellipsoid type, its caches or its trusted constructor.
@@ -322,33 +368,29 @@ def reference_observer_run(records, model, trigger, weights):
     def outer_sum(c1, S1, c2, S2, p=None):
         center = c1 + c2
         t1, t2 = float(np.trace(S1)), float(np.trace(S2))
-        if t1 <= 1e-12:
+        if t1 == 0.0:
             return center, S2
-        if t2 <= 1e-12:
+        if t2 == 0.0:
             return center, S1
         if p is None:
             p = float(np.sqrt(t1 / t2))
         return center, sym((1.0 + 1.0 / p) * S1 + (1.0 + p) * S2)
 
-    def chain(shapes):
-        acc = np.array([[shapes[0]]])
-        for s in shapes[1:]:
-            _, acc = outer_sum(np.zeros(1), acc, np.zeros(1), np.array([[s]]))
-        return float(acc[0, 0])
-
-    W = np.empty((2, n))
-    for flag, channel in ((0, trigger.threshold), (1, trigger.transmit_error)):
-        for i in range(n):
-            terms = [channel]
-            for j in range(i - 1, -1, -1):
-                Aj = np.linalg.matrix_power(A, j)
-                terms.append(float(C @ Aj @ Q @ Aj.T @ C))
-            W[flag, i] = chain(terms + [R])
     rows, row = [], C.copy()
     for _ in range(n):
         rows.append(row)
         row = row @ A
     O = np.vstack(rows)
+    # W[flag, i] = (sqrt(channel) + sum_{j<i} sqrt(C A^j Q A^j^T C^T) + sqrt(R))^2,
+    # with C A^j = O_j.
+    drift = np.sqrt(np.sum((O @ Q) * O, axis=1))
+    W = np.empty((2, n))
+    for flag, channel in ((0, trigger.threshold), (1, trigger.transmit_error)):
+        reach = 0.0
+        for i in range(n):
+            W[flag, i] = np.sqrt(channel) + reach + np.sqrt(R)
+            reach += drift[i]
+    W = W ** 2
 
     def fusion_matrix(S1, S2):
         total = sym(S1 + S2)

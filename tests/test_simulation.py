@@ -11,13 +11,11 @@ from setobs import (
     SimConfig,
     SystemModel,
     TriggerConfig,
-    evaluate_trigger,
     run_closed_loop,
     run_seed_sweep,
-    sample_noise,
     sample_point,
-    step_plant,
 )
+from setobs.simulation import evaluate_trigger, sample_noise, step_plant
 
 
 @pytest.fixture
