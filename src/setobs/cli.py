@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ellipsoid import affine_transform, contains, shape_sqrt
+from .ellipsoid import affine_transform, shape_sqrt
 from .observability import (
     NotObservableError,
     SystemModel,
@@ -28,7 +28,7 @@ from .observability import (
     convergence_bound,
     epsilon_observability,
 )
-from .observer import MeasurementRecord, ObserverOutput, observer_run
+from .observer import DivergenceError, MeasurementRecord, ObserverRun, observer_run
 from .simulation import Metrics, SimConfig, Trace, run_closed_loop, run_seed_sweep
 
 BOUNDARY_POINTS = 64
@@ -167,10 +167,13 @@ def cmd_bound(config_path: str) -> int:
 
 
 def _write_step_table(
-    path: Path, trace: Trace, estimates: list[ObserverOutput]
+    path: Path, trace: Trace, estimates: ObserverRun, distances: list[float]
 ) -> None:
+    """One row per record; the estimate columns of step k = i are read from row i
+    of the run's arrays and ``distances``, and stay empty past the last estimate."""
     n = trace.states.shape[1]
-    by_step = {out.k: out for out in estimates}
+    centers = estimates.centers.tolist()
+    traces = np.trace(estimates.shapes, axis1=1, axis2=2).tolist()
     header = (
         ["k"]
         + [f"x{i + 1}" for i in range(n)]
@@ -180,17 +183,12 @@ def _write_step_table(
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for record in trace.records:
+        for i, record in enumerate(trace.records):
             k = record.k
             row = [str(k)] + [_fmt(v) for v in trace.states[k]]
-            out = by_step.get(k)
-            if out is not None:
-                _, dist = contains(out.posterior_set, trace.states[k])
-                row += [_fmt(v) for v in out.posterior_set.center]
-                tail = [
-                    _fmt(float(np.trace(out.posterior_set.shape))),
-                    _fmt(dist),
-                ]
+            if i < len(centers):
+                row += [_fmt(v) for v in centers[i]]
+                tail = [_fmt(traces[i]), _fmt(distances[i])]
             else:
                 row += [""] * n
                 tail = ["", ""]
@@ -200,18 +198,20 @@ def _write_step_table(
 
 
 def _write_replay_table(path: Path, records: list[MeasurementRecord],
-                        estimates: list[ObserverOutput], n: int) -> None:
-    by_step = {out.k: out for out in estimates}
+                        estimates: ObserverRun, n: int) -> None:
+    """One row per record; estimate i belongs to ``records[i]``, as the run starts
+    at the first record of the consecutive log."""
+    centers = estimates.centers.tolist()
+    traces = np.trace(estimates.shapes, axis1=1, axis2=2).tolist()
     header = ["k"] + [f"x_hat{i + 1}" for i in range(n)] + ["gamma", "y_tau", "trace_P_hat"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for record in records:
-            out = by_step.get(record.k)
+        for i, record in enumerate(records):
             row = [str(record.k)]
-            if out is not None:
-                row += [_fmt(v) for v in out.posterior_set.center]
-                trace_cell = _fmt(float(np.trace(out.posterior_set.shape)))
+            if i < len(centers):
+                row += [_fmt(v) for v in centers[i]]
+                trace_cell = _fmt(traces[i])
             else:
                 row += [""] * n
                 trace_cell = ""
@@ -269,7 +269,7 @@ def _boundary(ell2d) -> np.ndarray:
     return (ell2d.center[:, None] + shape_sqrt(ell2d.shape) @ circle).T
 
 
-def _write_polylines(out_dir: Path, estimates: list[ObserverOutput], n: int) -> list[str]:
+def _write_polylines(out_dir: Path, estimates: ObserverRun, n: int) -> list[str]:
     """Boundary polylines of the estimation sets for the first plot steps.
 
     One file per coordinate pair; higher-dimensional sets are emitted as their
@@ -345,17 +345,17 @@ def cmd_simulate(config_path: str, out_dir: str, seeds: int | None = None) -> in
         return 0
 
     trace, estimates, metrics = run_closed_loop(config)
-    report = epsilon_observability(config.model, config.trigger, config.a)
-    _write_step_table(out / "steps.csv", trace, estimates)
+    _write_step_table(out / "steps.csv", trace, estimates, metrics.distances)
     _write_log(out / "log.csv", trace.records)
     polylines = _write_polylines(out, estimates, config.model.n)
+    solver = estimates.solver
     try:
-        bound = convergence_bound(config.model, config.trigger, config.a)
+        bound = solver.bound()
     except UnstableSystemError:
         bound = None
     summary = {
-        "epsilon": report.epsilon,
-        "worst_pattern": report.worst_pattern,
+        "epsilon": solver.epsilon,
+        "worst_pattern": solver.worst_pattern,
         "bound_sqrt_trace": bound,
         "bound_trace": bound**2 if bound is not None else None,
         "metrics": _metrics_dict(metrics),
@@ -433,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (NotObservableError, ValueError) as err:
+    except (NotObservableError, DivergenceError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

@@ -85,8 +85,9 @@ class Ellipsoid:
     because addition commutes, so that test could only pass and the stored
     re-symmetrized copy would equal S bit for bit. The PSD test still runs on
     every such shape. Only a repeat on identical bits is skipped: a window
-    shape is tested once per event pattern, when ``WindowSolver`` first
-    computes it, and the disturbance set E(0, Q) once per model.
+    shape is tested once per event pattern (per observer run, or per
+    ``WindowSolver`` for its ``ellipsoid``), and the disturbance set E(0, Q)
+    once per model.
     """
 
     center: np.ndarray
@@ -161,19 +162,28 @@ def minkowski_sum_outer(e1: Ellipsoid, e2: Ellipsoid, p: float | None = None) ->
     """
     if e1.dim != e2.dim:
         raise ValueError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
+    shape = _outer_sum_shape(
+        e1.shape, float(np.trace(e1.shape)), e2.shape, float(np.trace(e2.shape)), p
+    )
+    return Ellipsoid._trusted(e1.center + e2.center, _require_psd(shape))
+
+
+def _outer_sum_shape(
+    S1: np.ndarray, t1: float, S2: np.ndarray, t2: float, p: float | None
+) -> np.ndarray:
+    """Shape of ``minkowski_sum_outer`` from the operand shapes and their traces.
+
+    Not PSD-tested; every caller tests the result.
+    """
     if p is not None and p <= 0.0:
         raise ValueError(f"sum parameter must be positive, got {p}")
-    center = e1.center + e2.center
-    t1 = float(np.trace(e1.shape))
-    t2 = float(np.trace(e2.shape))
     if t1 == 0.0:
-        return Ellipsoid._trusted(center, _require_psd(e2.shape.copy()))
+        return S2.copy()
     if t2 == 0.0:
-        return Ellipsoid._trusted(center, _require_psd(e1.shape.copy()))
+        return S1.copy()
     if p is None:
         p = math.sqrt(t1 / t2)  # optimal_sum_parameter, from the traces at hand
-    shape = _symmetrize((1.0 + 1.0 / p) * e1.shape + (1.0 + p) * e2.shape)
-    return Ellipsoid._trusted(center, _require_psd(shape))
+    return _symmetrize((1.0 + 1.0 / p) * S1 + (1.0 + p) * S2)
 
 
 def optimal_fusion_matrix(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
@@ -185,8 +195,13 @@ def optimal_fusion_matrix(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
         SingularShapeError: Q1+Q2 is singular within tolerance; the message
             carries the eigenvalue ratio for diagnosis.
     """
-    Q1 = np.atleast_2d(np.asarray(Q1, dtype=float))
-    Q2 = np.atleast_2d(np.asarray(Q2, dtype=float))
+    return _fusion_matrix(
+        np.atleast_2d(np.asarray(Q1, dtype=float)), np.atleast_2d(np.asarray(Q2, dtype=float))
+    )
+
+
+def _fusion_matrix(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
+    """``optimal_fusion_matrix`` of two float shapes of one size."""
     total = _symmetrize(Q1 + Q2)
     eigs = np.linalg.eigvalsh(total)
     n = total.shape[0]
@@ -208,20 +223,25 @@ def contains(ell: Ellipsoid, x: np.ndarray) -> tuple[bool, float]:
     x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if x.size != ell.dim:
         raise ValueError(f"point has dimension {x.size}, ellipsoid {ell.dim}")
-    trace = float(np.trace(ell.shape))
+    dist = _generalized_distance(ell.center, ell.shape, x)
+    return dist <= 1.0 + CONTAINMENT_TOL, dist
+
+
+def _generalized_distance(center: np.ndarray, shape: np.ndarray, x: np.ndarray) -> float:
+    """d of ``contains`` for a float point of the set's dimension."""
+    trace = float(np.trace(shape))
     if trace <= 0.0:
         raise SingularShapeError("shape matrix has zero trace; membership is undefined")
-    residual = x - ell.center
+    residual = x - center
     try:
-        factor = cho_factor(ell.shape)
+        factor = cho_factor(shape)
     except LinAlgError:
-        regularized = ell.shape + (1e-12 * trace / ell.dim) * np.eye(ell.dim)
+        regularized = shape + (1e-12 * trace / center.size) * np.eye(center.size)
         try:
             factor = cho_factor(regularized)
         except LinAlgError as err:
             raise SingularShapeError(f"shape matrix singular beyond repair: {err}") from err
-    dist = float(residual @ cho_solve(factor, residual))
-    return dist <= 1.0 + CONTAINMENT_TOL, dist
+    return float(residual @ cho_solve(factor, residual))
 
 
 def shape_sqrt(S: np.ndarray) -> np.ndarray:

@@ -193,7 +193,7 @@ def epsilon_observability(
         full_rank=True,
         horizon=model.n - 1,
         epsilon=solver.epsilon,
-        worst_pattern="0" * model.n,
+        worst_pattern=solver.worst_pattern,
     )
 
 
@@ -227,6 +227,7 @@ class WindowSolver:
         O = observability_matrix(model)
         if not is_full_rank(O):
             raise NotObservableError("observability matrix is rank deficient")
+        self.model = model
         self.n = model.n
         self.matrix = O
         # sqrt(O_j Q O_j^T); rounding can leave a tiny negative form when Q is
@@ -243,12 +244,25 @@ class WindowSolver:
         # Window shape per event pattern, PSD-tested once when first computed.
         self._shapes: dict[tuple[bool, ...], np.ndarray] = {}
 
+    @property
+    def worst_pattern(self) -> str:
+        """The pattern whose window trace is ``epsilon``: no event at any offset."""
+        return "0" * self.n
+
     def pattern_trace(self, flags: Sequence[int]) -> float:
         """Trace of the window ellipsoid for one pattern of event flags."""
         if len(flags) != self.n:
             raise ValueError(f"pattern has length {len(flags)}, expected {self.n}")
         terms = self._trace_terms
         return float(np.sum(np.where(np.asarray(flags, dtype=bool), terms[1], terms[0])))
+
+    def bound(self) -> float:
+        """``convergence_bound`` of this solver's (model, trigger, weights).
+
+        Raises:
+            UnstableSystemError: ||A|| >= 1 (trace growth is unbounded).
+        """
+        return _sqrt_trace_level(self.model, self.epsilon, _stable_norm(self.model))
 
     def ellipsoid(self, flags: Sequence[int], references: Sequence[float]) -> Ellipsoid:
         """State set implied by one n-step window of set-valued measurements.
@@ -263,13 +277,26 @@ class WindowSolver:
         pattern = tuple(map(bool, flags))
         shape = self._shapes.get(pattern)
         if shape is None:
-            w = np.where(pattern, self.uncertainty[1], self.uncertainty[0])
-            half = np.linalg.solve(self.matrix, np.diag(w / self.weights))
-            shape = _require_psd(_symmetrize(np.linalg.solve(self.matrix, half.T).T))
+            shape = _require_psd(self.window_shape(pattern))
             shape.flags.writeable = False
             self._shapes[pattern] = shape
-        center = np.linalg.solve(self.matrix, np.asarray(references, dtype=float))
+        center = self.window_centers(np.asarray(references, dtype=float)[None])[0]
         return Ellipsoid._trusted(center, shape)
+
+    def window_shape(self, pattern: Sequence[bool]) -> np.ndarray:
+        """Shape O^-1 diag(W_i/a_i) O^-T of one event pattern, not yet PSD-tested."""
+        w = np.where(pattern, self.uncertainty[1], self.uncertainty[0])
+        half = np.linalg.solve(self.matrix, np.diag(w / self.weights))
+        return _symmetrize(np.linalg.solve(self.matrix, half.T).T)
+
+    def window_centers(self, references: np.ndarray) -> np.ndarray:
+        """Centers O^-1 Y for a (K, n) stack of windows of reference outputs.
+
+        One stacked solve; each row equals the solve of its window alone, bit
+        for bit, which the multi-right-hand-side form solve(O, Y^T) does not.
+        """
+        stacked = np.broadcast_to(self.matrix, (len(references), self.n, self.n))
+        return np.linalg.solve(stacked, references[..., None])[..., 0]
 
 
 def spectral_norm(A: np.ndarray) -> float:
@@ -295,16 +322,22 @@ def convergence_bound(
         NotObservableError: the observability matrix is rank deficient.
     """
     a = a if a is not None else WeightVector.uniform(model.n)
+    _stable_norm(model)  # an unstable plant is reported first, observable or not
+    return WindowSolver(model, trigger, a).bound()
+
+
+def _stable_norm(model: SystemModel) -> float:
+    """||A||; raises UnstableSystemError unless it is below one."""
     norm_a = spectral_norm(model.A)
     if norm_a >= 1.0:
         raise UnstableSystemError(f"spectral norm {norm_a:.6f} >= 1; bound is unbounded")
-    return _sqrt_trace_level(model, WindowSolver(model, trigger, a).epsilon, norm_a)
+    return norm_a
 
 
 def _sqrt_trace_level(model: SystemModel, epsilon: float, norm_a: float) -> float:
     """(sqrt(epsilon) + sqrt(Tr Q)) / (1 - ||A||) if ||A|| < 1, else sqrt(epsilon) + sqrt(Tr Q).
 
-    The one formula behind ``convergence_bound`` and the observer's
+    The one formula behind ``WindowSolver.bound`` and the observer's
     divergence guard (``observer.guard_threshold``).
     """
     gain = np.sqrt(epsilon) + float(np.sqrt(np.trace(model.Q)))

@@ -8,20 +8,19 @@ Identical configurations, seed included, reproduce traces bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, _draw, contains, shape_sqrt
+from .ellipsoid import CONTAINMENT_TOL, Ellipsoid, _draw, _generalized_distance, shape_sqrt
 from .observability import (
     NotObservableError,
     SystemModel,
     TriggerConfig,
     WeightVector,
-    is_full_rank,
-    observability_matrix,
+    WindowSolver,
 )
-from .observer import MeasurementRecord, ObserverOutput, observer_run
+from .observer import MeasurementRecord, ObserverRun, _observe
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,16 @@ class Metrics:
     ``mean_estimation_error`` averages ||x_k - x_hat_k|| over the fused steps
     k = 1 .. N-(n-1); the last n-1 steps have no finalized estimate.
     ``communication_rate`` is the fraction of steps 1 .. N with an event.
+    ``distances[i]`` is the generalized distance of the true state from the
+    i-th posterior set (``contains``); a step is a violation when it exceeds
+    1 + ``CONTAINMENT_TOL``.
     """
 
     mean_estimation_error: float
     communication_rate: float
     containment_violations: int
     max_generalized_distance: float
+    distances: list[float] = field(default_factory=list, repr=False, compare=False)
 
 
 def step_plant(x: np.ndarray, w: np.ndarray, model: SystemModel) -> np.ndarray:
@@ -124,7 +127,7 @@ def _draw_noise(
     return w, _draw_v(roots, rng)
 
 
-def run_closed_loop(config: SimConfig) -> tuple[Trace, list[ObserverOutput], Metrics]:
+def run_closed_loop(config: SimConfig) -> tuple[Trace, ObserverRun, Metrics]:
     """Simulate the plant, log the channel, run the observer, and score it.
 
     The first transmission is forced (gamma_0 = 1, y_tau_0 = y_0) so the
@@ -133,8 +136,10 @@ def run_closed_loop(config: SimConfig) -> tuple[Trace, list[ObserverOutput], Met
     is rank deficient.
     """
     model, trigger = config.model, config.trigger
-    if not is_full_rank(observability_matrix(model)):
-        raise NotObservableError("model is not observable; refusing to simulate")
+    try:
+        solver = WindowSolver(model, trigger, config.a)
+    except NotObservableError:
+        raise NotObservableError("model is not observable; refusing to simulate") from None
     rng = np.random.default_rng(config.seed)
     n, N = model.n, config.N
 
@@ -169,31 +174,33 @@ def run_closed_loop(config: SimConfig) -> tuple[Trace, list[ObserverOutput], Met
         process_noise=process_noise,
         measurement_noise=measurement_noise,
     )
-    estimates = observer_run(records, model, trigger, config.a)
+    flags = np.array([r.gamma for r in records])
+    references = np.array([r.y_tau for r in records])
+    estimates = _observe(flags, references, 0, solver)
     return trace, estimates, compute_metrics(trace, estimates)
 
 
-def compute_metrics(trace: Trace, estimates: list[ObserverOutput]) -> Metrics:
+def compute_metrics(trace: Trace, estimates: ObserverRun) -> Metrics:
     """Score a run: mean error over fused steps, event rate, containment."""
     N = trace.states.shape[0] - 1
+    ks = range(estimates.first_k, estimates.first_k + len(estimates))
+    states = trace.states[ks.start : ks.stop]
     errors = [
-        float(np.linalg.norm(trace.states[out.k] - out.posterior_set.center))
-        for out in estimates
-        if out.k >= 1
+        float(np.linalg.norm(x - center))
+        for k, x, center in zip(ks, states, estimates.centers)
+        if k >= 1
     ]
-    violations = 0
-    max_distance = 0.0
-    for out in estimates:
-        inside, dist = contains(out.posterior_set, trace.states[out.k])
-        max_distance = max(max_distance, dist)
-        if not inside:
-            violations += 1
+    distances = [
+        _generalized_distance(center, shape, x)
+        for x, center, shape in zip(states, estimates.centers, estimates.shapes)
+    ]
     rate = sum(int(r.gamma) for r in trace.records[1:]) / N
     return Metrics(
         mean_estimation_error=float(np.mean(errors)) if errors else 0.0,
         communication_rate=rate,
-        containment_violations=violations,
-        max_generalized_distance=max_distance,
+        containment_violations=sum(not d <= 1.0 + CONTAINMENT_TOL for d in distances),
+        max_generalized_distance=max([0.0, *distances]),
+        distances=distances,
     )
 
 

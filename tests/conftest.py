@@ -7,7 +7,8 @@ import csv
 import numpy as np
 import pytest
 
-from setobs import SystemModel, TriggerConfig, WeightVector
+from setobs import Ellipsoid, MeasurementRecord, SystemModel, TriggerConfig, WeightVector, sample_point
+from setobs.simulation import evaluate_trigger, sample_noise, step_plant
 
 
 @pytest.fixture
@@ -44,3 +45,24 @@ def read_rows(path) -> list[dict[str, str]]:
     """Rows of a CSV file the CLI wrote, keyed by its header."""
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+# The paper plant made unstable: its state grows like 1.3^k while the sets stay
+# bounded, so after ~130 steps one ulp of the state exceeds the set's width.
+UNSTABLE_PLANT = {"A": [[1.3, 0.1], [0.0, 1.2]], "C": [1.0, 0.0], "Q": [[5.0, 0.0], [0.0, 5.0]],
+                  "R": 0.5, "Gamma": 0.6, "Gamma_e": 1e-4}
+
+
+def channel_log(model: SystemModel, trigger: TriggerConfig, x0, N: int, seed: int):
+    """The channel log ``run_closed_loop`` records for a config, built from the
+    simulation's own draws and steps without running the observer."""
+    rng = np.random.default_rng(seed)
+    x = np.asarray(x0, dtype=float)
+    y_tau = float(model.C @ x) + float(sample_point(Ellipsoid([0.0], [[model.R]]), rng)[0])
+    records = [MeasurementRecord(0, True, y_tau)]
+    for k in range(1, N + 1):
+        w, v = sample_noise(model, rng)
+        x = step_plant(x, w, model)
+        gamma, y_tau = evaluate_trigger(float(model.C @ x) + v, y_tau, trigger)
+        records.append(MeasurementRecord(k, gamma, y_tau))
+    return records

@@ -10,8 +10,9 @@ import pytest
 
 from setobs import SystemModel, TriggerConfig, convergence_bound, run_closed_loop
 from setobs.cli import build_sim_config, load_config, main, read_log
+from setobs.observability import WindowSolver
 
-from conftest import read_rows
+from conftest import UNSTABLE_PLANT, channel_log, read_rows
 
 BENCH = {
     "A": [[0.75, 0.2], [0.5, 0.3]],
@@ -216,6 +217,26 @@ class TestSimulate:
         filled = [r for r in rows if r["gen_distance"] != ""]
         assert len(filled) == BENCH["N"]  # last step has no fused estimate
         assert all(float(r["gen_distance"]) <= 1.0 + 1e-9 for r in filled)
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["metrics"]["max_generalized_distance"] == max(
+            float(r["gen_distance"]) for r in filled
+        )
+
+    def test_one_window_solver_per_simulation(self, bench_config_file, tmp_path, monkeypatch):
+        built = []
+        init = WindowSolver.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(WindowSolver, "__init__", counting_init)
+        code = main(["simulate", "--config", str(bench_config_file), "--out", str(tmp_path)])
+        assert code == 0
+        assert len(built) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["epsilon"] == pytest.approx(323.43, abs=0.01)
+        assert summary["worst_pattern"] == "00"
 
     def test_summary_echo_round_trip(self, bench_config_file, tmp_path):
         out_dir = tmp_path / "run"
@@ -283,6 +304,35 @@ class TestSimulate:
         assert sweep["aggregate"]["containment_violations"] == 0
         agg = sweep["aggregate"]["communication_rate"]
         assert agg["min"] <= agg["mean"] <= agg["max"]
+
+
+class TestResolutionLoss:
+    """An unstable plant outgrows float64 resolution: exit 1 with a message."""
+
+    def test_simulate_exits_1_without_traceback(self, tmp_path, capsys):
+        path = write_config(tmp_path, **UNSTABLE_PLANT, N=200, seed=1)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "resolution" in err
+        assert "Traceback" not in err
+
+    def test_replay_of_its_log_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, **UNSTABLE_PLANT)
+        model = SystemModel(A=UNSTABLE_PLANT["A"], C=UNSTABLE_PLANT["C"], Q=UNSTABLE_PLANT["Q"],
+                            R=UNSTABLE_PLANT["R"])
+        trigger = TriggerConfig(UNSTABLE_PLANT["Gamma"], UNSTABLE_PLANT["Gamma_e"])
+        lines = ["k,gamma,y_tau"] + [
+            f"{r.k},{int(r.gamma)},{r.y_tau:.17g}"
+            for r in channel_log(model, trigger, [0.0, 0.0], 200, 1)
+        ]
+        (tmp_path / "log.csv").write_text("\n".join(lines) + "\n")
+        code = main(["replay", "--config", str(path), "--log", str(tmp_path / "log.csv"),
+                     "--out", str(tmp_path / "replay")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "resolution" in err
+        assert "Traceback" not in err
 
 
 class TestReplay:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,11 @@ from setobs import (
     sample_point,
     spectral_norm,
 )
+import setobs.observer as observer_mod
+from setobs.ellipsoid import _require_psd
 from setobs.observability import WindowSolver
 
-from conftest import rand_spd, scalar_chain
+from conftest import UNSTABLE_PLANT, channel_log, rand_spd, scalar_chain
 from oracles import intersection_outer
 
 
@@ -309,6 +313,176 @@ class TestObserverRun:
             observer_run(records, bench_model, bench_trigger)
 
 
+def orthogonal_plant(n: int, seed: int) -> SystemModel:
+    """A = 0.8 U with U a random orthogonal matrix: strictly stable and observable."""
+    rng = np.random.default_rng(seed)
+    return SystemModel(A=0.8 * np.linalg.qr(rng.standard_normal((n, n)))[0],
+                       C=rng.standard_normal(n), Q=np.eye(n), R=0.5)
+
+
+def closed_loop_records(model: SystemModel, trigger: TriggerConfig, N: int, seed: int):
+    config = SimConfig(model=model, trigger=trigger, x0=np.zeros(model.n), N=N, seed=seed)
+    return run_closed_loop(config)[0].records
+
+
+class TestObserverRunView:
+    """observer_run returns the run's arrays, read as a sequence of ObserverOutput."""
+
+    @pytest.fixture
+    def run(self, bench_model, bench_trigger):
+        records = closed_loop_records(bench_model, bench_trigger, 40, 7)
+        return observer_run(records, bench_model, bench_trigger)
+
+    def test_views_read_the_arrays(self, run):
+        assert len(run) == len(run.centers) == 40
+        for i, out in enumerate(run):
+            assert (out.k, out.available_at) == (i, i + 1)
+            assert np.array_equal(out.posterior_set.center, run.centers[i])
+            assert np.array_equal(out.posterior_set.shape, run.shapes[i])
+            assert np.array_equal(out.measurement_set.center, run.window_centers[i])
+            assert np.array_equal(out.measurement_set.shape, run.window_shapes[run.pattern[i]])
+            if i:
+                assert np.array_equal(out.prior_set.center, run.prior_centers[i])
+                assert np.array_equal(out.prior_set.shape, run.prior_shapes[i])
+        assert run[0].prior_set is None
+
+    def test_negative_indices_and_slices(self, run):
+        assert run[-1].k == 39 and run[-40].k == 0
+        assert np.array_equal(run[-1].posterior_set.shape, run.shapes[39])
+        assert [out.k for out in run[5:9]] == [5, 6, 7, 8]
+        assert [out.k for out in run[::-10]] == [39, 29, 19, 9]
+        assert run[1:][0].prior_set is not None
+        for index in (40, -41):
+            with pytest.raises(IndexError):
+                run[index]
+        pairs = list(zip(run, run[1:]))
+        assert len(pairs) == 39
+        for prev, cur in pairs:
+            assert cur.k == prev.k + 1
+            assert np.array_equal(cur.prior_set.shape, run.prior_shapes[cur.k])
+
+    def test_arrays_are_read_only(self, run):
+        with pytest.raises(ValueError, match="read-only"):
+            run[3].posterior_set.shape[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            run.centers[0, 0] = 1.0
+
+    def test_one_window_shape_per_pattern(self, bench_model, bench_trigger):
+        records = closed_loop_records(bench_model, bench_trigger, 200, 2)
+        run = observer_run(records, bench_model, bench_trigger)
+        solver = WindowSolver(bench_model, bench_trigger, WeightVector.uniform(2))
+        assert 1 < len({shape.tobytes() for shape in run.window_shapes}) == len(run.window_shapes) <= 4
+        for i, out in enumerate(run):
+            flags = [records[i].gamma, records[i + 1].gamma]
+            assert np.array_equal(out.measurement_set.shape, solver.ellipsoid(flags, [0, 0]).shape)
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_public_steps_equal_the_loop(self, n, bench_model, bench_trigger):
+        model = bench_model if n == 2 else orthogonal_plant(n, 95)
+        run = observer_run(closed_loop_records(model, bench_trigger, 120, 5), model, bench_trigger)
+        for prev, cur in zip(run, run[1:]):
+            pairs = [(prior_set(prev.posterior_set, model), cur.prior_set),
+                     (predict_no_delay(prev.posterior_set, model, n - 1)[0], cur.prior_set),
+                     (fuse(cur.measurement_set, cur.prior_set)[0], cur.posterior_set)]
+            for got, expected in pairs:
+                assert np.array_equal(got.center, expected.center)
+                assert np.array_equal(got.shape, expected.shape)
+
+
+class TestBlockedPsdTests:
+    """PSD tests run stacked per block, yet raise what a test per shape raises."""
+
+    N = 700  # more than two blocks of PSD tests
+
+    @pytest.fixture
+    def records(self, bench_model, bench_trigger):
+        assert 5 * self.N > 2 * observer_mod.PSD_BLOCK
+        return closed_loop_records(bench_model, bench_trigger, self.N, 3)
+
+    @staticmethod
+    def call(step: int, posterior: bool = False) -> int:
+        """Number of the outer sum that makes a step's prior (or posterior) shape."""
+        return 2 * step - (0 if posterior else 1)
+
+    @staticmethod
+    def plant(monkeypatch, bad_call=None, raise_call=None):
+        """Negate the shape of outer sum ``bad_call`` and raise ZeroDivisionError at
+        ``raise_call``; returns the error _require_psd gives the negated shape."""
+        original = observer_mod._outer_sum_shape
+        calls = []
+        expected = []
+
+        def planted(*args):
+            calls.append(None)
+            if len(calls) == raise_call:
+                raise ZeroDivisionError("planted")
+            shape = original(*args)
+            if len(calls) == bad_call:
+                shape = -shape
+                with pytest.raises(ValueError) as err:
+                    _require_psd(shape)
+                expected.append(str(err.value))
+            return shape
+
+        monkeypatch.setattr(observer_mod, "_outer_sum_shape", planted)
+        return expected
+
+    @pytest.mark.parametrize("bad_step", [100, 690])  # in a full block, in the last partial one
+    def test_indefinite_shape_raises_the_per_shape_error(self, records, bench_model,
+                                                         bench_trigger, monkeypatch, bad_step):
+        full_blocks = 5 * self.N // observer_mod.PSD_BLOCK
+        assert (5 * bad_step > full_blocks * observer_mod.PSD_BLOCK) == (bad_step == 690)
+        expected = self.plant(monkeypatch, bad_call=self.call(bad_step))
+        with pytest.raises(ValueError) as err:
+            observer_run(records, bench_model, bench_trigger)
+        assert str(err.value) == expected[0]
+        assert "eigenvalue" in expected[0]
+
+    def test_failing_last_shape_is_raised_at_the_end(self, records, bench_model,
+                                                     bench_trigger, monkeypatch):
+        expected = self.plant(monkeypatch, bad_call=self.call(self.N - 1, posterior=True))
+        with pytest.raises(ValueError) as err:
+            observer_run(records, bench_model, bench_trigger)
+        assert str(err.value) == expected[0]
+
+    def test_earliest_failing_step_wins(self, records, bench_model, bench_trigger, monkeypatch):
+        expected = self.plant(monkeypatch, bad_call=self.call(100), raise_call=self.call(110))
+        with pytest.raises(ValueError) as err:
+            observer_run(records, bench_model, bench_trigger)
+        assert str(err.value) == expected[0]
+
+    def test_earlier_exception_wins(self, records, bench_model, bench_trigger, monkeypatch):
+        self.plant(monkeypatch, bad_call=self.call(110), raise_call=self.call(100))
+        with pytest.raises(ZeroDivisionError, match="planted"):
+            observer_run(records, bench_model, bench_trigger)
+
+
+class TestResolutionLoss:
+    """An unstable plant outgrows float64 resolution while its sets stay bounded."""
+
+    @pytest.fixture
+    def system(self):
+        raw = UNSTABLE_PLANT
+        model = SystemModel(A=raw["A"], C=raw["C"], Q=raw["Q"], R=raw["R"])
+        return model, TriggerConfig(raw["Gamma"], raw["Gamma_e"])
+
+    def test_simulation_stops_before_containment_is_lost(self, system):
+        model, trigger = system
+        config = SimConfig(model=model, trigger=trigger, x0=[0.0, 0.0], N=200, seed=1)
+        with pytest.raises(DivergenceError, match="resolution") as err:
+            run_closed_loop(config)
+        # Without the check the run reports its first containment violation at step 137.
+        assert int(re.search(r"step (\d+)", str(err.value)).group(1)) < 137
+
+    def test_replay_of_its_log_stops_too(self, system):
+        model, trigger = system
+        records = channel_log(model, trigger, [0.0, 0.0], 200, 1)
+        with pytest.raises(DivergenceError, match="resolution"):
+            observer_run(records, model, trigger)
+        # A prefix that ends while the sets still resolve their centers runs through.
+        assert len(observer_run(records[:60], model, trigger)) == 59
+
+
 def paper_plant_in_units(s: float, seed: int) -> SimConfig:
     """The benchmark plant with its state measured in units 1/s: Q, R and both
     channel shapes scale by s^2, so every set scales by s and the run is the same."""
@@ -443,6 +617,22 @@ class TestReferenceRecursion:
             if prior is None:
                 assert out.prior_set is None
             else:
+                pairs.append((out.prior_set, prior))
+            for ell, (center, shape) in pairs:
+                assert np.array_equal(ell.center, center)
+                assert np.array_equal(ell.shape, shape)
+
+    def test_n6_run_longer_than_a_block_equals_reference(self, bench_trigger):
+        model = orthogonal_plant(6, 95)
+        a = WeightVector.uniform(6)
+        records = closed_loop_records(model, bench_trigger, 400, 301)
+        outputs = observer_run(records, model, bench_trigger, a)
+        expected = reference_observer_run(records, model, bench_trigger, a)
+        assert len(outputs) == len(expected) == 396
+        assert 5 * len(outputs) > observer_mod.PSD_BLOCK
+        for out, (meas, prior, posterior) in zip(outputs, expected):
+            pairs = [(out.measurement_set, meas), (out.posterior_set, posterior)]
+            if prior is not None:
                 pairs.append((out.prior_set, prior))
             for ell, (center, shape) in pairs:
                 assert np.array_equal(ell.center, center)
