@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ellipsoid import affine_transform, shape_sqrt
+from .ellipsoid import _require_psd_stack, shape_sqrt
 from .observability import (
     NotObservableError,
     SystemModel,
@@ -33,6 +33,8 @@ from .simulation import Metrics, SimConfig, Trace, run_closed_loop, run_seed_swe
 
 BOUNDARY_POINTS = 64
 PLOT_STEPS = 10
+# Line ending of every CSV file, that of the csv module's default dialect.
+ROW_END = "\r\n"
 # check lists every one of the 2^n event patterns; refuse beyond this n.
 PATTERN_LISTING_CAP = 20
 
@@ -67,9 +69,24 @@ def _require(raw: dict, key: str):
     return raw[key]
 
 
-def _require_int(raw: dict, key: str) -> int:
+def _holds_numbers(value) -> bool:
+    """Whether a JSON value is a number or nested lists of numbers; JSON's
+    true and false are not numbers here, though Python counts them as ints."""
+    if isinstance(value, list):
+        return all(_holds_numbers(item) for item in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require_numeric(raw: dict, key: str):
     value = _require(raw, key)
-    if isinstance(value, float) and not value.is_integer():
+    if not _holds_numbers(value):
+        raise ConfigError(f"'{key}' must be a number or a list of numbers, got {value!r}")
+    return value
+
+
+def _require_int(raw: dict, key: str) -> int:
+    value = _require_numeric(raw, key)
+    if isinstance(value, list) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"'{key}' must be an integer, got {value!r}")
     return int(value)
 
@@ -78,14 +95,15 @@ def build_system(raw: dict) -> tuple[SystemModel, TriggerConfig, WeightVector]:
     """Model, trigger, and weights from a parsed config (weights default uniform)."""
     try:
         model = SystemModel(
-            A=_require(raw, "A"), C=_require(raw, "C"), Q=_require(raw, "Q"), R=_require(raw, "R")
+            A=_require_numeric(raw, "A"), C=_require_numeric(raw, "C"),
+            Q=_require_numeric(raw, "Q"), R=_require_numeric(raw, "R"),
         )
         trigger = TriggerConfig(
-            threshold=float(_require(raw, "Gamma")),
-            transmit_error=float(_require(raw, "Gamma_e")),
+            threshold=float(_require_numeric(raw, "Gamma")),
+            transmit_error=float(_require_numeric(raw, "Gamma_e")),
         )
         weights = (
-            WeightVector(raw["a"]) if raw.get("a") is not None
+            WeightVector(_require_numeric(raw, "a")) if raw.get("a") is not None
             else WeightVector.uniform(model.n)
         )
         if len(weights) != model.n:
@@ -103,7 +121,7 @@ def build_sim_config(raw: dict) -> SimConfig:
         return SimConfig(
             model=model,
             trigger=trigger,
-            x0=_require(raw, "x0"),
+            x0=_require_numeric(raw, "x0"),
             N=_require_int(raw, "N"),
             seed=_require_int(raw, "seed"),
             a=weights,
@@ -172,59 +190,51 @@ def _write_step_table(
     """One row per record; the estimate columns of step k = i are read from row i
     of the run's arrays and ``distances``, and stay empty past the last estimate."""
     n = trace.states.shape[1]
-    centers = estimates.centers.tolist()
-    traces = np.trace(estimates.shapes, axis1=1, axis2=2).tolist()
     header = (
         ["k"]
         + [f"x{i + 1}" for i in range(n)]
         + [f"x_hat{i + 1}" for i in range(n)]
         + ["gamma", "y", "y_tau", "trace_P_hat", "gen_distance"]
     )
+    with_estimate = "%d," + "%.17g," * (2 * n) + "%d,%.17g,%.17g,%.17g,%.17g" + ROW_END
+    without_estimate = "%d," + "%.17g," * n + "," * n + "%d,%.17g,%.17g,," + ROW_END
+    traces = np.trace(estimates.shapes, axis1=1, axis2=2)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + ROW_END)
         for i, record in enumerate(trace.records):
             k = record.k
-            row = [str(k)] + [_fmt(v) for v in trace.states[k]]
-            if i < len(centers):
-                row += [_fmt(v) for v in centers[i]]
-                tail = [_fmt(traces[i]), _fmt(distances[i])]
+            plant = trace.states[k].tolist()
+            channel = (record.gamma, trace.outputs[k], record.y_tau)
+            if i < len(estimates):
+                fh.write(with_estimate % (k, *plant, *estimates.centers[i].tolist(), *channel,
+                                          traces[i], distances[i]))
             else:
-                row += [""] * n
-                tail = ["", ""]
-            row += [str(int(record.gamma)), _fmt(trace.outputs[k]), _fmt(record.y_tau)]
-            row += tail
-            writer.writerow(row)
+                fh.write(without_estimate % (k, *plant, *channel))
 
 
 def _write_replay_table(path: Path, records: list[MeasurementRecord],
                         estimates: ObserverRun, n: int) -> None:
     """One row per record; estimate i belongs to ``records[i]``, as the run starts
     at the first record of the consecutive log."""
-    centers = estimates.centers.tolist()
-    traces = np.trace(estimates.shapes, axis1=1, axis2=2).tolist()
     header = ["k"] + [f"x_hat{i + 1}" for i in range(n)] + ["gamma", "y_tau", "trace_P_hat"]
+    with_estimate = "%d," + "%.17g," * n + "%d,%.17g,%.17g" + ROW_END
+    without_estimate = "%d," + "," * n + "%d,%.17g," + ROW_END
+    traces = np.trace(estimates.shapes, axis1=1, axis2=2)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + ROW_END)
         for i, record in enumerate(records):
-            row = [str(record.k)]
-            if i < len(centers):
-                row += [_fmt(v) for v in centers[i]]
-                trace_cell = _fmt(traces[i])
+            if i < len(estimates):
+                fh.write(with_estimate % (record.k, *estimates.centers[i].tolist(),
+                                          record.gamma, record.y_tau, traces[i]))
             else:
-                row += [""] * n
-                trace_cell = ""
-            row += [str(int(record.gamma)), _fmt(record.y_tau), trace_cell]
-            writer.writerow(row)
+                fh.write(without_estimate % (record.k, record.gamma, record.y_tau))
 
 
 def _write_log(path: Path, records: list[MeasurementRecord]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "gamma", "y_tau"])
+        fh.write("k,gamma,y_tau" + ROW_END)
         for record in records:
-            writer.writerow([str(record.k), str(int(record.gamma)), _fmt(record.y_tau)])
+            fh.write("%d,%d,%.17g%s" % (record.k, record.gamma, record.y_tau, ROW_END))
 
 
 def read_log(path: str | Path) -> list[MeasurementRecord]:
@@ -263,36 +273,47 @@ def read_log(path: str | Path) -> list[MeasurementRecord]:
     return records
 
 
-def _boundary(ell2d) -> np.ndarray:
-    angles = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_POINTS, endpoint=False)
-    circle = np.vstack([np.cos(angles), np.sin(angles)])
-    return (ell2d.center[:, None] + shape_sqrt(ell2d.shape) @ circle).T
-
-
 def _write_polylines(out_dir: Path, estimates: ObserverRun, n: int) -> list[str]:
     """Boundary polylines of the estimation sets for the first plot steps.
 
     One file per coordinate pair; higher-dimensional sets are emitted as their
     2-D coordinate projections (shadows). Nothing is written for n = 1.
+
+    A projection onto a pair is the pair's 2x2 block of each set, so the blocks
+    of every set and pair are sliced, PSD-tested and rooted as one stack, with
+    the values ``affine_transform`` and ``shape_sqrt`` give set by set.
     """
     if n < 2:
         return []
+    labels, centers, shapes = [], [], []
+    for out in estimates[:PLOT_STEPS]:
+        for kind, ell in (("measurement", out.measurement_set), ("prior", out.prior_set),
+                          ("posterior", out.posterior_set)):
+            if ell is not None:
+                labels.append(f"{out.k},{kind},")
+                centers.append(ell.center)
+                shapes.append(ell.shape)
+    pairs = list(combinations(range(n), 2))
+    index = np.array(pairs)
+    # Indexed (pair, set, ...). A 0/1 projector copies the entries exactly, and
+    # its zero offset turns a -0.0 into 0.0.
+    block_centers = (np.array(centers)[:, index] + 0.0).swapaxes(0, 1)
+    blocks = np.array(shapes)[:, index[:, :, None], index[:, None, :]] + 0.0
+    blocks = blocks.swapaxes(0, 1)
+    blocks = (blocks + blocks.swapaxes(-1, -2)) / 2.0
+    _require_psd_stack(blocks.reshape(-1, 2, 2))
+    roots = shape_sqrt(blocks)
+    angles = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_POINTS, endpoint=False)
+    circle = np.vstack([np.cos(angles), np.sin(angles)])
+    # One row format per set: its step and kind, then a point.
+    template = "".join((label + "%.17g,%.17g" + ROW_END) * BOUNDARY_POINTS for label in labels)
     names = []
-    for i, j in combinations(range(n), 2):
+    for (i, j), pair_centers, pair_roots in zip(pairs, block_centers, roots):
         name = "ellipsoids.csv" if n == 2 else f"ellipsoids_x{i + 1}x{j + 1}.csv"
-        projector = np.zeros((2, n))
-        projector[0, i] = 1.0
-        projector[1, j] = 1.0
+        points = pair_centers[:, :, None] + pair_roots @ circle  # (set, coordinate, point)
         with open(out_dir / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "set_kind", "x1", "x2"])
-            for out in estimates[:PLOT_STEPS]:
-                sets = [("measurement", out.measurement_set), ("posterior", out.posterior_set)]
-                if out.prior_set is not None:
-                    sets.insert(1, ("prior", out.prior_set))
-                for kind, ell in sets:
-                    for point in _boundary(affine_transform(ell, projector)):
-                        writer.writerow([str(out.k), kind, _fmt(point[0]), _fmt(point[1])])
+            fh.write("step,set_kind,x1,x2" + ROW_END)
+            fh.write(template % tuple(points.swapaxes(1, 2).ravel().tolist()))
         names.append(name)
     return names
 

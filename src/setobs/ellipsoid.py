@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 # Tolerances shared by the whole toolkit.
 SYMMETRY_TOL = 1e-9
@@ -51,12 +51,17 @@ def _require_symmetric(S: np.ndarray, name: str) -> None:
 
 
 def _require_psd(shape: np.ndarray) -> np.ndarray:
-    """Return ``shape`` if its smallest eigenvalue is at least -``PSD_TOL`` Tr/n.
+    """Return ``shape`` if it is finite and its smallest eigenvalue is at least
+    -``PSD_TOL`` Tr/n.
 
     The floor scales with the shape, so the test means the same in any units;
     a zero shape passes. Cholesky, which succeeds exactly on positive-definite
-    shapes, settles the common case without an eigendecomposition.
+    shapes, settles the common case without an eigendecomposition. It does
+    not settle a non-finite shape: a NaN factorizes without error, and NaN
+    compares below no floor.
     """
+    if not np.isfinite(shape).all():
+        raise ValueError("shape matrix has a non-finite entry")
     try:
         np.linalg.cholesky(shape)
     except np.linalg.LinAlgError:
@@ -67,6 +72,24 @@ def _require_psd(shape: np.ndarray) -> np.ndarray:
                 f"shape matrix has eigenvalue {min_eig:.3e} below the floor {floor:.3e}"
             ) from None
     return shape
+
+
+def _require_psd_stack(shapes: np.ndarray) -> None:
+    """``_require_psd`` on each shape of an (m, d, d) stack, in order.
+
+    One finiteness test and one stacked Cholesky settle a stack of finite
+    positive-definite shapes (the stacked Cholesky runs the same factorization
+    on each member); otherwise the stack is retested shape by shape, so the
+    verdict and the error raised are those of testing each shape alone.
+    """
+    if np.isfinite(shapes).all():
+        try:
+            np.linalg.cholesky(shapes)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    for shape in shapes:
+        _require_psd(shape)
 
 
 @dataclass(frozen=True)
@@ -102,6 +125,10 @@ class Ellipsoid:
             raise ValueError(
                 f"center has dimension {center.size} but shape matrix is {shape.shape}"
             )
+        # Before the symmetry test, whose arithmetic a non-finite entry upsets.
+        for name, value in (("center", center), ("shape matrix", shape)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value.tolist()}")
         _require_symmetric(shape, "shape matrix")
         shape = _require_psd(_symmetrize(shape))
         object.__setattr__(self, "center", center)
@@ -223,31 +250,39 @@ def contains(ell: Ellipsoid, x: np.ndarray) -> tuple[bool, float]:
     x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if x.size != ell.dim:
         raise ValueError(f"point has dimension {x.size}, ellipsoid {ell.dim}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"point must be finite, got {x.tolist()}")
     dist = _generalized_distance(ell.center, ell.shape, x)
     return dist <= 1.0 + CONTAINMENT_TOL, dist
 
 
 def _generalized_distance(center: np.ndarray, shape: np.ndarray, x: np.ndarray) -> float:
-    """d of ``contains`` for a float point of the set's dimension."""
-    trace = float(np.trace(shape))
+    """d of ``contains`` for a finite float point of the set's dimension.
+
+    LAPACK's potrf/potrs are called directly: they are what scipy's
+    ``cho_factor``/``cho_solve`` run, without the wrappers' per-call checks.
+    """
+    trace = float(shape.trace())
     if trace <= 0.0:
         raise SingularShapeError("shape matrix has zero trace; membership is undefined")
     residual = x - center
-    try:
-        factor = cho_factor(shape)
-    except LinAlgError:
+    factor, info = dpotrf(shape, lower=0, clean=0)
+    if info:
         regularized = shape + (1e-12 * trace / center.size) * np.eye(center.size)
-        try:
-            factor = cho_factor(regularized)
-        except LinAlgError as err:
-            raise SingularShapeError(f"shape matrix singular beyond repair: {err}") from err
-    return float(residual @ cho_solve(factor, residual))
+        factor, info = dpotrf(regularized, lower=0, clean=0)
+        if info:
+            raise SingularShapeError(
+                f"shape matrix singular beyond repair: potrf failed with info {info}"
+            )
+    return float(residual @ dpotrs(factor, residual, lower=0)[0])
 
 
 def shape_sqrt(S: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root; tiny negative eigenvalues are clipped to zero."""
+    """Symmetric PSD square root of a shape, or of each shape of a stack; tiny
+    negative eigenvalues are clipped to zero."""
     eigvals, eigvecs = np.linalg.eigh(np.atleast_2d(np.asarray(S, dtype=float)))
-    return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
+    roots = np.sqrt(np.clip(eigvals, 0.0, None))[..., None, :]
+    return (eigvecs * roots) @ eigvecs.swapaxes(-1, -2)
 
 
 def sample_point(

@@ -26,6 +26,7 @@ from .ellipsoid import (
     _fusion_matrix,
     _outer_sum_shape,
     _require_psd,
+    _require_psd_stack,
     _symmetrize,
 )
 from .observability import (
@@ -143,13 +144,10 @@ class ObserverRun(Sequence[ObserverOutput]):
 
 
 class _PendingPsd:
-    """``_require_psd`` deferred to one stacked Cholesky per block of shapes.
+    """``_require_psd`` deferred to ``_require_psd_stack`` per block of shapes.
 
-    A stacked Cholesky succeeds exactly when it succeeds on every member (the
-    same factorization runs on each), and a block that fails is retested
-    member by member, in the order pushed, by ``_require_psd`` itself. So the
-    verdict, and the error raised for the first failing shape, are those of
-    testing each shape when it is made.
+    The stack test's verdict, and the error it raises for the first failing
+    shape in the order pushed, are those of testing each shape when it is made.
     """
 
     def __init__(self, n: int):
@@ -166,11 +164,7 @@ class _PendingPsd:
     def flush(self) -> None:
         pending = self._block[: self._count]
         self._count = 0
-        try:
-            np.linalg.cholesky(pending)
-        except np.linalg.LinAlgError:
-            for shape in pending:
-                _require_psd(shape)
+        _require_psd_stack(pending)
 
 
 def _propagate(

@@ -41,6 +41,13 @@ def rand_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarr
     return scale * (G @ G.T + 0.05 * np.eye(dim))
 
 
+def orthogonal_plant(n: int, seed: int) -> SystemModel:
+    """A = 0.8 U with U a random orthogonal matrix: strictly stable and observable."""
+    rng = np.random.default_rng(seed)
+    return SystemModel(A=0.8 * np.linalg.qr(rng.standard_normal((n, n)))[0],
+                       C=rng.standard_normal(n), Q=np.eye(n), R=0.5)
+
+
 def read_rows(path) -> list[dict[str, str]]:
     """Rows of a CSV file the CLI wrote, keyed by its header."""
     with open(path, newline="") as fh:

@@ -3,16 +3,25 @@
 None of it runs in the estimator: the admissible sum-parameter interval bounds
 the trace-optimal p, the scalar fold checks ``minkowski_sum_outer`` against
 the closed form (sum of sqrts)^2, and ``intersection_outer`` is the split
-x = M x + (I - M) x that ``observer.fuse`` must reproduce bit for bit.
+x = M x + (I - M) x that ``observer.fuse`` must reproduce bit for bit. The
+per-set polyline writer and the scipy-wrapped generalized distance are what
+the CLI's stacked writer and the metrics' direct LAPACK calls must reproduce
+byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from setobs import Ellipsoid, SingularShapeError, affine_transform, minkowski_sum_outer
+from setobs.cli import BOUNDARY_POINTS, PLOT_STEPS
+from setobs.ellipsoid import shape_sqrt
 
 
 def _symmetrize(S: np.ndarray) -> np.ndarray:
@@ -100,3 +109,44 @@ def intersection_outer(e1: Ellipsoid, e2: Ellipsoid, M: np.ndarray) -> Ellipsoid
         raise ValueError(f"fusion matrix must be {e1.dim}x{e1.dim}, got {M.shape}")
     complement = np.eye(e1.dim) - M
     return minkowski_sum_outer(affine_transform(e1, M), affine_transform(e2, complement))
+
+
+def write_polylines(out_dir: Path, estimates, n: int) -> list[str]:
+    """The polyline files of ``setobs simulate``, one set and one pair at a time:
+    each set is projected by ``affine_transform`` and rooted by ``shape_sqrt``."""
+    if n < 2:
+        return []
+    angles = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_POINTS, endpoint=False)
+    circle = np.vstack([np.cos(angles), np.sin(angles)])
+    names = []
+    for i, j in combinations(range(n), 2):
+        name = "ellipsoids.csv" if n == 2 else f"ellipsoids_x{i + 1}x{j + 1}.csv"
+        projector = np.zeros((2, n))
+        projector[0, i] = 1.0
+        projector[1, j] = 1.0
+        with open(out_dir / name, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step", "set_kind", "x1", "x2"])
+            for out in estimates[:PLOT_STEPS]:
+                sets = [("measurement", out.measurement_set), ("posterior", out.posterior_set)]
+                if out.prior_set is not None:
+                    sets.insert(1, ("prior", out.prior_set))
+                for kind, ell in sets:
+                    shadow = affine_transform(ell, projector)
+                    points = (shadow.center[:, None] + shape_sqrt(shadow.shape) @ circle).T
+                    for x1, x2 in points:
+                        writer.writerow([str(out.k), kind, f"{x1:.17g}", f"{x2:.17g}"])
+        names.append(name)
+    return names
+
+
+def cho_distance(center: np.ndarray, shape: np.ndarray, x: np.ndarray) -> float:
+    """(x - c)^T S^-1 (x - c) through scipy's ``cho_factor``/``cho_solve``, with
+    the 1e-12 Tr(S)/d regularized retry of ``contains``."""
+    residual = x - center
+    try:
+        factor = cho_factor(shape)
+    except LinAlgError:
+        bump = 1e-12 * float(np.trace(shape)) / center.size
+        factor = cho_factor(shape + bump * np.eye(center.size))
+    return float(residual @ cho_solve(factor, residual))

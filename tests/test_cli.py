@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from setobs import SystemModel, TriggerConfig, convergence_bound, run_closed_loop
-from setobs.cli import build_sim_config, load_config, main, read_log
+from setobs.cli import PLOT_STEPS, build_sim_config, load_config, main, read_log
 from setobs.observability import WindowSolver
 
-from conftest import UNSTABLE_PLANT, channel_log, read_rows
+from conftest import UNSTABLE_PLANT, channel_log, orthogonal_plant, read_rows
+from oracles import write_polylines
 
 BENCH = {
     "A": [[0.75, 0.2], [0.5, 0.3]],
@@ -43,6 +44,13 @@ def write_config(tmp_path, name="cfg.json", **overrides) -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return path
+
+
+def first_entry_replaced(value, entry):
+    """A number or nested list of numbers with its first number replaced by ``entry``."""
+    if isinstance(value, list):
+        return [first_entry_replaced(value[0], entry), *value[1:]]
+    return entry
 
 
 class TestConfigParsing:
@@ -124,6 +132,22 @@ class TestConfigParsing:
         assert "config error" in err and f"'{key}' must be an integer" in err
         assert not (tmp_path / "out").exists()
 
+
+    @pytest.mark.parametrize("bad", [True, False, "0.6"])
+    @pytest.mark.parametrize("key", ["A", "C", "Q", "R", "Gamma", "Gamma_e", "a", "x0", "N",
+                                     "seed"])
+    def test_bool_or_string_is_config_error(self, tmp_path, capsys, key, bad):
+        # Python would read true as 1, false as 0 and "0.6" as 0.6.
+        path = write_config(tmp_path, **{key: first_entry_replaced(BENCH[key], bad)})
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and f"'{key}' must be a number or a list of numbers" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        config = build_sim_config(load_config(write_config(tmp_path, N=20.0, seed=3.0)))
+        assert (config.N, config.seed) == (20, 3)
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, seed=-1)
@@ -273,6 +297,34 @@ class TestSimulate:
         assert len(step0) == 2 * 64
         step1 = [r for r in rows if r["step"] == "1"]
         assert len(step1) == 3 * 64
+
+    @pytest.mark.parametrize("n, N", [(2, 40), (3, 40), (6, 40), (2, 5)])
+    def test_polylines_equal_per_set_oracle(self, tmp_path, n, N):
+        raw = {**BENCH, "N": N}
+        if n != 2:
+            model = orthogonal_plant(n, 95)
+            raw.update(A=model.A.tolist(), C=model.C.tolist(), Q=model.Q.tolist(),
+                       a=None, x0=[0.0] * n)
+        path = write_config(tmp_path, **raw)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
+        _, estimates, _ = run_closed_loop(build_sim_config(load_config(path)))
+        assert (len(estimates) < PLOT_STEPS) == (N == 5)
+        cli, oracle = tmp_path / "cli", tmp_path / "oracle"
+        oracle.mkdir()
+        names = write_polylines(oracle, estimates, n)
+        assert len(names) == n * (n - 1) // 2
+        summary = json.loads((cli / "summary.json").read_text())
+        assert summary["files"]["ellipsoids"] == names
+        assert sorted(p.name for p in cli.glob("ellipsoids*.csv")) == sorted(names)
+        for name in names:
+            assert (cli / name).read_bytes() == (oracle / name).read_bytes()
+
+    def test_scalar_plant_writes_no_polylines(self, tmp_path):
+        path = write_config(tmp_path, A=[[0.5]], C=[1.0], Q=[[1.0]], a=None, x0=[0.0])
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
+        summary = json.loads((tmp_path / "cli" / "summary.json").read_text())
+        assert summary["files"]["ellipsoids"] == []
+        assert not list((tmp_path / "cli").glob("ellipsoids*"))
 
     def test_unobservable_config_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, A=[[1.0, 0.0], [0.0, 1.0]], C=[1.0, 0.0])

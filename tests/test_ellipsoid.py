@@ -20,6 +20,7 @@ from setobs import (
 from conftest import rand_spd, scalar_chain
 from oracles import (
     SumParameterRange,
+    cho_distance,
     intersection_outer,
     minkowski_sum_chain,
     sum_parameter_range,
@@ -52,6 +53,16 @@ class TestEllipsoidType:
     def test_accepts_zero_shape(self):
         assert Ellipsoid([1.0], [[0.0]]).dim == 1
 
+    @pytest.mark.parametrize("center, shape, match", [
+        ([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]], "shape matrix must be finite"),
+        ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]], "shape matrix must be finite"),
+        ([0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]], "shape matrix must be finite"),
+        ([np.nan, 0.0], np.eye(2), "center must be finite"),
+    ])
+    def test_rejects_non_finite(self, center, shape, match):
+        with pytest.raises(ValueError, match=match):
+            Ellipsoid(center, shape)
+
 
 class TestAffineTransform:
     def test_identity_shifts_center_only(self):
@@ -70,6 +81,11 @@ class TestAffineTransform:
         out = affine_transform(Ellipsoid([1.0], [[4.0]]), [[-1.0]], [0.0])
         assert out.center[0] == -1.0
         assert out.shape[0, 0] == 4.0
+
+    def test_non_finite_image_rejected(self):
+        # Cholesky passes a NaN shape and NaN compares below no floor.
+        with pytest.raises(ValueError, match="non-finite"):
+            affine_transform(Ellipsoid([0.0, 0.0], np.eye(2)), [[np.nan, 0.0], [0.0, 1.0]])
 
     def test_rejects_mismatched_matrix(self):
         with pytest.raises(ValueError, match="columns"):
@@ -347,6 +363,21 @@ class TestContains:
         # Positive trace but rank 1: regularization keeps the query total.
         inside, dist = contains(Ellipsoid([0.0, 0.0], np.diag([4.0, 0.0])), [1.0, 0.0])
         assert inside and dist == pytest.approx(0.25, rel=1e-6)
+
+    def test_regularized_distance_bits(self):
+        center, shape, x = np.zeros(2), np.diag([4.0, 0.0]), np.array([1.0, 0.0])
+        _, dist = contains(Ellipsoid(center, shape), x)
+        assert dist == cho_distance(center, shape, x) == 0.249999999999875
+
+    def test_singular_beyond_repair_rejected(self):
+        # Within the PSD floor of -1e-9 Tr/n, yet indefinite after the 1e-12 Tr/n bump.
+        with pytest.raises(SingularShapeError, match="beyond repair"):
+            contains(Ellipsoid([0.0, 0.0], np.diag([1.0, -1e-10])), [1.0, 0.0])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_point_rejected(self, entry):
+        with pytest.raises(ValueError, match=r"point must be finite, got \[0.0, (nan|inf)\]"):
+            contains(Ellipsoid([0.0, 0.0], np.eye(2)), [0.0, entry])
 
 
 class TestSamplePoint:

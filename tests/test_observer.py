@@ -30,7 +30,7 @@ import setobs.observer as observer_mod
 from setobs.ellipsoid import _require_psd
 from setobs.observability import WindowSolver
 
-from conftest import UNSTABLE_PLANT, channel_log, rand_spd, scalar_chain
+from conftest import UNSTABLE_PLANT, channel_log, orthogonal_plant, rand_spd, scalar_chain
 from oracles import intersection_outer
 
 
@@ -313,13 +313,6 @@ class TestObserverRun:
             observer_run(records, bench_model, bench_trigger)
 
 
-def orthogonal_plant(n: int, seed: int) -> SystemModel:
-    """A = 0.8 U with U a random orthogonal matrix: strictly stable and observable."""
-    rng = np.random.default_rng(seed)
-    return SystemModel(A=0.8 * np.linalg.qr(rng.standard_normal((n, n)))[0],
-                       C=rng.standard_normal(n), Q=np.eye(n), R=0.5)
-
-
 def closed_loop_records(model: SystemModel, trigger: TriggerConfig, N: int, seed: int):
     config = SimConfig(model=model, trigger=trigger, x0=np.zeros(model.n), N=N, seed=seed)
     return run_closed_loop(config)[0].records
@@ -405,9 +398,10 @@ class TestBlockedPsdTests:
         return 2 * step - (0 if posterior else 1)
 
     @staticmethod
-    def plant(monkeypatch, bad_call=None, raise_call=None):
-        """Negate the shape of outer sum ``bad_call`` and raise ZeroDivisionError at
-        ``raise_call``; returns the error _require_psd gives the negated shape."""
+    def plant(monkeypatch, bad_call=None, raise_call=None, spoil=np.negative):
+        """Spoil (by default negate) the shape of outer sum ``bad_call`` and raise
+        ZeroDivisionError at ``raise_call``; returns the error _require_psd gives
+        the spoiled shape."""
         original = observer_mod._outer_sum_shape
         calls = []
         expected = []
@@ -418,7 +412,7 @@ class TestBlockedPsdTests:
                 raise ZeroDivisionError("planted")
             shape = original(*args)
             if len(calls) == bad_call:
-                shape = -shape
+                shape = spoil(shape)
                 with pytest.raises(ValueError) as err:
                     _require_psd(shape)
                 expected.append(str(err.value))
@@ -437,6 +431,16 @@ class TestBlockedPsdTests:
             observer_run(records, bench_model, bench_trigger)
         assert str(err.value) == expected[0]
         assert "eigenvalue" in expected[0]
+
+    def test_non_finite_shape_raises_the_per_shape_error(self, records, bench_model,
+                                                         bench_trigger, monkeypatch):
+        # A NaN shape factorizes without error, so only the finiteness test catches it.
+        expected = self.plant(monkeypatch, bad_call=self.call(100),
+                              spoil=lambda shape: shape * np.nan)
+        with pytest.raises(ValueError) as err:
+            observer_run(records, bench_model, bench_trigger)
+        assert str(err.value) == expected[0]
+        assert "non-finite" in expected[0]
 
     def test_failing_last_shape_is_raised_at_the_end(self, records, bench_model,
                                                      bench_trigger, monkeypatch):

@@ -17,6 +17,9 @@ from setobs import (
 )
 from setobs.simulation import evaluate_trigger, sample_noise, step_plant
 
+from conftest import orthogonal_plant
+from oracles import cho_distance
+
 
 @pytest.fixture
 def bench_config(bench_model, bench_trigger) -> SimConfig:
@@ -190,6 +193,17 @@ class TestRunClosedLoop:
         config = SimConfig(model=model, trigger=bench_trigger, x0=[0.0, 0.0], N=10, seed=0)
         with pytest.raises(NotObservableError):
             run_closed_loop(config)
+
+
+class TestMetricsDistances:
+    def test_distances_equal_scipy_cholesky(self, bench_trigger):
+        model = orthogonal_plant(6, 95)
+        config = SimConfig(model=model, trigger=bench_trigger, x0=np.zeros(6), N=1000, seed=301)
+        trace, estimates, metrics = run_closed_loop(config)
+        expected = [cho_distance(center, shape, x) for center, shape, x
+                    in zip(estimates.centers, estimates.shapes, trace.states)]
+        assert len(expected) == 996
+        assert metrics.distances == expected
 
 
 class TestSeedSweep:
