@@ -249,12 +249,21 @@ class WindowSolver:
         """The pattern whose window trace is ``epsilon``: no event at any offset."""
         return "0" * self.n
 
-    def pattern_trace(self, flags: Sequence[int]) -> float:
-        """Trace of the window ellipsoid for one pattern of event flags."""
-        if len(flags) != self.n:
-            raise ValueError(f"pattern has length {len(flags)}, expected {self.n}")
+    def pattern_trace(self, flags: Sequence[int] | np.ndarray) -> float | np.ndarray:
+        """Trace of the window ellipsoid for one pattern of event flags (a float),
+        or for each row of a (P, n) stack of patterns (an array of P traces).
+
+        A row's sum is numpy's pairwise sum along a contiguous last axis, which
+        has the bits of summing that row alone.
+        """
+        flags = np.asarray(flags, dtype=bool)
+        if flags.ndim not in (1, 2):
+            raise ValueError(f"patterns must be a row or a stack of rows, got shape {flags.shape}")
+        if flags.shape[-1] != self.n:
+            raise ValueError(f"pattern has length {flags.shape[-1]}, expected {self.n}")
         terms = self._trace_terms
-        return float(np.sum(np.where(np.asarray(flags, dtype=bool), terms[1], terms[0])))
+        traces = np.where(flags, terms[1], terms[0]).sum(axis=-1)
+        return float(traces) if flags.ndim == 1 else traces
 
     def bound(self) -> float:
         """``convergence_bound`` of this solver's (model, trigger, weights).

@@ -143,10 +143,16 @@ def run_closed_loop(config: SimConfig) -> tuple[Trace, ObserverRun, Metrics]:
     rng = np.random.default_rng(config.seed)
     n, N = model.n, config.N
 
-    states = np.empty((N + 1, n))
-    outputs = np.empty(N + 1)
-    process_noise = np.empty((N, n))
-    measurement_noise = np.empty(N + 1)
+    try:
+        states = np.empty((N + 1, n))
+        outputs = np.empty(N + 1)
+        process_noise = np.empty((N, n))
+        measurement_noise = np.empty(N + 1)
+    except MemoryError as err:
+        size = 8 * ((N + 1) * (n + 2) + N * n)
+        raise ValueError(
+            f"N = {N} steps need {size:.3g} bytes of plant history, more than can be allocated"
+        ) from err
     records: list[MeasurementRecord] = []
 
     roots = _noise_roots(model)  # once per run; every draw reuses them

@@ -6,22 +6,30 @@ the closed form (sum of sqrts)^2, and ``intersection_outer`` is the split
 x = M x + (I - M) x that ``observer.fuse`` must reproduce bit for bit. The
 per-set polyline writer and the scipy-wrapped generalized distance are what
 the CLI's stacked writer and the metrics' direct LAPACK calls must reproduce
-byte for byte.
+byte for byte, and the per-pattern listing is what ``check``'s blocked listing
+must print.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from setobs import Ellipsoid, SingularShapeError, affine_transform, minkowski_sum_outer
+from setobs import (
+    Ellipsoid,
+    SingularShapeError,
+    affine_transform,
+    epsilon_observability,
+    minkowski_sum_outer,
+)
 from setobs.cli import BOUNDARY_POINTS, PLOT_STEPS
 from setobs.ellipsoid import shape_sqrt
+from setobs.observability import WindowSolver
 
 
 def _symmetrize(S: np.ndarray) -> np.ndarray:
@@ -150,3 +158,23 @@ def cho_distance(center: np.ndarray, shape: np.ndarray, x: np.ndarray) -> float:
         bump = 1e-12 * float(np.trace(shape)) / center.size
         factor = cho_factor(shape + bump * np.eye(center.size))
     return float(residual @ cho_solve(factor, residual))
+
+
+def list_patterns(model, trigger, weights) -> str:
+    """The standard output of ``setobs check`` on an observable system, one
+    pattern at a time: bit strings from ``product`` in sorted order, and each
+    trace a 1-D sum over the solver's per-flag terms, printed with ``.17g``."""
+    report = epsilon_observability(model, trigger, weights)
+    terms = WindowSolver(model, trigger, weights)._trace_terms
+    lines = [
+        f"observability matrix:\n{report.matrix}",
+        "full_rank: true",
+        f"horizon K: {report.horizon}",
+        f"epsilon: {report.epsilon:.17g}",
+        f"worst_pattern: {report.worst_pattern}",
+    ]
+    for bits in product((0, 1), repeat=model.n):
+        trace = float(np.sum(np.where(np.asarray(bits, dtype=bool), terms[1], terms[0])))
+        lines.append(f"pattern {''.join(map(str, bits))}: {trace:.17g}")
+    lines.append("epsilon-observable: yes")
+    return "\n".join(lines) + "\n"

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from setobs import SystemModel, TriggerConfig, convergence_bound, run_closed_loop
-from setobs.cli import PLOT_STEPS, build_sim_config, load_config, main, read_log
+import setobs
+from setobs import SystemModel, TriggerConfig, cli, convergence_bound, run_closed_loop
+from setobs.cli import PLOT_STEPS, build_sim_config, build_system, load_config, main, read_log
 from setobs.observability import WindowSolver
 
 from conftest import UNSTABLE_PLANT, channel_log, orthogonal_plant, read_rows
-from oracles import write_polylines
+from oracles import list_patterns, write_polylines
 
 BENCH = {
     "A": [[0.75, 0.2], [0.5, 0.3]],
@@ -44,6 +48,21 @@ def write_config(tmp_path, name="cfg.json", **overrides) -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return path
+
+
+def plant_config(tmp_path, n: int, seed: int) -> Path:
+    """An observable n-state plant with non-uniform weights, as a config file."""
+    model = orthogonal_plant(n, seed)
+    raw = np.random.default_rng(seed).uniform(0.1, 1.0, n)
+    return write_config(tmp_path, A=model.A.tolist(), C=model.C.tolist(), Q=model.Q.tolist(),
+                        R=model.R, a=(raw / raw.sum()).tolist(), x0=[0.0] * n)
+
+
+def run_cli(*args: str, **popen_args) -> subprocess.Popen:
+    """``setobs`` in a child process that imports this checkout's package."""
+    paths = [str(Path(setobs.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.Popen([sys.executable, "-m", "setobs.cli", *args], env=env, **popen_args)
 
 
 def first_entry_replaced(value, entry):
@@ -198,6 +217,77 @@ class TestCheck:
         assert "cap" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("n, rows", [
+        (1, None), (2, None), (3, None), (6, None), (8, None), (9, None), (11, None),
+        (6, 1), (6, 7), (6, 63), (6, 64),
+    ])
+    def test_listing_equals_per_pattern_oracle(self, tmp_path, capsys, monkeypatch, n, rows):
+        # With the default block size the listing is one block up to n = 8, two
+        # blocks of 256 patterns at n = 9 and eight at n = 11. A budget of `rows`
+        # patterns at n = 6 makes blocks of 1 (no template flags), 4, 32 and 64.
+        if rows is not None:
+            monkeypatch.setattr(cli, "PATTERN_BLOCK_BYTES", 8 * n * rows)
+        path = plant_config(tmp_path, n, seed=n)
+        assert main(["check", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == list_patterns(*build_system(load_config(path)))
+
+    @pytest.mark.parametrize("plant", [{}, {"A": [[1.0, 0.0], [0.0, 1.0]], "C": [1.0, 0.0]}],
+                             ids=["observable", "rank-deficient"])
+    def test_one_window_solver_per_check(self, tmp_path, monkeypatch, plant):
+        built = []
+        init = WindowSolver.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(WindowSolver, "__init__", counting_init)
+        main(["check", "--config", str(write_config(tmp_path, **plant))])
+        assert len(built) == 1
+
+    def test_closed_pipe_exits_1_quietly(self, tmp_path):
+        # About 700 KB of listing, far more than a pipe holds, so check is
+        # still writing when the reader goes.
+        path = plant_config(tmp_path, 14, seed=14)
+        with run_cli("check", "--config", str(path),
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"observability matrix:\n"
+            proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert err == b""
+
+    @pytest.mark.parametrize("command", ["check", "bound"])
+    def test_closed_stdout_exits_0_quietly(self, tmp_path, command):
+        # Started with descriptor 1 closed, so sys.stdout is None.
+        path = plant_config(tmp_path, 6, seed=6)
+        with run_cli(command, "--config", str(path), stderr=subprocess.PIPE,
+                     preexec_fn=lambda: os.close(1)) as proc:
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
+
+    def test_listing_at_the_cap(self, tmp_path):
+        # 2^20 pattern lines, in sorted order, with sampled traces equal to
+        # the per-pattern sum bit for bit.
+        n = 20
+        path = plant_config(tmp_path, n, seed=n)
+        out = tmp_path / "check.txt"
+        with open(out, "w") as fh, run_cli("check", "--config", str(path), stdout=fh) as proc:
+            assert proc.wait(timeout=300) == 0
+        lines = out.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("pattern "))
+        listing = lines[first:first + 2**n]
+        assert lines[first + 2**n:] == ["epsilon-observable: yes"]
+        names = [f"pattern {code:020b}: " for code in range(2**n)]
+        assert [line[:len(names[0])] for line in listing] == names
+        terms = WindowSolver(*build_system(load_config(path)))._trace_terms
+        for code in np.random.default_rng(0).integers(0, 2**n, 500):
+            flags = np.array([bit == "1" for bit in f"{code:020b}"])
+            value = float(listing[code][len(names[0]):])
+            assert value == float(np.sum(np.where(flags, terms[1], terms[0])))
+
 
 class TestBound:
     def test_bench_value(self, bench_config_file, capsys):
@@ -261,6 +351,15 @@ class TestSimulate:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["epsilon"] == pytest.approx(323.43, abs=0.01)
         assert summary["worst_pattern"] == "00"
+
+    def test_unallocatable_step_count_exits_1(self, tmp_path, capsys):
+        # 10^15 steps of plant history are refused at once; nothing is committed.
+        path = write_config(tmp_path, N=1e15)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: N = 1000000000000000 steps need ")
+        assert len(err.splitlines()) == 1
 
     def test_summary_echo_round_trip(self, bench_config_file, tmp_path):
         out_dir = tmp_path / "run"

@@ -21,7 +21,7 @@ from setobs import (
 )
 from setobs.observability import WindowSolver
 
-from conftest import scalar_chain
+from conftest import orthogonal_plant, scalar_chain
 
 
 def bench_window_trace(flags, threshold=0.6, transmit_error=1e-4) -> float:
@@ -208,8 +208,32 @@ class TestEpsilonObservability:
 
     def test_pattern_trace_rejects_wrong_length(self, bench_model, bench_trigger, bench_weights):
         solver = WindowSolver(bench_model, bench_trigger, bench_weights)
-        with pytest.raises(ValueError, match="pattern"):
+        with pytest.raises(ValueError, match="pattern has length 3, expected 2"):
             solver.pattern_trace((0, 0, 0))
+        with pytest.raises(ValueError, match="pattern has length 3, expected 2"):
+            solver.pattern_trace(np.zeros((4, 3), dtype=int))
+        with pytest.raises(ValueError, match="pattern"):
+            solver.pattern_trace(np.zeros((2, 2, 2), dtype=int))
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_stacked_traces_equal_single_pattern_sums(self, n):
+        # Weights spread over 10 decades, so the terms of one sum do too. Every
+        # pattern up to n = 12, a sample of 4096 beyond.
+        rng = np.random.default_rng(n)
+        spread = 10.0 ** rng.uniform(-5.0, 5.0, n)
+        trigger = TriggerConfig(threshold=0.6, transmit_error=1e-4)
+        solver = WindowSolver(orthogonal_plant(n, seed=n), trigger,
+                              WeightVector(spread / spread.sum()))
+        codes = np.arange(2**n) if n <= 12 else rng.integers(0, 2**n, 4096)
+        flags = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        traces = solver.pattern_trace(flags)
+        assert isinstance(traces, np.ndarray) and traces.shape == (len(codes),)
+        t0, t1 = solver._trace_terms
+        expected = [float(np.sum(np.where(row.astype(bool), t1, t0))) for row in flags]
+        assert traces.tolist() == expected
+        single = solver.pattern_trace(flags[-1])
+        assert type(single) is float and single == expected[-1]
+        assert type(solver.epsilon) is float
 
     def test_monotone_in_threshold(self, bench_model, bench_weights):
         last = 0.0
