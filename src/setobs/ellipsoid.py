@@ -5,15 +5,15 @@ center and a symmetric positive-semidefinite shape matrix. Two primitives
 cover everything the estimator needs: affine maps (exact) and Minkowski sums
 (trace-optimal outer approximation); the observer's intersection
 (``observer.fuse``) is a Minkowski sum of two affine images. All operations
-are pure; shape matrices are re-symmetrized after every arithmetic step
-because repeated products drift off the symmetric manifold. Every tolerance
+are pure; shape matrices are re-symmetrized after every product, because
+repeated products drift off the symmetric manifold (a weighted sum of
+exactly symmetric shapes is exactly symmetric already). Every tolerance
 is relative to the scale of the matrix it tests, so a result means the same
 in any units.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,14 +103,14 @@ class Ellipsoid:
     ``Ellipsoid(...)`` validates everything. Results of the calculus
     (``affine_transform``, ``minkowski_sum_outer``) and of
     ``WindowSolver.ellipsoid`` are built by ``_trusted`` instead, which skips
-    the conversions and the symmetry test: their shapes come straight out of
-    ``_symmetrize``, and (S + S^T) / 2 is exactly symmetric in IEEE arithmetic
-    because addition commutes, so that test could only pass and the stored
-    re-symmetrized copy would equal S bit for bit. The PSD test still runs on
-    every such shape. Only a repeat on identical bits is skipped: a window
-    shape is tested once per event pattern (per observer run, or per
-    ``WindowSolver`` for its ``ellipsoid``), and the disturbance set E(0, Q)
-    once per model.
+    the conversions and the symmetry test: their shapes come out of
+    ``_symmetrize`` or are weighted sums of shapes that did, and
+    (S + S^T) / 2 is exactly symmetric in IEEE arithmetic because addition
+    commutes, so that test could only pass and the stored re-symmetrized copy
+    would equal S bit for bit. The PSD test still runs on every such shape.
+    Only a repeat on identical bits is skipped: a window shape is tested once
+    per event pattern by ``WindowSolver.ellipsoid``, and the disturbance set
+    E(0, Q) once per model.
     """
 
     center: np.ndarray
@@ -176,7 +176,15 @@ def optimal_sum_parameter(Q1: np.ndarray, Q2: np.ndarray) -> float:
     t2 = float(np.trace(np.atleast_2d(Q2)))
     if t1 <= 0.0 or t2 <= 0.0:
         raise DegenerateOperandError(f"operand traces {t1:.3e}, {t2:.3e} must be positive")
-    return float(np.sqrt(t1 / t2))
+    return float(_sum_parameter(t1, t2))
+
+
+def _sum_parameter(t1, t2):
+    """p = sqrt(t1 / t2) from two positive traces, or elementwise from two stacks
+    of them: the one formula behind ``optimal_sum_parameter``, ``_outer_sum_shape``
+    and the observer's outer sums. np.sqrt is correctly rounded, so a stack's
+    members equal the scalar results bit for bit."""
+    return np.sqrt(t1 / t2)
 
 
 def minkowski_sum_outer(e1: Ellipsoid, e2: Ellipsoid, p: float | None = None) -> Ellipsoid:
@@ -200,7 +208,9 @@ def _outer_sum_shape(
 ) -> np.ndarray:
     """Shape of ``minkowski_sum_outer`` from the operand shapes and their traces.
 
-    Not PSD-tested; every caller tests the result.
+    Not PSD-tested; every caller tests the result. The operands are exactly
+    symmetric, and so is a*S1 + b*S2 (entries (i, j) and (j, i) are the same
+    two products summed), so the result needs no re-symmetrizing.
     """
     if p is not None and p <= 0.0:
         raise ValueError(f"sum parameter must be positive, got {p}")
@@ -209,8 +219,8 @@ def _outer_sum_shape(
     if t2 == 0.0:
         return S1.copy()
     if p is None:
-        p = math.sqrt(t1 / t2)  # optimal_sum_parameter, from the traces at hand
-    return _symmetrize((1.0 + 1.0 / p) * S1 + (1.0 + p) * S2)
+        p = float(_sum_parameter(t1, t2))
+    return (1.0 + 1.0 / p) * S1 + (1.0 + p) * S2
 
 
 def optimal_fusion_matrix(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:

@@ -14,20 +14,18 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .ellipsoid import (
+    PSD_TOL,
     Ellipsoid,
-    SingularShapeError,
     _fusion_matrix,
-    _outer_sum_shape,
-    _require_psd,
     _require_psd_stack,
-    _symmetrize,
+    _sum_parameter,
 )
 from .observability import (
     SystemModel,
@@ -44,10 +42,11 @@ DIVERGENCE_FACTOR = 1e6
 # A posterior's smallest semi-axis must exceed this multiple of the rounding
 # error of its center (``_require_resolution``).
 RESOLUTION_MARGIN = 2.0**10
-# Shapes per stacked PSD test: about 64 steps of 5 tests each, in at most
-# PSD_BLOCK_BYTES of buffer. A 369 KB buffer (256 steps at n = 6) raised the
-# peak memory of a 1000-step simulation by about 1 MB; 92 KB did not.
-PSD_BLOCK = 320
+# Steps per stacked PSD test (6 shapes per run and step), in at most
+# PSD_BLOCK_BYTES of buffer unless one step needs more. A 369 KB buffer (256
+# steps at n = 6) raised the peak memory of a 1000-step simulation by about
+# 1 MB; 92 KB did not.
+PSD_BLOCK_STEPS = 64
 PSD_BLOCK_BYTES = 1 << 17
 
 
@@ -104,7 +103,9 @@ class ObserverRun(Sequence[ObserverOutput]):
     with ``window_shapes[pattern[i]]`` the measurement set, one shape per
     distinct event pattern. ``solver`` is the run's ``WindowSolver``. Indexing
     builds ``ObserverOutput`` views of the rows on demand; the arrays are
-    read-only.
+    read-only. Runs computed together (the seeds of a sweep) are columns of
+    common (K, S, ...) arrays, so their arrays are strided views, and they
+    share one ``window_shapes`` for the patterns of them all.
     """
 
     first_k: int
@@ -143,23 +144,27 @@ class ObserverRun(Sequence[ObserverOutput]):
         )
 
 
-class _PendingPsd:
+class _PsdBlock:
     """``_require_psd`` deferred to ``_require_psd_stack`` per block of shapes.
 
-    The stack test's verdict, and the error it raises for the first failing
-    shape in the order pushed, are those of testing each shape when it is made.
+    A step reserves a region of the block and writes its shapes straight into
+    it. A full block is tested as one stack, in the order written, so the
+    verdict and the error raised for the first failing shape are those of
+    testing each shape when it is made.
     """
 
-    def __init__(self, n: int):
-        capacity = max(1, min(PSD_BLOCK, PSD_BLOCK_BYTES // (8 * n * n)))
-        self._block = np.empty((capacity, n, n))
+    def __init__(self, n: int, region: int):
+        steps = max(1, min(PSD_BLOCK_STEPS, PSD_BLOCK_BYTES // (8 * n * n * region)))
+        self._block = np.empty((steps * region, n, n))
         self._count = 0
 
-    def push(self, shape: np.ndarray) -> None:
-        if self._count == len(self._block):
+    def reserve(self, size: int) -> np.ndarray:
+        """The next ``size`` slots, testing the block first if they do not fit."""
+        if self._count + size > len(self._block):
             self.flush()
-        self._block[self._count] = shape
-        self._count += 1
+        start = self._count
+        self._count += size
+        return self._block[start : self._count]
 
     def flush(self) -> None:
         pending = self._block[: self._count]
@@ -167,45 +172,108 @@ class _PendingPsd:
         _require_psd_stack(pending)
 
 
-def _propagate(
-    center: np.ndarray, shape: np.ndarray, A: np.ndarray, Q: np.ndarray, trace_q: float,
-    check: Callable[[np.ndarray], object],
+def _prior_step(
+    P: np.ndarray, c: np.ndarray, A: np.ndarray, Q: np.ndarray, trace_q: np.ndarray,
+    out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Prior (center, shape) from a posterior; ``check`` PSD-tests each shape made."""
-    mapped = _symmetrize(A @ shape @ A.T)
-    check(mapped)
-    prior = _outer_sum_shape(mapped, float(mapped.trace()), Q, trace_q, None)
-    check(prior)
-    return A @ center + 0.0, prior
+    """Prior sets E(A c, f+(A P A^T, Q)) of a stack of posteriors.
 
-
-def _fuse(
-    c_meas: np.ndarray, S_meas: np.ndarray, c_prior: np.ndarray, S_prior: np.ndarray,
-    check: Callable[[np.ndarray], object],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Posterior (center, shape, M, p) of ``fuse``; ``check`` PSD-tests each shape made."""
-    n = c_meas.size
-    try:
-        M = _fusion_matrix(S_meas, S_prior)
-    except SingularShapeError:
-        total = S_meas + S_prior
-        bump = 1e-12 * float(np.trace(total)) / n * np.eye(n)
-        M = _fusion_matrix(S_meas + bump, S_prior + bump)
-    # The split x = M x + (I - M) x, with p computed once and passed on.
-    K = np.eye(n) - M
-    S1 = _symmetrize(M @ S_meas @ M.T)
-    check(S1)
-    S2 = _symmetrize(K @ S_prior @ K.T)
-    check(S2)
-    t1, t2 = float(S1.trace()), float(S2.trace())
-    if t1 <= 0.0 or t2 <= 0.0:
-        p = 1.0  # one side degenerate; the outer sum is exact and ignores p
-    else:
-        p = float(np.sqrt(t1 / t2))  # optimal_sum_parameter
-    shape = _outer_sum_shape(S1, t1, S2, t2, p)
-    check(shape)
+    ``P`` is (S, n, n), ``c`` holds the centers as (S, n, 1) columns and
+    ``trace_q`` is Tr Q as a one-element array. ``out`` (2, S, n, n) receives
+    A P A^T and the prior shapes, for the caller to PSD-test in that order.
+    Returns the prior centers and ``out[1]``.
+    """
+    mapped, prior = out
+    product = A @ P @ A.T
+    np.add(product, product.swapaxes(1, 2), out=mapped)
+    np.divide(mapped, 2.0, out=mapped)
+    _outer_sum_into(prior, mapped, _traces(mapped), Q, trace_q)
     # The + 0.0 turns a -0.0 entry into 0.0, as adding a zero offset does.
-    return (M @ c_meas + 0.0) + (K @ c_prior + 0.0), shape, M, p
+    return A @ c + 0.0, prior
+
+
+def _fuse_step(
+    W: np.ndarray, c_meas: np.ndarray, P: np.ndarray, c_prior: np.ndarray, eye: np.ndarray,
+    out: np.ndarray, test_singular: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Trace-optimal outer approximations of E(c_meas, W) ^ E(c_prior, P), stacked.
+
+    Shapes are (S, n, n) and centers (S, n, 1) columns. ``out`` (3, S, n, n)
+    receives the two split shapes M W M^T and (I - M) P (I - M)^T and the
+    posterior shapes, for the caller to PSD-test in that order. Returns the
+    posterior centers, ``out[2]``, the fusion matrices M and the sum
+    parameters p.
+
+    W + P is singular within tolerance only where ``_fusion_matrix`` says so;
+    a member found singular is regularized by 1e-12 Tr/n on the diagonal.
+    With ``test_singular`` false the caller has proven that no member is, and
+    the eigenvalue test is skipped.
+    """
+    total = W + P
+    if test_singular:
+        eigs = np.linalg.eigvalsh(total)
+        singular = (eigs[:, -1] <= 0.0) | (eigs[:, 0] <= eye.shape[0] * 1e-14 * eigs[:, -1])
+    if test_singular and singular.any():
+        X = np.empty_like(total)
+        regular = ~singular
+        X[regular] = np.linalg.solve(total[regular], P[regular])
+        for s in np.flatnonzero(singular):
+            bump = 1e-12 * float(np.trace(total[s])) / eye.shape[0] * eye
+            X[s] = _fusion_matrix(W[s] + bump, P[s] + bump).T
+    else:
+        # M (W + P) = P  =>  (W + P) M^T = P by symmetry.
+        X = np.linalg.solve(total, P)
+    M = X.swapaxes(1, 2)
+    K = eye - M
+    split = out[:2]
+    np.matmul(M @ W, X, out=split[0])
+    np.matmul(K @ P, K.swapaxes(1, 2), out=split[1])
+    np.add(split, split.swapaxes(2, 3), out=split)
+    np.divide(split, 2.0, out=split)
+    traces = _traces(split)
+    p = _outer_sum_into(out[2], split[0], traces[0], split[1], traces[1])
+    # The + 0.0 turns a -0.0 entry into 0.0; on a sum it has the bits of adding
+    # 0.0 to each term first.
+    return (M @ c_meas + K @ c_prior) + 0.0, out[2], M, p
+
+
+def _traces(shapes: np.ndarray) -> np.ndarray:
+    """Traces over the last two axes: the reduction ``ndarray.trace`` runs, called
+    directly (so with its bits, and without its overhead)."""
+    return np.add.reduce(shapes.diagonal(0, -2, -1), -1)
+
+
+def _outer_sum_into(
+    out: np.ndarray, X: np.ndarray, t_x: np.ndarray, Y: np.ndarray, t_y: np.ndarray
+) -> np.ndarray:
+    """Trace-optimal outer sums (1 + 1/p) X + (1 + p) Y, p = sqrt(t_x / t_y), of
+    a stack of shapes X and shapes Y (a stack, or one shape for every member),
+    written into ``out``; returns p.
+
+    A member whose traces are not both positive takes p = 1, and where one of
+    its operands has zero trace (a point) its sum is the other operand, as in
+    ``_outer_sum_shape``; only such members leave the stack.
+    """
+    if min(t_x.tolist()) > 0.0 and min(t_y.tolist()) > 0.0:
+        p = _sum_parameter(t_x, t_y)
+        degenerate = None
+    else:
+        t_x, t_y = np.broadcast_arrays(t_x, t_y)
+        regular = (t_x > 0.0) & (t_y > 0.0)
+        p = np.ones(t_x.shape)
+        p[regular] = _sum_parameter(t_x[regular], t_y[regular])
+        degenerate = np.flatnonzero(~regular)
+    coefficient = p[:, None, None]
+    np.multiply(X, 1.0 + 1.0 / coefficient, out=out)
+    out += (1.0 + coefficient) * Y
+    if degenerate is not None:
+        Y = np.broadcast_to(Y, X.shape)
+        for s in degenerate:
+            if t_x[s] == 0.0:
+                out[s] = Y[s]
+            elif t_y[s] == 0.0:
+                out[s] = X[s]
+    return p
 
 
 def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
@@ -213,15 +281,20 @@ def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
 
     The shape is the trace-optimal outer sum of the mapped posterior and the
     disturbance set, so sqrt(Tr) of the result is exactly
-    sqrt(Tr(A P A^T)) + sqrt(Tr(Q)).
+    sqrt(Tr(A P A^T)) + sqrt(Tr(Q)). This is the observer's own step, on a
+    stack of one.
     """
-    if previous.dim != model.n:
-        raise ValueError(f"matrix has {model.n} columns, ellipsoid has dimension {previous.dim}")
+    n = model.n
+    if previous.dim != n:
+        raise ValueError(f"matrix has {n} columns, ellipsoid has dimension {previous.dim}")
     Q = model._disturbance_set.shape
-    center, shape = _propagate(
-        previous.center, previous.shape, model.A, Q, float(np.trace(Q)), _require_psd
+    shapes = np.empty((2, 1, n, n))
+    center, shape = _prior_step(
+        previous.shape[None], previous.center[None, :, None], model.A, Q,
+        np.array([np.trace(Q)]), shapes,
     )
-    return Ellipsoid._trusted(center, shape)
+    _require_psd_stack(shapes[:, 0])
+    return Ellipsoid._trusted(center[0, :, 0], shape[0])
 
 
 def fuse(measurement: Ellipsoid, prior: Ellipsoid) -> tuple[Ellipsoid, np.ndarray, float]:
@@ -231,13 +304,18 @@ def fuse(measurement: Ellipsoid, prior: Ellipsoid) -> tuple[Ellipsoid, np.ndarra
     the measurement center, and the Minkowski parameter used for the outer sum.
     A singular shape sum is regularized by 1e-12 Tr/n on the diagonal so the
     iteration stays total; the perturbation is below all test tolerances.
+    This is the observer's own step, on a stack of one.
     """
     if measurement.dim != prior.dim:
         raise ValueError(f"dimension mismatch: {measurement.dim} vs {prior.dim}")
-    center, shape, M, p = _fuse(
-        measurement.center, measurement.shape, prior.center, prior.shape, _require_psd
+    n = measurement.dim
+    shapes = np.empty((3, 1, n, n))
+    center, shape, M, p = _fuse_step(
+        measurement.shape[None], measurement.center[None, :, None], prior.shape[None],
+        prior.center[None, :, None], np.eye(n), shapes,
     )
-    return Ellipsoid._trusted(center, shape), M, p
+    _require_psd_stack(shapes[:, 0])
+    return Ellipsoid._trusted(center[0, :, 0], shape[0]), M[0], float(p[0])
 
 
 def predict_no_delay(
@@ -278,81 +356,139 @@ def observer_run(
     ks = [r.k for r in records]
     if ks != list(range(ks[0], ks[0] + len(records))):
         raise ValueError("record log has non-consecutive step indices")
-    flags = np.array([bool(r.gamma) for r in records])
-    references = np.array([float(r.y_tau) for r in records])
-    return _observe(flags, references, ks[0], solver)
+    flags = np.array([[bool(r.gamma) for r in records]])
+    references = np.array([[float(r.y_tau) for r in records]])
+    [run] = _observe(flags, references, ks[0], solver)
+    return run
 
 
 def _observe(
     flags: np.ndarray, references: np.ndarray, first_k: int, solver: WindowSolver
-) -> ObserverRun:
-    """The observer recursion over a log given as flag and reference arrays.
+) -> list[ObserverRun]:
+    """The observer recursion over S logs of one length, given as (S, L) flag
+    and reference arrays; returns one run per log.
 
-    Every shape the recursion makes is PSD-tested, in blocks (``_PendingPsd``);
-    an exception leaving the loop first runs the tests still pending, so the
-    error of the earliest failing step is the one raised.
+    Every step advances all S runs at once, as (S, n, n) shapes and (S, n, 1)
+    centers, and each run gets the bits it would get alone. The run arrays are
+    laid out step by step, (K, S, ...), and each ``ObserverRun`` holds views
+    of its run's column. Every shape the recursion makes is PSD-tested, in
+    blocks (``_PsdBlock``); an exception leaving the loop first runs the tests
+    still pending, so the error of the earliest failing step is the one
+    raised. With S > 1 the run that raises may not be the first in order; a
+    caller that needs the error of one run alone runs it alone.
     """
     model = solver.model
     n = model.n
-    steps = flags.size - (n - 1)
-    patterns, first_seen, pattern = np.unique(
-        sliding_window_view(flags, n), axis=0, return_index=True, return_inverse=True
-    )
-    pattern = pattern.reshape(-1)
+    runs, length = flags.shape
+    steps = length - (n - 1)
+    # Windows step by step: row t * S + s is the window of run s at step t.
+    windows = sliding_window_view(flags, n, axis=1).swapaxes(0, 1).reshape(-1, n)
+    patterns, pattern = np.unique(windows, axis=0, return_inverse=True)
+    pattern = pattern.reshape(steps, runs)
     window_shapes = np.array([solver.window_shape(p) for p in patterns])
-    window_centers = solver.window_centers(sliding_window_view(references, n))
-    is_new = np.zeros(steps, dtype=bool)
-    is_new[first_seen] = True
+    window_centers = solver.window_centers(
+        sliding_window_view(references, n, axis=1).swapaxes(0, 1).reshape(-1, n)
+    ).reshape(steps, runs, n)
 
-    centers = np.empty((steps, n))
-    shapes = np.empty((steps, n, n))
-    prior_centers = np.full((steps, n), np.nan)
-    prior_shapes = np.full((steps, n, n), np.nan)
+    centers = np.empty((steps, runs, n))
+    shapes = np.empty((steps, runs, n, n))
+    prior_centers = np.full((steps, runs, n), np.nan)
+    prior_shapes = np.full((steps, runs, n, n), np.nan)
     guard = DIVERGENCE_FACTOR * guard_threshold(model, solver.epsilon) ** 2
+    skip_level = _singularity_skip_level(model, window_shapes)
+    settled = min(guard, skip_level)
     A, Q = model.A, model._disturbance_set.shape
-    trace_q = float(np.trace(Q))
-    pending = _PendingPsd(n)
-    check = pending.push
+    trace_q = np.array([np.trace(Q)])
+    eye = np.eye(n)
+    # Per step: the windows, then A P A^T, the prior, the two split shapes and
+    # the posterior. A window is tested again at every step that uses it; its
+    # first test comes first, so only that one can fail.
+    block = _PsdBlock(n, 6 * runs)
     try:
-        for t, (code, new) in enumerate(zip(pattern.tolist(), is_new.tolist())):
-            window = window_shapes[code]
-            if new:
-                check(window)
+        for t in range(steps):
             if t == 0:
-                center, shape = window_centers[0], window
+                window = block.reserve(runs)
+                window_shapes.take(pattern[0], axis=0, out=window)
+                centers[0] = window_centers[0]
+                shapes[0] = window
             else:
-                c_prior, S_prior = _propagate(center, shape, A, Q, trace_q, check)
-                center, shape, _, _ = _fuse(window_centers[t], window, c_prior, S_prior, check)
-                prior_centers[t] = c_prior
-                prior_shapes[t] = S_prior
-            trace = float(shape.trace())
-            if trace > guard:
-                raise DivergenceError(
-                    f"posterior trace {trace:.3e} at step {first_k + t} exceeds divergence "
-                    f"guard {guard:.3e}; the model is likely unstable"
+                region = block.reserve(6 * runs).reshape(6, runs, n, n)
+                window = region[0]
+                window_shapes.take(pattern[t], axis=0, out=window)
+                c_prior, prior = _prior_step(
+                    shapes[t - 1], centers[t - 1][..., None], A, Q, trace_q, region[1:3]
                 )
-            centers[t] = center
-            shapes[t] = shape
+                center, shape, _, _ = _fuse_step(
+                    window, window_centers[t][..., None], prior, c_prior, eye, region[3:],
+                    test_singular=test_singular,
+                )
+                prior_centers[t] = c_prior[..., 0]
+                prior_shapes[t] = prior
+                centers[t] = center[..., 0]
+                shapes[t] = shape
+            traces = _traces(shapes[t]).tolist()
+            # Usually every trace is below both levels, and one pass shows it.
+            test_singular = not all(trace <= settled for trace in traces)
+            if test_singular:
+                for trace in traces:
+                    if trace > guard:
+                        raise DivergenceError(
+                            f"posterior trace {trace:.3e} at step {first_k + t} exceeds "
+                            f"divergence guard {guard:.3e}; the model is likely unstable"
+                        )
+                test_singular = not all(trace <= skip_level for trace in traces)
     except Exception:
-        pending.flush()  # an earlier failing PSD test would have stopped the run first
+        block.flush()  # an earlier failing PSD test would have stopped the run first
         raise
-    pending.flush()
+    block.flush()
     _require_resolution(centers, shapes, window_centers, solver, first_k)
-    run = ObserverRun(
-        first_k=first_k,
-        solver=solver,
-        centers=centers,
-        shapes=shapes,
-        prior_centers=prior_centers,
-        prior_shapes=prior_shapes,
-        window_centers=window_centers,
-        pattern=pattern,
-        window_shapes=window_shapes,
-    )
-    for array in (centers, shapes, prior_centers, prior_shapes, window_centers, pattern,
-                  window_shapes):
+    arrays = (centers, shapes, prior_centers, prior_shapes, window_centers, pattern)
+    for array in (*arrays, window_shapes):
         array.flags.writeable = False
-    return run
+    return [
+        ObserverRun(first_k, solver, *(array[:, s] for array in arrays[:5]),
+                    pattern=pattern[:, s], window_shapes=window_shapes)
+        for s in range(runs)
+    ]
+
+
+def _singularity_skip_level(model: SystemModel, window_shapes: np.ndarray) -> float:
+    """A previous posterior trace at or below which ``_fuse_step``'s singularity
+    test is sure to pass, so that it need not run; -inf when there is none.
+
+    The test passes when the computed eigenvalues of T = W + P have
+    l_min > n 1e-14 l_max. For the prior P = a A S A^T + b Q of a posterior S
+    (b >= 1, and A S A^T is PSD within ``PSD_TOL`` Tr/n):
+
+    - l_min(T) >= l_min(W) + l_min(Q) - PSD_TOL Tr(T)/n, less the rounding of
+      P and T, about (n + 4) u Tr(T);
+    - l_max(T) <= Tr(T), and ``eigvalsh`` errs by about n u l_max at most
+      (taken as 16 n u here, as for the eigenvalues of Q and W);
+    - so the test passes while Tr(T) < (l_min(W) + l_min(Q)) / rate;
+    - Tr(T) <= max Tr(W) + Tr(P), Tr(P) <= 2 (Tr(A S A^T) + Tr Q) and
+      Tr(A S A^T) <= ||A||^2 Tr S, each up to rounding.
+
+    Each step of that chain gives away a factor of 2 to cover its rounding.
+    """
+    if not np.isfinite(window_shapes).all():
+        return -math.inf  # the loop's PSD test rejects such a window first
+    n = model.n
+    u = np.finfo(float).eps / 2.0
+    error = 16 * n * u
+    Q = model._disturbance_set.shape
+    q = np.linalg.eigvalsh(Q)
+    w = np.linalg.eigvalsh(window_shapes)
+    q_min = q[0] - error * q[-1]
+    if q_min <= 0.0:  # b l_min(Q) >= l_min(Q) needs l_min(Q) >= 0
+        return -math.inf
+    smallest = q_min + float(np.min(w[:, 0] - error * w[:, -1]))
+    rate = PSD_TOL / n + n * 1e-14 + (n + 4) * u + error
+    prior_room = smallest / (2.0 * rate) / 2.0 - float(np.max(_traces(window_shapes)))
+    mapped_room = prior_room / 2.0 / 2.0 - float(np.trace(Q))
+    if not mapped_room > 0.0:
+        return -math.inf
+    norm_a = spectral_norm(model.A)
+    return mapped_room / norm_a**2 / 2.0 if norm_a > 0.0 else math.inf
 
 
 def _require_resolution(
@@ -360,6 +496,9 @@ def _require_resolution(
     solver: WindowSolver, first_k: int,
 ) -> None:
     """Raise DivergenceError at the first posterior too thin for its center's rounding.
+
+    The arrays are laid out (K, S, ...) as in ``_observe``; the first posterior
+    is the earliest step's, and among runs the first in order.
 
     A float64 center is only known to within its rounding error, so a set
     narrower than that error can miss the state it claims to contain (an
@@ -379,24 +518,26 @@ def _require_resolution(
     the rounding's effect on a generalized distance below about 2^-9.
     """
     n = solver.n
+    steps, runs = centers.shape[:2]
+    centers = centers.reshape(-1, n)
     unit_roundoff = np.finfo(float).eps / 2.0
     error = n * unit_roundoff * (
-        np.linalg.cond(solver.matrix) * np.linalg.norm(window_centers, axis=1)
+        np.linalg.cond(solver.matrix) * np.linalg.norm(window_centers.reshape(-1, n), axis=1)
         + np.linalg.norm(centers, axis=1)
     )
     # eigvalsh finds the smallest eigenvalue only to within about n u times the
     # largest, so the width tested is the largest the set can have: the check
     # fires only on sets known to be too thin.
-    eigs = np.linalg.eigvalsh(shapes)
+    eigs = np.linalg.eigvalsh(shapes.reshape(-1, n, n))
     semi_axis = np.sqrt(np.clip(eigs[:, 0], 0.0, None) + n * unit_roundoff * eigs[:, -1])
     unresolved = np.flatnonzero(semi_axis < RESOLUTION_MARGIN * error)
     if unresolved.size:
-        t = int(unresolved[0])
+        i = int(unresolved[0])
         raise DivergenceError(
-            f"posterior at step {first_k + t} has smallest semi-axis {semi_axis[t]:.3e}, "
-            f"below {RESOLUTION_MARGIN:.0f} times the rounding error {error[t]:.3e} of its "
-            f"center (norm {np.linalg.norm(centers[t]):.3e}); the state has outgrown "
-            f"float64 resolution and containment is no longer guaranteed"
+            f"posterior at step {first_k + i // runs} has smallest semi-axis "
+            f"{semi_axis[i]:.3e}, below {RESOLUTION_MARGIN:.0f} times the rounding error "
+            f"{error[i]:.3e} of its center (norm {np.linalg.norm(centers[i]):.3e}); the state "
+            f"has outgrown float64 resolution and containment is no longer guaranteed"
         )
 
 

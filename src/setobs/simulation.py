@@ -8,7 +8,8 @@ Identical configurations, seed included, reproduce traces bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +22,10 @@ from .observability import (
     WindowSolver,
 )
 from .observer import MeasurementRecord, ObserverRun, _observe
+
+# Seeds per stacked observer run in a sweep: as many as keep a group's plant
+# histories, logs and run arrays within this many bytes.
+SWEEP_GROUP_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -135,11 +140,21 @@ def run_closed_loop(config: SimConfig) -> tuple[Trace, ObserverRun, Metrics]:
     NotObservableError before simulating anything if the observability matrix
     is rank deficient.
     """
-    model, trigger = config.model, config.trigger
+    solver = _window_solver(config)
+    [result] = _run_seeds([config], solver, _noise_roots(config.model))
+    return result
+
+
+def _window_solver(config: SimConfig) -> WindowSolver:
     try:
-        solver = WindowSolver(model, trigger, config.a)
+        return WindowSolver(config.model, config.trigger, config.a)
     except NotObservableError:
         raise NotObservableError("model is not observable; refusing to simulate") from None
+
+
+def _simulate(config: SimConfig, roots: tuple[np.ndarray, np.ndarray]) -> Trace:
+    """The plant and channel of one run, drawing noise from the given roots."""
+    model, trigger = config.model, config.trigger
     rng = np.random.default_rng(config.seed)
     n, N = model.n, config.N
 
@@ -154,8 +169,6 @@ def run_closed_loop(config: SimConfig) -> tuple[Trace, ObserverRun, Metrics]:
             f"N = {N} steps need {size:.3g} bytes of plant history, more than can be allocated"
         ) from err
     records: list[MeasurementRecord] = []
-
-    roots = _noise_roots(model)  # once per run; every draw reuses them
 
     states[0] = config.x0
     v = _draw_v(roots, rng)
@@ -173,36 +186,43 @@ def run_closed_loop(config: SimConfig) -> tuple[Trace, ObserverRun, Metrics]:
         gamma, y_tau = evaluate_trigger(outputs[k], y_tau, trigger)
         records.append(MeasurementRecord(k=k, gamma=gamma, y_tau=y_tau))
 
-    trace = Trace(
+    return Trace(
         states=states,
         outputs=outputs,
         records=records,
         process_noise=process_noise,
         measurement_noise=measurement_noise,
     )
-    flags = np.array([r.gamma for r in records])
-    references = np.array([r.y_tau for r in records])
-    estimates = _observe(flags, references, 0, solver)
-    return trace, estimates, compute_metrics(trace, estimates)
+
+
+def _run_seeds(
+    configs: list[SimConfig], solver: WindowSolver, roots: tuple[np.ndarray, np.ndarray]
+) -> list[tuple[Trace, ObserverRun, Metrics]]:
+    """``run_closed_loop`` of configs that differ only in their seed: each plant
+    is simulated alone, the observer advances all of them as one stack."""
+    traces = [_simulate(config, roots) for config in configs]
+    flags = np.array([[r.gamma for r in trace.records] for trace in traces])
+    references = np.array([[r.y_tau for r in trace.records] for trace in traces])
+    runs = _observe(flags, references, 0, solver)
+    return [(trace, run, compute_metrics(trace, run)) for trace, run in zip(traces, runs)]
 
 
 def compute_metrics(trace: Trace, estimates: ObserverRun) -> Metrics:
     """Score a run: mean error over fused steps, event rate, containment."""
     N = trace.states.shape[0] - 1
-    ks = range(estimates.first_k, estimates.first_k + len(estimates))
-    states = trace.states[ks.start : ks.stop]
-    errors = [
-        float(np.linalg.norm(x - center))
-        for k, x, center in zip(ks, states, estimates.centers)
-        if k >= 1
-    ]
+    first, last = estimates.first_k, estimates.first_k + len(estimates)
+    states = trace.states[first:last]
+    fused = max(0, 1 - first)  # rows of steps k >= 1
+    residuals = states[fused:] - estimates.centers[fused:]
+    # Row by row, the bits of np.linalg.norm of each residual.
+    errors = np.sqrt((residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0])
     distances = [
         _generalized_distance(center, shape, x)
         for x, center, shape in zip(states, estimates.centers, estimates.shapes)
     ]
     rate = sum(int(r.gamma) for r in trace.records[1:]) / N
     return Metrics(
-        mean_estimation_error=float(np.mean(errors)) if errors else 0.0,
+        mean_estimation_error=float(np.mean(errors)) if errors.size else 0.0,
         communication_rate=rate,
         containment_violations=sum(not d <= 1.0 + CONTAINMENT_TOL for d in distances),
         max_generalized_distance=max([0.0, *distances]),
@@ -211,17 +231,37 @@ def compute_metrics(trace: Trace, estimates: ObserverRun) -> Metrics:
 
 
 def run_seed_sweep(base: SimConfig, seeds: list[int]) -> list[tuple[int, Metrics]]:
-    """Run independent seeds one after another, in seed order.
+    """Run independent seeds in seed order; the observer advances a group of
+    them at once.
 
-    Each run owns its random stream, so every seed's metrics equal those of a
-    single run with that seed. The runs are small matrix work that holds the
-    GIL, so threads would not overlap them.
+    Each run owns its random stream, and the stacked observer gives each run
+    the bits it gets alone, so every seed's metrics equal those of a single
+    run with that seed. Groups hold as many seeds as keep their run arrays
+    within ``SWEEP_GROUP_BYTES``. A group that raises is rerun one seed at a
+    time, so the error raised is that of the first failing seed.
     """
-    results = []
-    for seed in sorted(seeds):
-        cfg = SimConfig(
-            model=base.model, trigger=base.trigger, x0=base.x0, N=base.N, seed=seed, a=base.a
-        )
-        _, _, metrics = run_closed_loop(cfg)
-        results.append((seed, metrics))
-    return results
+    return [(seed, metrics) for seed, _, _, metrics in _sweep(base, seeds)]
+
+
+def _sweep(
+    base: SimConfig, seeds: list[int]
+) -> Iterator[tuple[int, Trace, ObserverRun, Metrics]]:
+    """``run_seed_sweep`` with each seed's trace and observer run, a group at a
+    time, so that only one group's arrays are held at once."""
+    solver = _window_solver(base)
+    roots = _noise_roots(base.model)
+    n, steps = base.model.n, base.N + 1
+    # Plant history, channel log (about 160 bytes a record) and run arrays.
+    seed_bytes = steps * (8 * (2 * n * n + 5 * n + 2) + 160)
+    group = max(1, SWEEP_GROUP_BYTES // seed_bytes)
+    ordered = sorted(seeds)
+    for start in range(0, len(ordered), group):
+        configs = [replace(base, seed=seed) for seed in ordered[start : start + group]]
+        try:
+            runs = _run_seeds(configs, solver, roots)
+        except Exception:
+            # The stack may meet a later seed's failure first; alone, the
+            # first failing seed raises what the serial loop raises.
+            runs = [run for config in configs for run in _run_seeds([config], solver, roots)]
+        for config, run in zip(configs, runs):
+            yield config.seed, *run

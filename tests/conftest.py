@@ -48,6 +48,12 @@ def orthogonal_plant(n: int, seed: int) -> SystemModel:
                        C=rng.standard_normal(n), Q=np.eye(n), R=0.5)
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes: bit for bit, telling -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def read_rows(path) -> list[dict[str, str]]:
     """Rows of a CSV file the CLI wrote, keyed by its header."""
     with open(path, newline="") as fh:

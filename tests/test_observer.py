@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -30,7 +31,14 @@ import setobs.observer as observer_mod
 from setobs.ellipsoid import _require_psd
 from setobs.observability import WindowSolver
 
-from conftest import UNSTABLE_PLANT, channel_log, orthogonal_plant, rand_spd, scalar_chain
+from conftest import (
+    UNSTABLE_PLANT,
+    channel_log,
+    orthogonal_plant,
+    rand_spd,
+    same_bits,
+    scalar_chain,
+)
 from oracles import intersection_outer
 
 
@@ -389,43 +397,47 @@ class TestBlockedPsdTests:
 
     @pytest.fixture
     def records(self, bench_model, bench_trigger):
-        assert 5 * self.N > 2 * observer_mod.PSD_BLOCK
+        assert self.N > 2 * observer_mod.PSD_BLOCK_STEPS
         return closed_loop_records(bench_model, bench_trigger, self.N, 3)
 
     @staticmethod
     def call(step: int, posterior: bool = False) -> int:
-        """Number of the outer sum that makes a step's prior (or posterior) shape."""
+        """Number of the step call that makes a step's prior (or posterior) shape."""
         return 2 * step - (0 if posterior else 1)
 
     @staticmethod
     def plant(monkeypatch, bad_call=None, raise_call=None, spoil=np.negative):
-        """Spoil (by default negate) the shape of outer sum ``bad_call`` and raise
+        """Spoil (by default negate) the shape made by step call ``bad_call`` (the
+        prior of ``_prior_step``, the posterior of ``_fuse_step``) and raise
         ZeroDivisionError at ``raise_call``; returns the error _require_psd gives
         the spoiled shape."""
-        original = observer_mod._outer_sum_shape
         calls = []
         expected = []
 
-        def planted(*args):
-            calls.append(None)
-            if len(calls) == raise_call:
-                raise ZeroDivisionError("planted")
-            shape = original(*args)
-            if len(calls) == bad_call:
-                shape = spoil(shape)
-                with pytest.raises(ValueError) as err:
-                    _require_psd(shape)
-                expected.append(str(err.value))
-            return shape
+        def planted(original):
+            def step(*args, **kwargs):
+                calls.append(None)
+                if len(calls) == raise_call:
+                    raise ZeroDivisionError("planted")
+                result = original(*args, **kwargs)
+                if len(calls) == bad_call:
+                    shape = result[1]  # a stack of one, in the block the loop tests
+                    shape[...] = spoil(shape)
+                    with pytest.raises(ValueError) as err:
+                        _require_psd(shape[0].copy())
+                    expected.append(str(err.value))
+                return result
+            return step
 
-        monkeypatch.setattr(observer_mod, "_outer_sum_shape", planted)
+        for name in ("_prior_step", "_fuse_step"):
+            monkeypatch.setattr(observer_mod, name, planted(getattr(observer_mod, name)))
         return expected
 
     @pytest.mark.parametrize("bad_step", [100, 690])  # in a full block, in the last partial one
     def test_indefinite_shape_raises_the_per_shape_error(self, records, bench_model,
                                                          bench_trigger, monkeypatch, bad_step):
-        full_blocks = 5 * self.N // observer_mod.PSD_BLOCK
-        assert (5 * bad_step > full_blocks * observer_mod.PSD_BLOCK) == (bad_step == 690)
+        full_blocks = self.N // observer_mod.PSD_BLOCK_STEPS
+        assert (bad_step > full_blocks * observer_mod.PSD_BLOCK_STEPS) == (bad_step == 690)
         expected = self.plant(monkeypatch, bad_call=self.call(bad_step))
         with pytest.raises(ValueError) as err:
             observer_run(records, bench_model, bench_trigger)
@@ -633,7 +645,7 @@ class TestReferenceRecursion:
         outputs = observer_run(records, model, bench_trigger, a)
         expected = reference_observer_run(records, model, bench_trigger, a)
         assert len(outputs) == len(expected) == 396
-        assert 5 * len(outputs) > observer_mod.PSD_BLOCK
+        assert len(outputs) > observer_mod.PSD_BLOCK_STEPS
         for out, (meas, prior, posterior) in zip(outputs, expected):
             pairs = [(out.measurement_set, meas), (out.posterior_set, posterior)]
             if prior is not None:
@@ -641,3 +653,123 @@ class TestReferenceRecursion:
             for ell, (center, shape) in pairs:
                 assert np.array_equal(ell.center, center)
                 assert np.array_equal(ell.shape, shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 16])
+def test_stacked_calls_equal_per_matrix_calls(n):
+    """The premise of the stacked kernel: each numpy call it makes on a stack
+    gives every member the bits of the same call on that member alone, in the
+    operand layouts the kernel uses (M a transposed view of a solve result)."""
+    rng = np.random.default_rng(n)
+    runs, rows = 7, 5000
+    A = rng.standard_normal((n, n))
+    W = np.array([rand_spd(rng, n) for _ in range(runs)])
+    P = np.array([rand_spd(rng, n) for _ in range(runs)])
+    c = rng.standard_normal((runs, n, 1))
+    X = np.linalg.solve(W + P, P)
+    M = X.swapaxes(1, 2)
+    K = np.eye(n) - M
+    single = []
+    for w, p, col in zip(W, P, c[..., 0]):
+        m = np.linalg.solve(w + p, p).T
+        k = np.eye(n) - m
+        single.append((A @ p @ A.T, m @ w @ m.T, k @ p @ k.T, m.T, np.linalg.eigvalsh(w + p),
+                       p.trace(), A @ col, m @ col, k @ col))
+    stacked = (A @ P @ A.T, M @ W @ X, K @ P @ K.swapaxes(1, 2), X, np.linalg.eigvalsh(W + P),
+               observer_mod._traces(P), (A @ c)[..., 0], (M @ c)[..., 0], (K @ c)[..., 0])
+    names = ("A S A^T", "M W M^T", "K P K^T", "solve", "eigvalsh", "trace", "A c", "M c", "K c")
+    for name, got, expected in zip(names, stacked, zip(*single)):
+        assert same_bits(got, np.array(expected)), name
+    assert same_bits(P.trace(axis1=1, axis2=2), observer_mod._traces(P))
+    d = rng.standard_normal((rows, n))
+    norms = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    assert same_bits(norms, [np.linalg.norm(row) for row in d])
+
+
+class TestStackedSteps:
+    """A member of a stack that takes a rare branch leaves the others' bits alone."""
+
+    @staticmethod
+    def prior(P, c, model):
+        Q = model._disturbance_set.shape
+        out = np.empty((2, *P.shape))
+        center, _ = observer_mod._prior_step(P, c, model.A, Q, np.array([np.trace(Q)]), out)
+        return out, center
+
+    @staticmethod
+    def fuse(W, c_meas, P, c_prior):
+        out = np.empty((3, *W.shape))
+        center, _, M, p = observer_mod._fuse_step(W, c_meas, P, c_prior, np.eye(W.shape[1]),
+                                                  out)
+        return out, center, M, p
+
+    @staticmethod
+    def assert_members_alone(step, *stacks):
+        """Each member's results in the stack equal the step on that member alone."""
+        together = step(*stacks)
+        for s in range(len(stacks[0])):
+            alone = step(*(stack[s : s + 1] for stack in stacks))
+            for got, expected in zip(together, alone):
+                member = got[:, s] if got.ndim == 4 else got[s]
+                assert same_bits(member, expected[:, 0] if got.ndim == 4 else expected[0])
+        return together
+
+    def test_point_posterior_in_a_stack(self, bench_model):
+        rng = np.random.default_rng(3)
+        P = np.array([rand_spd(rng, 2), np.zeros((2, 2)), rand_spd(rng, 2)])
+        out, _ = self.assert_members_alone(lambda P, c: self.prior(P, c, bench_model), P,
+                                           rng.standard_normal((3, 2, 1)))
+        assert same_bits(out[1, 1], bench_model.Q)  # the sum with a point is Q itself
+
+    @pytest.mark.parametrize("case", ["bump", "point prior", "negative trace"])
+    def test_rare_member_in_a_stack(self, case, monkeypatch):
+        rng = np.random.default_rng(4)
+        W = np.array([rand_spd(rng, 2) for _ in range(3)])
+        P = np.array([rand_spd(rng, 2) for _ in range(3)])
+        if case == "bump":
+            W[1] = P[1] = np.diag([1.0, 0.0])  # W + P is singular
+        elif case == "point prior":
+            P[1] = 0.0
+        else:
+            W[1] = -1e-300 * np.eye(2)  # within the PSD floor, with a negative trace
+        bumps = []
+        original = observer_mod._fusion_matrix
+        monkeypatch.setattr(observer_mod, "_fusion_matrix",
+                            lambda *args: bumps.append(None) or original(*args))
+        out, _, _, p = self.assert_members_alone(
+            self.fuse, W, rng.standard_normal((3, 2, 1)), P, rng.standard_normal((3, 2, 1)))
+        assert len(bumps) == 2 * (case == "bump")  # once in the stack, once alone
+        if case != "bump":
+            assert p[1] == 1.0 and p[0] != 1.0 and p[2] != 1.0
+        if case == "point prior":
+            assert not out[:, 1].any()  # the posterior is the prior's point
+
+
+class TestSingularityTestSkip:
+    def test_bench_plant_skips_every_step(self, bench_model, bench_trigger):
+        run = observer_run(closed_loop_records(bench_model, bench_trigger, 300, 5), bench_model,
+                           bench_trigger)
+        level = observer_mod._singularity_skip_level(bench_model, run.window_shapes)
+        assert np.max(np.trace(run.shapes, axis1=1, axis2=2)) < level
+
+    def test_bump_fires_where_the_skip_bound_fails(self, bench_trigger, monkeypatch):
+        # O is nearly singular (cond about 1e7) and Q tiny, so W + P comes within
+        # the singularity tolerance; centers of zero keep the run resolvable.
+        model = SystemModel(A=[[0.5, 1e-7], [0.0, 0.5]], C=[1.0, 0.0], Q=1e-12 * np.eye(2),
+                            R=0.5)
+        records = [MeasurementRecord(k, k % 2 == 0, 0.0) for k in range(60)]
+        bumps = []
+        original = observer_mod._fusion_matrix
+        monkeypatch.setattr(observer_mod, "_fusion_matrix",
+                            lambda *args: bumps.append(None) or original(*args))
+        run = observer_run(records, model, bench_trigger)
+        assert observer_mod._singularity_skip_level(model, run.window_shapes) == -math.inf
+        assert len(bumps) > 30
+        expected = reference_observer_run(records, model, bench_trigger, WeightVector.uniform(2))
+        for out, (meas, prior, posterior) in zip(run, expected):
+            pairs = [(out.posterior_set, posterior)]
+            if prior is not None:
+                pairs.append((out.prior_set, prior))
+            for ell, (center, shape) in pairs:
+                assert same_bits(ell.center, center)
+                assert same_bits(ell.shape, shape)

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import setobs.observer as observer_mod
+import setobs.simulation as simulation_mod
 from setobs import (
+    DivergenceError,
     Ellipsoid,
     NotObservableError,
     SimConfig,
@@ -15,9 +24,10 @@ from setobs import (
     run_seed_sweep,
     sample_point,
 )
+from setobs.observability import WindowSolver
 from setobs.simulation import evaluate_trigger, sample_noise, step_plant
 
-from conftest import orthogonal_plant
+from conftest import UNSTABLE_PLANT, orthogonal_plant, same_bits
 from oracles import cho_distance
 
 
@@ -214,6 +224,44 @@ class TestSeedSweep:
         assert [s for s, _ in first] == [1, 3, 5]
         assert first == second
 
+    def test_unresolvable_seed_raises_the_serial_error(self):
+        raw = UNSTABLE_PLANT
+        model = SystemModel(A=raw["A"], C=raw["C"], Q=raw["Q"], R=raw["R"])
+        base = SimConfig(model=model, trigger=TriggerConfig(raw["Gamma"], raw["Gamma_e"]),
+                         x0=[0.0, 0.0], N=100, seed=0)
+        # Alone, seed 2 runs through, seed 1 loses resolution at step 98 and
+        # seed 4 at step 96: the stack meets seed 4's failure first.
+        assert len(run_closed_loop(replace(base, seed=2))[1]) == 100
+        for seed, step in ((1, 98), (4, 96)):
+            with pytest.raises(DivergenceError, match=f"step {step} ") as err:
+                run_closed_loop(replace(base, seed=seed))
+            if seed == 1:
+                expected = str(err.value)
+        with pytest.raises(DivergenceError) as err:
+            run_seed_sweep(base, [4, 2, 1])
+        assert str(err.value) == expected
+
+    def test_divergent_seed_raises_the_serial_error(self, bench_model, bench_trigger,
+                                                    monkeypatch):
+        base = SimConfig(model=bench_model, trigger=bench_trigger, x0=[0.0, 0.0], N=60, seed=0)
+        seeds = [3, 5, 8, 13]
+        largest = {seed: float(np.max(np.trace(run_closed_loop(replace(base, seed=seed))[1]
+                                                .shapes, axis1=1, axis2=2)))
+                   for seed in seeds}
+        # A guard between the seeds' largest traces stops some of them.
+        level = float(np.median(list(largest.values())))
+        epsilon = WindowSolver(bench_model, bench_trigger, base.a).epsilon
+        threshold = observer_mod.guard_threshold(bench_model, epsilon)
+        monkeypatch.setattr(observer_mod, "DIVERGENCE_FACTOR", level / threshold**2)
+        failing = [seed for seed in seeds if largest[seed] > level]
+        assert 0 < len(failing) < len(seeds)
+        with pytest.raises(DivergenceError, match="guard") as err:
+            run_closed_loop(replace(base, seed=failing[0]))
+        expected = str(err.value)
+        with pytest.raises(DivergenceError) as err:
+            run_seed_sweep(base, seeds[::-1])
+        assert str(err.value) == expected
+
     def test_rate_vs_threshold_diagnostic(self, bench_model, capsys):
         # Path-dependent under send-on-delta, so reported rather than asserted.
         rates = []
@@ -229,3 +277,47 @@ class TestSeedSweep:
         )
         print(f"rate-vs-threshold: {rates}, inversions: {inversions}")
         assert all(0.0 <= r <= 1.0 for _, r in rates)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A random observable-or-not plant, channel and horizon, and a few seeds."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = draw(st.floats(0.1, 0.98)) * np.linalg.qr(rng.standard_normal((n, n)))[0]
+    G = rng.standard_normal((n, n))
+    Q = draw(st.sampled_from([1e-6, 1.0, 1e4])) * (G @ G.T + 0.1 * np.eye(n))
+    model = SystemModel(A=A, C=rng.standard_normal(n), Q=Q, R=draw(st.floats(0.01, 2.0)))
+    threshold = draw(st.floats(0.05, 5.0))
+    trigger = TriggerConfig(threshold, threshold * draw(st.floats(1e-6, 0.5)))
+    base = SimConfig(model=model, trigger=trigger, x0=rng.standard_normal(n),
+                     N=draw(st.integers(n, 40)), seed=0)
+    return base, draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=5, unique=True))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sweep_cases())
+def test_stacked_sweep_equals_solo_runs(case):
+    """Every seed of a stacked sweep gets the bits of its solo run, with the
+    fusion's singularity test skipped where its bound allows and run everywhere."""
+    base, seeds = case
+    try:
+        solo = [run_closed_loop(replace(base, seed=seed)) for seed in sorted(seeds)]
+    except (NotObservableError, DivergenceError, ValueError) as err:
+        with pytest.raises(type(err)) as raised:
+            list(simulation_mod._sweep(base, seeds))
+        assert str(raised.value) == str(err)
+        return
+    stacked = list(simulation_mod._sweep(base, seeds))
+    with mock.patch.object(observer_mod, "_singularity_skip_level", lambda *args: -math.inf):
+        tested = list(simulation_mod._sweep(base, seeds))
+    assert [seed for seed, *_ in stacked] == sorted(seeds)
+    for (trace, run, metrics), *sweeps in zip(solo, stacked, tested):
+        for _, trace_s, run_s, metrics_s in sweeps:
+            assert same_bits(trace_s.states, trace.states)
+            for name in ("centers", "shapes", "prior_centers", "prior_shapes",
+                         "window_centers"):
+                assert same_bits(getattr(run_s, name), getattr(run, name)), name
+            assert metrics_s == metrics
+            assert same_bits(metrics_s.distances, metrics.distances)
