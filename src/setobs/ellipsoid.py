@@ -108,9 +108,9 @@ class Ellipsoid:
     (S + S^T) / 2 is exactly symmetric in IEEE arithmetic because addition
     commutes, so that test could only pass and the stored re-symmetrized copy
     would equal S bit for bit. The PSD test still runs on every such shape.
-    Only a repeat on identical bits is skipped: a window shape is tested once
-    per event pattern by ``WindowSolver.ellipsoid``, and the disturbance set
-    E(0, Q) once per model.
+    Only a repeat on identical bits is skipped: the observer tests each
+    distinct window shape of a run once, before its first step, and the
+    disturbance set E(0, Q) is tested once per model.
     """
 
     center: np.ndarray

@@ -241,8 +241,6 @@ class WindowSolver:
         # The terms (W_i/a_i) [(O O^T)^-1]_ii of the pattern trace, by flag.
         self._trace_terms = self.uncertainty / self.weights * self.gram_inv_diag
         self.epsilon = self.pattern_trace([0] * self.n)
-        # Window shape per event pattern, PSD-tested once when first computed.
-        self._shapes: dict[tuple[bool, ...], np.ndarray] = {}
 
     @property
     def worst_pattern(self) -> str:
@@ -277,18 +275,11 @@ class WindowSolver:
         """State set implied by one n-step window of set-valued measurements.
 
         Returns E(O^-1 Y, O^-1 diag(W_i/a_i) O^-T) where Y stacks the window's
-        reference outputs; realized via linear solves against O. The shape
-        depends on the flags alone, so it is computed once per pattern and
-        shared, read-only, by every window with that pattern.
+        reference outputs; realized via linear solves against O.
         """
         if len(flags) != self.n or len(references) != self.n:
             raise ValueError(f"window must contain exactly {self.n} records")
-        pattern = tuple(map(bool, flags))
-        shape = self._shapes.get(pattern)
-        if shape is None:
-            shape = _require_psd(self.window_shape(pattern))
-            shape.flags.writeable = False
-            self._shapes[pattern] = shape
+        shape = _require_psd(self.window_shape(flags))
         center = self.window_centers(np.asarray(references, dtype=float)[None])[0]
         return Ellipsoid._trusted(center, shape)
 
@@ -331,8 +322,8 @@ def convergence_bound(
         NotObservableError: the observability matrix is rank deficient.
     """
     a = a if a is not None else WeightVector.uniform(model.n)
-    _stable_norm(model)  # an unstable plant is reported first, observable or not
-    return WindowSolver(model, trigger, a).bound()
+    norm_a = _stable_norm(model)  # an unstable plant is reported first, observable or not
+    return _sqrt_trace_level(model, WindowSolver(model, trigger, a).epsilon, norm_a)
 
 
 def _stable_norm(model: SystemModel) -> float:

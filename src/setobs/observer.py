@@ -42,7 +42,7 @@ DIVERGENCE_FACTOR = 1e6
 # A posterior's smallest semi-axis must exceed this multiple of the rounding
 # error of its center (``_require_resolution``).
 RESOLUTION_MARGIN = 2.0**10
-# Steps per stacked PSD test (6 shapes per run and step), in at most
+# Steps per stacked PSD test (5 shapes per run and step), in at most
 # PSD_BLOCK_BYTES of buffer unless one step needs more. A 369 KB buffer (256
 # steps at n = 6) raised the peak memory of a 1000-step simulation by about
 # 1 MB; 92 KB did not.
@@ -147,29 +147,29 @@ class ObserverRun(Sequence[ObserverOutput]):
 class _PsdBlock:
     """``_require_psd`` deferred to ``_require_psd_stack`` per block of shapes.
 
-    A step reserves a region of the block and writes its shapes straight into
-    it. A full block is tested as one stack, in the order written, so the
-    verdict and the error raised for the first failing shape are those of
-    testing each shape when it is made.
+    Each step reserves a region, an array of shapes (..., n, n) of the given
+    ``region`` dimensions, and writes its shapes straight into it. A full
+    block is tested as one stack, in the order written, so the verdict and
+    the error raised for the first failing shape are those of testing each
+    shape when it is made.
     """
 
-    def __init__(self, n: int, region: int):
-        steps = max(1, min(PSD_BLOCK_STEPS, PSD_BLOCK_BYTES // (8 * n * n * region)))
-        self._block = np.empty((steps * region, n, n))
+    def __init__(self, region: tuple[int, ...]):
+        steps = max(1, min(PSD_BLOCK_STEPS, PSD_BLOCK_BYTES // (8 * math.prod(region))))
+        self._block = np.empty((steps, *region))
         self._count = 0
 
-    def reserve(self, size: int) -> np.ndarray:
-        """The next ``size`` slots, testing the block first if they do not fit."""
-        if self._count + size > len(self._block):
+    def reserve(self) -> np.ndarray:
+        """The next step's region, testing the block first if it is full."""
+        if self._count == len(self._block):
             self.flush()
-        start = self._count
-        self._count += size
-        return self._block[start : self._count]
+        self._count += 1
+        return self._block[self._count - 1]
 
     def flush(self) -> None:
         pending = self._block[: self._count]
         self._count = 0
-        _require_psd_stack(pending)
+        _require_psd_stack(pending.reshape(-1, *pending.shape[-2:]))
 
 
 def _prior_step(
@@ -371,11 +371,14 @@ def _observe(
     Every step advances all S runs at once, as (S, n, n) shapes and (S, n, 1)
     centers, and each run gets the bits it would get alone. The run arrays are
     laid out step by step, (K, S, ...), and each ``ObserverRun`` holds views
-    of its run's column. Every shape the recursion makes is PSD-tested, in
-    blocks (``_PsdBlock``); an exception leaving the loop first runs the tests
-    still pending, so the error of the earliest failing step is the one
-    raised. With S > 1 the run that raises may not be the first in order; a
-    caller that needs the error of one run alone runs it alone.
+    of its run's column. The window shapes depend on the event patterns
+    alone, so each distinct one is PSD-tested once, before any step: a window
+    that fails raises before every step's failure. Every shape a step makes
+    is PSD-tested, in blocks (``_PsdBlock``); an exception leaving the loop
+    first runs the tests still pending, so among the steps the error of the
+    earliest failing one is raised. With S > 1 the run that raises may not be
+    the first in order; a caller that needs the error of one run alone runs
+    it alone.
     """
     model = solver.model
     n = model.n
@@ -386,6 +389,7 @@ def _observe(
     patterns, pattern = np.unique(windows, axis=0, return_inverse=True)
     pattern = pattern.reshape(steps, runs)
     window_shapes = np.array([solver.window_shape(p) for p in patterns])
+    _require_psd_stack(window_shapes)  # every window of the run is one of these
     window_centers = solver.window_centers(
         sliding_window_view(references, n, axis=1).swapaxes(0, 1).reshape(-1, n)
     ).reshape(steps, runs, n)
@@ -400,27 +404,21 @@ def _observe(
     A, Q = model.A, model._disturbance_set.shape
     trace_q = np.array([np.trace(Q)])
     eye = np.eye(n)
-    # Per step: the windows, then A P A^T, the prior, the two split shapes and
-    # the posterior. A window is tested again at every step that uses it; its
-    # first test comes first, so only that one can fail.
-    block = _PsdBlock(n, 6 * runs)
+    # Per step: A P A^T, the prior, the two split shapes and the posterior.
+    block = _PsdBlock((5, runs, n, n))
     try:
         for t in range(steps):
             if t == 0:
-                window = block.reserve(runs)
-                window_shapes.take(pattern[0], axis=0, out=window)
                 centers[0] = window_centers[0]
-                shapes[0] = window
+                shapes[0] = window_shapes[pattern[0]]
             else:
-                region = block.reserve(6 * runs).reshape(6, runs, n, n)
-                window = region[0]
-                window_shapes.take(pattern[t], axis=0, out=window)
+                region = block.reserve()
                 c_prior, prior = _prior_step(
-                    shapes[t - 1], centers[t - 1][..., None], A, Q, trace_q, region[1:3]
+                    shapes[t - 1], centers[t - 1][..., None], A, Q, trace_q, region[:2]
                 )
                 center, shape, _, _ = _fuse_step(
-                    window, window_centers[t][..., None], prior, c_prior, eye, region[3:],
-                    test_singular=test_singular,
+                    window_shapes[pattern[t]], window_centers[t][..., None], prior, c_prior,
+                    eye, region[2:], test_singular=test_singular,
                 )
                 prior_centers[t] = c_prior[..., 0]
                 prior_shapes[t] = prior
@@ -469,9 +467,8 @@ def _singularity_skip_level(model: SystemModel, window_shapes: np.ndarray) -> fl
       Tr(A S A^T) <= ||A||^2 Tr S, each up to rounding.
 
     Each step of that chain gives away a factor of 2 to cover its rounding.
+    The window shapes have passed their PSD test, so they are finite.
     """
-    if not np.isfinite(window_shapes).all():
-        return -math.inf  # the loop's PSD test rejects such a window first
     n = model.n
     u = np.finfo(float).eps / 2.0
     error = 16 * n * u

@@ -181,7 +181,7 @@ def _simulate(config: SimConfig, roots: tuple[np.ndarray, np.ndarray]) -> Trace:
         w, v = _draw_noise(roots, rng)
         process_noise[k - 1] = w
         measurement_noise[k] = v
-        states[k] = step_plant(states[k - 1], w, model)
+        states[k] = model.A @ states[k - 1] + w
         outputs[k] = float(model.C @ states[k]) + v
         gamma, y_tau = evaluate_trigger(outputs[k], y_tau, trigger)
         records.append(MeasurementRecord(k=k, gamma=gamma, y_tau=y_tau))

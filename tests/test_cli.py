@@ -510,7 +510,8 @@ class TestReplay:
             "--log", str(log), "--out", str(tmp_path / "out"),
         ])
         assert code == 1
-        assert "at least" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: log holds 1 records; at least 2 are required\n"
+        assert not (tmp_path / "out").exists()
 
     def test_gap_in_log_names_offending_index(self, bench_config_file, tmp_path, capsys):
         log = tmp_path / "gap.csv"

@@ -19,6 +19,7 @@ from setobs import (
     observability_matrix,
     spectral_norm,
 )
+import setobs.observability as observability_mod
 from setobs.observability import WindowSolver
 
 from conftest import orthogonal_plant, scalar_chain
@@ -277,6 +278,9 @@ class TestInitialStateSet:
 
 
 class TestWindowShapeCache:
+    """``WindowSolver.ellipsoid`` computes and PSD-tests its shape at every call;
+    the solver holds no shape between calls."""
+
     @staticmethod
     def random_system(n: int, seed: int):
         rng = np.random.default_rng(seed)
@@ -297,23 +301,15 @@ class TestWindowShapeCache:
         for flags in product((0, 1), repeat=n):
             refs = rng.standard_normal(n)
             first = solver.ellipsoid(flags, refs)
-            cached = solver.ellipsoid(flags, rng.standard_normal(n))
+            second = solver.ellipsoid(flags, rng.standard_normal(n))
             fresh = WindowSolver(model, trigger, a).ellipsoid(flags, refs)
-            assert np.array_equal(cached.shape, fresh.shape)
+            assert np.array_equal(second.shape, fresh.shape)
             assert np.array_equal(first.center, fresh.center)
             # The window formula of WindowSolver.ellipsoid, written out.
             w = np.array([solver.uncertainty[f, i] for i, f in enumerate(flags)])
             half = np.linalg.solve(O, np.diag(w / a.weights))
             shape = np.linalg.solve(O, half.T).T
-            assert np.array_equal(cached.shape, (shape + shape.T) / 2.0)
-
-    def test_returned_shape_is_read_only(self, bench_model, bench_trigger, bench_weights):
-        solver = WindowSolver(bench_model, bench_trigger, bench_weights)
-        for _ in range(2):  # computed, then cached
-            out = solver.ellipsoid([1, 0], [0.1, 0.2])
-            with pytest.raises(ValueError, match="read-only"):
-                out.shape[0, 0] = 1.0
-            assert out.center.flags.writeable
+            assert np.array_equal(second.shape, (shape + shape.T) / 2.0)
 
     def test_indefinite_shape_rejected_every_time(self, bench_model, bench_trigger):
         # Weights that skipped validation make the window shape indefinite.
@@ -370,6 +366,20 @@ class TestConvergenceBound:
         model = SystemModel(A=[[1.0, 0.0], [0.0, 0.5]], C=[1.0, 1.0], Q=np.eye(2), R=0.5)
         with pytest.raises(UnstableSystemError):
             convergence_bound(model, bench_trigger)
+
+    def test_unstable_reported_before_unobservable(self, bench_trigger):
+        model = SystemModel(A=np.eye(2), C=[1.0, 0.0], Q=np.eye(2), R=0.5)
+        with pytest.raises(UnstableSystemError):
+            convergence_bound(model, bench_trigger)
+
+    def test_norm_computed_once(self, bench_model, bench_trigger, bench_weights, monkeypatch):
+        calls = []
+        original = observability_mod.spectral_norm
+        monkeypatch.setattr(observability_mod, "spectral_norm",
+                            lambda A: calls.append(None) or original(A))
+        bound = convergence_bound(bench_model, bench_trigger, bench_weights)
+        assert len(calls) == 1
+        assert bound == WindowSolver(bench_model, bench_trigger, bench_weights).bound()
 
     def test_bound_dominates_every_pattern(self, bench_model, bench_trigger, bench_weights):
         solver = WindowSolver(bench_model, bench_trigger, bench_weights)

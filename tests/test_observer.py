@@ -472,6 +472,36 @@ class TestBlockedPsdTests:
         with pytest.raises(ZeroDivisionError, match="planted"):
             observer_run(records, bench_model, bench_trigger)
 
+    def test_failing_window_shape_wins_over_every_step(self, records, bench_model,
+                                                       bench_trigger, monkeypatch):
+        # Weights that skipped validation make every window shape indefinite.
+        bad = object.__new__(WeightVector)
+        object.__setattr__(bad, "weights", np.array([1.5, -0.5]))
+        solver = WindowSolver(bench_model, bench_trigger, bad)
+        # The run's patterns in the order np.unique gives them.
+        patterns = sorted({(a.gamma, b.gamma) for a, b in zip(records, records[1:])})
+        with pytest.raises(ValueError) as err:
+            _require_psd(solver.window_shape(patterns[0]))
+        assert "eigenvalue" in str(err.value)
+        self.plant(monkeypatch, bad_call=self.call(5))
+        with pytest.raises(ValueError) as raised:
+            observer_run(records, bench_model, bench_trigger, bad)
+        assert str(raised.value) == str(err.value)
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_each_window_shape_is_tested_once(self, bench_model, bench_trigger, monkeypatch, n):
+        model = bench_model if n == 2 else orthogonal_plant(n, 95)
+        records = closed_loop_records(model, bench_trigger, 3 * observer_mod.PSD_BLOCK_STEPS, 4)
+        tested = []
+        original = observer_mod._require_psd_stack
+        monkeypatch.setattr(observer_mod, "_require_psd_stack",
+                            lambda shapes: tested.append(shapes.copy()) or original(shapes))
+        run = observer_run(records, model, bench_trigger)
+        assert same_bits(tested[0], run.window_shapes)
+        assert len(tested) > 2  # the windows, then more than one block of steps
+        shapes = [shape.tobytes() for stack in tested for shape in stack]
+        assert all(shapes.count(window.tobytes()) == 1 for window in run.window_shapes)
+
 
 class TestResolutionLoss:
     """An unstable plant outgrows float64 resolution while its sets stay bounded."""
