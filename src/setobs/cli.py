@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ellipsoid import _require_psd_stack, shape_sqrt
+from .ellipsoid import _require_psd_stack, _symmetrize, shape_sqrt
 from .observability import (
     NotObservableError,
     SystemModel,
@@ -328,8 +328,7 @@ def _write_polylines(out_dir: Path, estimates: ObserverRun, n: int) -> list[str]
     # its zero offset turns a -0.0 into 0.0.
     block_centers = (np.array(centers)[:, index] + 0.0).swapaxes(0, 1)
     blocks = np.array(shapes)[:, index[:, :, None], index[:, None, :]] + 0.0
-    blocks = blocks.swapaxes(0, 1)
-    blocks = (blocks + blocks.swapaxes(-1, -2)) / 2.0
+    blocks = _symmetrize(blocks.swapaxes(0, 1))
     _require_psd_stack(blocks.reshape(-1, 2, 2))
     roots = shape_sqrt(blocks)
     angles = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_POINTS, endpoint=False)

@@ -10,6 +10,9 @@ repeated products drift off the symmetric manifold (a weighted sum of
 exactly symmetric shapes is exactly symmetric already). Every tolerance
 is relative to the scale of the matrix it tests, so a result means the same
 in any units.
+
+Each set operation is written once, here, for one shape or an (S, n, n)
+stack: the observer runs it on stacks, the public functions on a stack of one.
 """
 
 from __future__ import annotations
@@ -33,8 +36,11 @@ class DegenerateOperandError(ValueError):
     """An operand has zero trace, so a trace-ratio parameter is undefined."""
 
 
-def _symmetrize(S: np.ndarray) -> np.ndarray:
-    return (S + S.T) / 2.0
+def _symmetrize(S: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(S + S^T) / 2 of one shape or of each shape of a stack, written into
+    ``out`` if given (which may be S itself)."""
+    out = np.add(S, S.swapaxes(-1, -2), out=out)
+    return np.divide(out, 2.0, out=out)
 
 
 def _require_symmetric(S: np.ndarray, name: str) -> None:
@@ -109,8 +115,8 @@ class Ellipsoid:
     commutes, so that test could only pass and the stored re-symmetrized copy
     would equal S bit for bit. The PSD test still runs on every such shape.
     Only a repeat on identical bits is skipped: the observer tests each
-    distinct window shape of a run once, before its first step, and the
-    disturbance set E(0, Q) is tested once per model.
+    distinct window shape of a run once, before its first step, and
+    ``SystemModel`` tests Q once per model.
     """
 
     center: np.ndarray
@@ -119,7 +125,7 @@ class Ellipsoid:
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float)).ravel()
         shape = np.atleast_2d(np.asarray(self.shape, dtype=float))
-        if shape.shape[0] != shape.shape[1]:
+        if shape.ndim != 2 or shape.shape[0] != shape.shape[1]:
             raise ValueError(f"shape matrix must be square, got {shape.shape}")
         if center.size != shape.shape[0]:
             raise ValueError(
@@ -181,9 +187,9 @@ def optimal_sum_parameter(Q1: np.ndarray, Q2: np.ndarray) -> float:
 
 def _sum_parameter(t1, t2):
     """p = sqrt(t1 / t2) from two positive traces, or elementwise from two stacks
-    of them: the one formula behind ``optimal_sum_parameter``, ``_outer_sum_shape``
-    and the observer's outer sums. np.sqrt is correctly rounded, so a stack's
-    members equal the scalar results bit for bit."""
+    of them: the one formula behind ``optimal_sum_parameter`` and
+    ``_outer_sum_into``. np.sqrt is correctly rounded, so a stack's members
+    equal the scalar results bit for bit."""
     return np.sqrt(t1 / t2)
 
 
@@ -193,34 +199,59 @@ def minkowski_sum_outer(e1: Ellipsoid, e2: Ellipsoid, p: float | None = None) ->
     Shape is (1 + 1/p) S1 + (1 + p) S2, which contains the exact sum for any
     p > 0 and is trace-minimal at p = sqrt(Tr S1 / Tr S2). If ``p`` is None
     the trace-optimal parameter is used. An operand whose shape has zero trace
-    is a point, and the sum is exact.
+    is a point, and the sum is exact. This is the observer's outer sum
+    (``_outer_sum_into``) on a stack of one.
     """
     if e1.dim != e2.dim:
         raise ValueError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
-    shape = _outer_sum_shape(
-        e1.shape, float(np.trace(e1.shape)), e2.shape, float(np.trace(e2.shape)), p
-    )
-    return Ellipsoid._trusted(e1.center + e2.center, _require_psd(shape))
-
-
-def _outer_sum_shape(
-    S1: np.ndarray, t1: float, S2: np.ndarray, t2: float, p: float | None
-) -> np.ndarray:
-    """Shape of ``minkowski_sum_outer`` from the operand shapes and their traces.
-
-    Not PSD-tested; every caller tests the result. The operands are exactly
-    symmetric, and so is a*S1 + b*S2 (entries (i, j) and (j, i) are the same
-    two products summed), so the result needs no re-symmetrizing.
-    """
     if p is not None and p <= 0.0:
         raise ValueError(f"sum parameter must be positive, got {p}")
-    if t1 == 0.0:
-        return S2.copy()
-    if t2 == 0.0:
-        return S1.copy()
-    if p is None:
-        p = float(_sum_parameter(t1, t2))
-    return (1.0 + 1.0 / p) * S1 + (1.0 + p) * S2
+    S1, S2 = e1.shape[None], e2.shape[None]
+    shape = np.empty_like(S1)
+    _outer_sum_into(shape, S1, _traces(S1), S2, _traces(S2), None if p is None else np.array([p]))
+    return Ellipsoid._trusted(e1.center + e2.center, _require_psd(shape[0]))
+
+
+def _traces(shapes: np.ndarray) -> np.ndarray:
+    """Traces over the last two axes: the reduction ``ndarray.trace`` runs, called
+    directly (so with its bits, and without its overhead)."""
+    return np.add.reduce(shapes.diagonal(0, -2, -1), -1)
+
+
+def _outer_sum_into(
+    out: np.ndarray, X: np.ndarray, t_x: np.ndarray, Y: np.ndarray, t_y: np.ndarray,
+    p: np.ndarray | None = None,
+) -> np.ndarray:
+    """Outer sums (1 + 1/p) X + (1 + p) Y of shapes X and Y with traces t_x and
+    t_y (Y a stack, or one shape for every member) into ``out``; returns p.
+
+    p defaults to the trace-optimal sqrt(t_x / t_y), or 1 where the traces are
+    not both positive. Where an operand has zero trace (a point) the sum is the
+    other operand; only such members leave the stack. Not PSD-tested; the
+    result is exactly symmetric, as (i, j) and (j, i) sum the same products.
+    """
+    if min(t_x.tolist()) > 0.0 and min(t_y.tolist()) > 0.0:
+        degenerate = None
+        if p is None:
+            p = _sum_parameter(t_x, t_y)
+    else:
+        t_x, t_y = np.broadcast_arrays(t_x, t_y)
+        regular = (t_x > 0.0) & (t_y > 0.0)
+        degenerate = np.flatnonzero(~regular)
+        if p is None:
+            p = np.ones(t_x.shape)
+            p[regular] = _sum_parameter(t_x[regular], t_y[regular])
+    coefficient = p[:, None, None]
+    np.multiply(X, 1.0 + 1.0 / coefficient, out=out)
+    out += (1.0 + coefficient) * Y
+    if degenerate is not None:
+        Y = np.broadcast_to(Y, X.shape)
+        for s in degenerate:
+            if t_x[s] == 0.0:
+                out[s] = Y[s]
+            elif t_y[s] == 0.0:
+                out[s] = X[s]
+    return p
 
 
 def optimal_fusion_matrix(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
@@ -241,13 +272,19 @@ def _fusion_matrix(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
     """``optimal_fusion_matrix`` of two float shapes of one size."""
     total = _symmetrize(Q1 + Q2)
     eigs = np.linalg.eigvalsh(total)
-    n = total.shape[0]
-    if eigs[-1] <= 0.0 or eigs[0] <= n * 1e-14 * eigs[-1]:
+    if _singular(eigs):
         raise SingularShapeError(
             f"operand sum is singular: eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
         )
     # M (Q1+Q2) = Q2  =>  (Q1+Q2) M^T = Q2 by symmetry.
     return np.linalg.solve(total, Q2).T
+
+
+def _singular(eigs: np.ndarray) -> np.ndarray:
+    """The fusion's singularity rule, from the ascending eigenvalues of a shape
+    sum, or of each sum of a stack (last axis): singular within tolerance when
+    l_max <= 0 or l_min <= n 1e-14 l_max."""
+    return (eigs[..., -1] <= 0.0) | (eigs[..., 0] <= eigs.shape[-1] * 1e-14 * eigs[..., -1])
 
 
 def contains(ell: Ellipsoid, x: np.ndarray) -> tuple[bool, float]:

@@ -12,7 +12,6 @@ an asymptotic one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +34,8 @@ class SystemModel:
 
     Disturbance and noise are bounded: w in E(0, Q) with Q positive definite,
     v in E(0, R) with scalar R > 0. Single-output only (C is one row). Every
-    entry must be finite.
+    entry must be finite. Q is stored symmetrized and read-only: it is
+    validated here once, and every prior shares it.
     """
 
     A: np.ndarray
@@ -51,8 +51,8 @@ class SystemModel:
         for name, value in (("A", A), ("C", C), ("Q", Q), ("R", R)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
-        if A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got {A.shape}")
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"A must be a square matrix, got shape {A.shape}")
         n = A.shape[0]
         if n < 1:
             raise ValueError("state dimension must be at least 1")
@@ -61,9 +61,13 @@ class SystemModel:
         if Q.shape != (n, n):
             raise ValueError(f"Q must be {n}x{n}, got {Q.shape}")
         _require_symmetric(Q, "Q")
-        Q = _symmetrize(Q)
+        with np.errstate(over="ignore"):
+            Q = _symmetrize(Q)
+        if not np.isfinite(Q).all():
+            raise ValueError("Q overflows float64 when symmetrized as (Q + Q^T) / 2")
         if float(np.linalg.eigvalsh(Q)[0]) <= 0.0:
             raise ValueError("Q must be positive definite")
+        Q.flags.writeable = False
         if R <= 0.0:
             raise ValueError(f"R must be positive, got {R}")
         object.__setattr__(self, "A", A)
@@ -74,14 +78,6 @@ class SystemModel:
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    @cached_property
-    def _disturbance_set(self) -> Ellipsoid:
-        """E(0, Q), validated once per model; read-only, as every prior shares it."""
-        ell = Ellipsoid(np.zeros(self.n), self.Q)
-        ell.center.flags.writeable = False
-        ell.shape.flags.writeable = False
-        return ell
 
 
 @dataclass(frozen=True)
@@ -221,10 +217,15 @@ class WindowSolver:
     positive and a fixed-order float sum are each monotone in every operand.
     """
 
+    # Overflow is tested on O O^T (so on O) and on epsilon, not warned of.
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, model: SystemModel, trigger: TriggerConfig, a: WeightVector):
         if len(a) != model.n:
             raise ValueError(f"weight vector has length {len(a)}, expected {model.n}")
         O = observability_matrix(model)
+        gram = O @ O.T
+        if not np.isfinite(gram).all():
+            raise ValueError("the observability matrix O or O O^T overflows float64")
         if not is_full_rank(O):
             raise NotObservableError("observability matrix is rank deficient")
         self.model = model
@@ -237,10 +238,12 @@ class WindowSolver:
         channel = np.sqrt([[trigger.output_uncertainty(bool(flag))] for flag in (0, 1)])
         self.uncertainty = (channel + reach + np.sqrt(model.R)) ** 2
         self.weights = a.weights
-        self.gram_inv_diag = np.diag(cho_solve(cho_factor(O @ O.T), np.eye(model.n)))
+        self.gram_inv_diag = np.diag(cho_solve(cho_factor(gram), np.eye(model.n)))
         # The terms (W_i/a_i) [(O O^T)^-1]_ii of the pattern trace, by flag.
         self._trace_terms = self.uncertainty / self.weights * self.gram_inv_diag
         self.epsilon = self.pattern_trace([0] * self.n)
+        if not np.isfinite(self.epsilon):
+            raise ValueError(f"epsilon overflows float64: {self.epsilon}")
 
     @property
     def worst_pattern(self) -> str:

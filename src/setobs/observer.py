@@ -24,8 +24,11 @@ from .ellipsoid import (
     PSD_TOL,
     Ellipsoid,
     _fusion_matrix,
+    _outer_sum_into,
     _require_psd_stack,
-    _sum_parameter,
+    _singular,
+    _symmetrize,
+    _traces,
 )
 from .observability import (
     SystemModel,
@@ -184,9 +187,7 @@ def _prior_step(
     Returns the prior centers and ``out[1]``.
     """
     mapped, prior = out
-    product = A @ P @ A.T
-    np.add(product, product.swapaxes(1, 2), out=mapped)
-    np.divide(mapped, 2.0, out=mapped)
+    _symmetrize(A @ P @ A.T, out=mapped)
     _outer_sum_into(prior, mapped, _traces(mapped), Q, trace_q)
     # The + 0.0 turns a -0.0 entry into 0.0, as adding a zero offset does.
     return A @ c + 0.0, prior
@@ -204,21 +205,21 @@ def _fuse_step(
     posterior centers, ``out[2]``, the fusion matrices M and the sum
     parameters p.
 
-    W + P is singular within tolerance only where ``_fusion_matrix`` says so;
-    a member found singular is regularized by 1e-12 Tr/n on the diagonal.
-    With ``test_singular`` false the caller has proven that no member is, and
-    the eigenvalue test is skipped.
+    A member that ``_singular`` finds singular gets b = max(1e-12/n, n 1e-14) Tr
+    (1e-12 Tr/n up to n = 10) on each operand's diagonal, which lifts a PSD sum
+    to twice the rule's floor at any n. With ``test_singular`` false the caller
+    has proven that no member is singular, and the eigenvalue test is skipped.
     """
     total = W + P
     if test_singular:
-        eigs = np.linalg.eigvalsh(total)
-        singular = (eigs[:, -1] <= 0.0) | (eigs[:, 0] <= eye.shape[0] * 1e-14 * eigs[:, -1])
+        singular = _singular(np.linalg.eigvalsh(total))
     if test_singular and singular.any():
         X = np.empty_like(total)
         regular = ~singular
         X[regular] = np.linalg.solve(total[regular], P[regular])
+        n = eye.shape[0]
         for s in np.flatnonzero(singular):
-            bump = 1e-12 * float(np.trace(total[s])) / eye.shape[0] * eye
+            bump = 1e-12 * float(np.trace(total[s])) / n * max(1.0, n * n / 100.0) * eye
             X[s] = _fusion_matrix(W[s] + bump, P[s] + bump).T
     else:
         # M (W + P) = P  =>  (W + P) M^T = P by symmetry.
@@ -228,52 +229,12 @@ def _fuse_step(
     split = out[:2]
     np.matmul(M @ W, X, out=split[0])
     np.matmul(K @ P, K.swapaxes(1, 2), out=split[1])
-    np.add(split, split.swapaxes(2, 3), out=split)
-    np.divide(split, 2.0, out=split)
+    _symmetrize(split, out=split)
     traces = _traces(split)
     p = _outer_sum_into(out[2], split[0], traces[0], split[1], traces[1])
     # The + 0.0 turns a -0.0 entry into 0.0; on a sum it has the bits of adding
     # 0.0 to each term first.
     return (M @ c_meas + K @ c_prior) + 0.0, out[2], M, p
-
-
-def _traces(shapes: np.ndarray) -> np.ndarray:
-    """Traces over the last two axes: the reduction ``ndarray.trace`` runs, called
-    directly (so with its bits, and without its overhead)."""
-    return np.add.reduce(shapes.diagonal(0, -2, -1), -1)
-
-
-def _outer_sum_into(
-    out: np.ndarray, X: np.ndarray, t_x: np.ndarray, Y: np.ndarray, t_y: np.ndarray
-) -> np.ndarray:
-    """Trace-optimal outer sums (1 + 1/p) X + (1 + p) Y, p = sqrt(t_x / t_y), of
-    a stack of shapes X and shapes Y (a stack, or one shape for every member),
-    written into ``out``; returns p.
-
-    A member whose traces are not both positive takes p = 1, and where one of
-    its operands has zero trace (a point) its sum is the other operand, as in
-    ``_outer_sum_shape``; only such members leave the stack.
-    """
-    if min(t_x.tolist()) > 0.0 and min(t_y.tolist()) > 0.0:
-        p = _sum_parameter(t_x, t_y)
-        degenerate = None
-    else:
-        t_x, t_y = np.broadcast_arrays(t_x, t_y)
-        regular = (t_x > 0.0) & (t_y > 0.0)
-        p = np.ones(t_x.shape)
-        p[regular] = _sum_parameter(t_x[regular], t_y[regular])
-        degenerate = np.flatnonzero(~regular)
-    coefficient = p[:, None, None]
-    np.multiply(X, 1.0 + 1.0 / coefficient, out=out)
-    out += (1.0 + coefficient) * Y
-    if degenerate is not None:
-        Y = np.broadcast_to(Y, X.shape)
-        for s in degenerate:
-            if t_x[s] == 0.0:
-                out[s] = Y[s]
-            elif t_y[s] == 0.0:
-                out[s] = X[s]
-    return p
 
 
 def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
@@ -287,11 +248,10 @@ def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
     n = model.n
     if previous.dim != n:
         raise ValueError(f"matrix has {n} columns, ellipsoid has dimension {previous.dim}")
-    Q = model._disturbance_set.shape
     shapes = np.empty((2, 1, n, n))
     center, shape = _prior_step(
-        previous.shape[None], previous.center[None, :, None], model.A, Q,
-        np.array([np.trace(Q)]), shapes,
+        previous.shape[None], previous.center[None, :, None], model.A, model.Q,
+        np.array([np.trace(model.Q)]), shapes,
     )
     _require_psd_stack(shapes[:, 0])
     return Ellipsoid._trusted(center[0, :, 0], shape[0])
@@ -302,8 +262,9 @@ def fuse(measurement: Ellipsoid, prior: Ellipsoid) -> tuple[Ellipsoid, np.ndarra
 
     Returns (posterior, M, p): the fused ellipsoid, the fusion matrix weighting
     the measurement center, and the Minkowski parameter used for the outer sum.
-    A singular shape sum is regularized by 1e-12 Tr/n on the diagonal so the
-    iteration stays total; the perturbation is below all test tolerances.
+    A singular shape sum is regularized on the diagonal (``_fuse_step``: 1e-12
+    Tr/n, or n 1e-14 Tr from n = 11 on) so the iteration stays total at every
+    n; the perturbation is below all test tolerances.
     This is the observer's own step, on a stack of one.
     """
     if measurement.dim != prior.dim:
@@ -401,7 +362,7 @@ def _observe(
     guard = DIVERGENCE_FACTOR * guard_threshold(model, solver.epsilon) ** 2
     skip_level = _singularity_skip_level(model, window_shapes)
     settled = min(guard, skip_level)
-    A, Q = model.A, model._disturbance_set.shape
+    A, Q = model.A, model.Q
     trace_q = np.array([np.trace(Q)])
     eye = np.eye(n)
     # Per step: A P A^T, the prior, the two split shapes and the posterior.
@@ -472,7 +433,7 @@ def _singularity_skip_level(model: SystemModel, window_shapes: np.ndarray) -> fl
     n = model.n
     u = np.finfo(float).eps / 2.0
     error = 16 * n * u
-    Q = model._disturbance_set.shape
+    Q = model.Q
     q = np.linalg.eigvalsh(Q)
     w = np.linalg.eigvalsh(window_shapes)
     q_min = q[0] - error * q[-1]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ellipsoid import CONTAINMENT_TOL, Ellipsoid, _draw, _generalized_distance, shape_sqrt
+from .ellipsoid import CONTAINMENT_TOL, _draw, _generalized_distance, shape_sqrt
 from .observability import (
     NotObservableError,
     SystemModel,
@@ -115,9 +115,8 @@ def sample_noise(model: SystemModel, rng: np.random.Generator) -> tuple[np.ndarr
 
 
 def _noise_roots(model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
-    """shape_sqrt of the validated disturbance set E(0, Q) and noise set E(0, R)."""
-    noise_set = Ellipsoid([0.0], [[model.R]])
-    return shape_sqrt(model._disturbance_set.shape), shape_sqrt(noise_set.shape)
+    """shape_sqrt of the model's disturbance shape Q and noise shape [[R]]."""
+    return shape_sqrt(model.Q), shape_sqrt([[model.R]])
 
 
 def _draw_v(roots: tuple[np.ndarray, np.ndarray], rng: np.random.Generator) -> float:
@@ -163,7 +162,7 @@ def _simulate(config: SimConfig, roots: tuple[np.ndarray, np.ndarray]) -> Trace:
         outputs = np.empty(N + 1)
         process_noise = np.empty((N, n))
         measurement_noise = np.empty(N + 1)
-    except MemoryError as err:
+    except (MemoryError, ValueError) as err:  # numpy refuses some sizes outright
         size = 8 * ((N + 1) * (n + 2) + N * n)
         raise ValueError(
             f"N = {N} steps need {size:.3g} bytes of plant history, more than can be allocated"

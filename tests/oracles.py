@@ -3,7 +3,8 @@
 None of it runs in the estimator: the admissible sum-parameter interval bounds
 the trace-optimal p, the scalar fold checks ``minkowski_sum_outer`` against
 the closed form (sum of sqrts)^2, and ``intersection_outer`` is the split
-x = M x + (I - M) x that ``observer.fuse`` must reproduce bit for bit. The
+x = M x + (I - M) x that ``observer.fuse`` must reproduce bit for bit, its
+outer sum written out in numpy rather than taken from the library. The
 per-set polyline writer and the scipy-wrapped generalized distance are what
 the CLI's stacked writer and the metrics' direct LAPACK calls must reproduce
 byte for byte, and the per-pattern listing is what ``check``'s blocked listing
@@ -107,16 +108,28 @@ def minkowski_sum_chain(ellipsoids: list[Ellipsoid]) -> Ellipsoid:
 def intersection_outer(e1: Ellipsoid, e2: Ellipsoid, M: np.ndarray) -> Ellipsoid:
     """Outer ellipsoid of e1 ^ e2 from the split x = M x + (I - M) x.
 
-    Returns the trace-optimal outer Minkowski sum of E(M c1, M S1 M^T) and
-    E((I-M) c2, (I-M) S2 (I-M)^T); contains the intersection for any square M.
+    Returns the trace-optimal outer Minkowski sum (1 + 1/p) S1' + (1 + p) S2',
+    p = sqrt(Tr S1' / Tr S2'), of E(M c1, S1') and E((I-M) c2, S2') with
+    S1' = M S1 M^T and S2' = (I-M) S2 (I-M)^T; contains the intersection for
+    any square M. A part of zero trace is a point, and the sum is the other
+    part; p = 1 where a trace is negative (within the PSD tolerance).
     """
     if e1.dim != e2.dim:
         raise ValueError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape != (e1.dim, e1.dim):
         raise ValueError(f"fusion matrix must be {e1.dim}x{e1.dim}, got {M.shape}")
-    complement = np.eye(e1.dim) - M
-    return minkowski_sum_outer(affine_transform(e1, M), affine_transform(e2, complement))
+    part1, part2 = affine_transform(e1, M), affine_transform(e2, np.eye(e1.dim) - M)
+    S1, S2 = part1.shape, part2.shape
+    t1, t2 = float(np.trace(S1)), float(np.trace(S2))
+    if t1 == 0.0:
+        shape = S2
+    elif t2 == 0.0:
+        shape = S1
+    else:
+        p = float(np.sqrt(t1 / t2)) if t1 > 0.0 and t2 > 0.0 else 1.0
+        shape = (1.0 + 1.0 / p) * S1 + (1.0 + p) * S2
+    return Ellipsoid(part1.center + part2.center, shape)
 
 
 def write_polylines(out_dir: Path, estimates, n: int) -> list[str]:

@@ -164,6 +164,16 @@ class TestConfigParsing:
         assert "config error" in err and f"'{key}' must be a number or a list of numbers" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["check", "bound", "simulate"])
+    def test_three_dimensional_A_is_config_error(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, A=[BENCH["A"], BENCH["A"]])
+        extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+        code = main([command, "--config", str(path)] + extra)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "config error: invalid config value: A must be a square matrix, " \
+                      "got shape (2, 2, 2)\n"
+
     def test_integral_float_counts_accepted(self, tmp_path):
         config = build_sim_config(load_config(write_config(tmp_path, N=20.0, seed=3.0)))
         assert (config.N, config.seed) == (20, 3)
@@ -353,13 +363,17 @@ class TestSimulate:
         assert summary["worst_pattern"] == "00"
 
     def test_unallocatable_step_count_exits_1(self, tmp_path, capsys):
-        # 10^15 steps of plant history are refused at once; nothing is committed.
-        path = write_config(tmp_path, N=1e15)
-        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: N = 1000000000000000 steps need ")
-        assert len(err.splitlines()) == 1
+        # The plant history is refused at once and nothing is committed, whether
+        # the allocation raises MemoryError (10^15) or numpy refuses the size
+        # outright (10^18 and 2^63 raise ValueError).
+        for N in (1e15, 10**18, 2**63):
+            path = write_config(tmp_path, N=N)
+            code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith(f"error: N = {int(N)} steps need ")
+            assert err.endswith(" bytes of plant history, more than can be allocated\n")
+            assert len(err.splitlines()) == 1
 
     def test_summary_echo_round_trip(self, bench_config_file, tmp_path):
         out_dir = tmp_path / "run"
@@ -455,6 +469,48 @@ class TestSimulate:
         assert sweep["aggregate"]["containment_violations"] == 0
         agg = sweep["aggregate"]["communication_rate"]
         assert agg["min"] <= agg["mean"] <= agg["max"]
+
+
+class TestOverflow:
+    """A config whose entries are finite but whose derived quantities overflow
+    float64 is refused with one line, at the boundary that meets it."""
+
+    @pytest.mark.parametrize("command", ["check", "bound", "simulate"])
+    def test_q_that_overflows_when_symmetrized(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, Q=[[1e308, 0.0], [0.0, 1e308]])
+        extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+        code = main([command, "--config", str(path)] + extra)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "config error: invalid config value: Q overflows float64 when " \
+                      "symmetrized as (Q + Q^T) / 2\n"
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_observability_matrix_that_overflows(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, A=[[1e308, 0.2], [0.5, 0.3]])
+        extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+        code = main([command, "--config", str(path)] + extra)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: the observability matrix O or O O^T overflows float64\n"
+
+    def test_bound_of_an_overflowing_plant_is_undefined(self, tmp_path, capsys):
+        # ||A|| >= 1 is reported first, as for every unstable plant.
+        path = write_config(tmp_path, A=[[1e308, 0.2], [0.5, 0.3]])
+        code = main(["bound", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert out.startswith("bound undefined: spectral norm ")
+
+    @pytest.mark.parametrize("command", ["check", "bound", "simulate"])
+    def test_epsilon_that_overflows(self, tmp_path, capsys, command):
+        # Q and O are finite, but the window uncertainties W_i are not.
+        path = write_config(tmp_path, Q=[[1e307, 0.0], [0.0, 1e307]], Gamma=1e307)
+        extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+        code = main([command, "--config", str(path)] + extra)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: epsilon overflows float64: inf\n"
 
 
 class TestResolutionLoss:

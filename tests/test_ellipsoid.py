@@ -45,6 +45,10 @@ class TestEllipsoidType:
         with pytest.raises(ValueError, match="dimension"):
             Ellipsoid([0.0, 0.0, 0.0], np.eye(2))
 
+    def test_rejects_three_dimensional_shape(self):
+        with pytest.raises(ValueError, match=r"must be square, got \(2, 2, 2\)"):
+            Ellipsoid([0.0, 0.0], np.ones((2, 2, 2)))
+
     def test_rejects_tiny_indefinite_shape(self):
         # Eigenvalue -3e-18 is as negative as the shape is large: the floor is relative.
         with pytest.raises(ValueError, match="eigenvalue"):

@@ -28,7 +28,7 @@ from setobs import (
     spectral_norm,
 )
 import setobs.observer as observer_mod
-from setobs.ellipsoid import _require_psd
+from setobs.ellipsoid import _outer_sum_into, _require_psd, _symmetrize, _traces
 from setobs.observability import WindowSolver
 
 from conftest import (
@@ -151,6 +151,18 @@ class TestFuse:
             reference = intersection_outer(meas, prior, M)
             assert np.array_equal(posterior.center, reference.center)
             assert np.array_equal(posterior.shape, reference.shape)
+
+    @pytest.mark.parametrize("n", [2, 10, 14, 15, 16])
+    def test_singular_sum_is_regularized_at_every_n(self, n):
+        # W + P = e1 e1^T is singular at every n; from n = 15 on a bump of
+        # 1e-12 Tr/n alone would not clear the singularity rule.
+        line = np.zeros((n, n))
+        line[0, 0] = 1.0
+        posterior, M, p = fuse(Ellipsoid(np.zeros(n), line),
+                               Ellipsoid(np.zeros(n), np.zeros((n, n))))
+        assert not posterior.center.any()
+        assert 0.0 < np.trace(posterior.shape) < 1e-20  # the intersection is a point
+        assert p == 1.0
 
 
 class TestPredictNoDelay:
@@ -634,7 +646,8 @@ def reference_observer_run(records, model, trigger, weights):
             prior = outer_sum(A @ c + 0.0, sym(A @ P @ A.T), np.zeros(n), Q)
             M = fusion_matrix(meas[1], prior[1])
             if M is None:
-                bump = 1e-12 * float(np.trace(meas[1] + prior[1])) / n * np.eye(n)
+                trace = float(np.trace(meas[1] + prior[1]))
+                bump = max(1e-12 * trace / n, n * 1e-14 * trace) * np.eye(n)
                 M = fusion_matrix(meas[1] + bump, prior[1] + bump)
             K = np.eye(n) - M
             c1, S1 = M @ meas[0] + 0.0, sym(M @ meas[1] @ M.T)
@@ -706,11 +719,29 @@ def test_stacked_calls_equal_per_matrix_calls(n):
         single.append((A @ p @ A.T, m @ w @ m.T, k @ p @ k.T, m.T, np.linalg.eigvalsh(w + p),
                        p.trace(), A @ col, m @ col, k @ col))
     stacked = (A @ P @ A.T, M @ W @ X, K @ P @ K.swapaxes(1, 2), X, np.linalg.eigvalsh(W + P),
-               observer_mod._traces(P), (A @ c)[..., 0], (M @ c)[..., 0], (K @ c)[..., 0])
+               _traces(P), (A @ c)[..., 0], (M @ c)[..., 0], (K @ c)[..., 0])
     names = ("A S A^T", "M W M^T", "K P K^T", "solve", "eigvalsh", "trace", "A c", "M c", "K c")
     for name, got, expected in zip(names, stacked, zip(*single)):
         assert same_bits(got, np.array(expected)), name
-    assert same_bits(P.trace(axis1=1, axis2=2), observer_mod._traces(P))
+    assert same_bits(P.trace(axis1=1, axis2=2), _traces(P))
+    # (S + S^T) / 2 into a buffer, and in place as the fusion step runs it.
+    S = A @ P
+    plain = np.array([(s + s.T) / 2.0 for s in S])
+    assert same_bits(_symmetrize(S, out=np.empty_like(S)), plain)
+    assert same_bits(_symmetrize(S[None], out=S[None]), plain[None])
+    # (1 + 1/p) X + (1 + p) Y with the trace-optimal p, with given p, and with
+    # one Y for every member (the prior step's Q).
+    given = rng.uniform(0.5, 2.0, runs)
+    for Y, p in ((P, None), (P, given), (P[0], None)):
+        out = np.empty_like(W)
+        got = _outer_sum_into(out, W, _traces(W), Y, np.atleast_1d(_traces(Y)), p)
+        expected_p, expected = [], []
+        for s, w in enumerate(W):
+            y = Y if Y.ndim == 2 else Y[s]
+            q = float(np.sqrt(w.trace() / y.trace())) if p is None else float(p[s])
+            expected_p.append(q)
+            expected.append((1.0 + 1.0 / q) * w + (1.0 + q) * y)
+        assert same_bits(got, expected_p) and same_bits(out, expected)
     d = rng.standard_normal((rows, n))
     norms = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
     assert same_bits(norms, [np.linalg.norm(row) for row in d])
@@ -721,7 +752,7 @@ class TestStackedSteps:
 
     @staticmethod
     def prior(P, c, model):
-        Q = model._disturbance_set.shape
+        Q = model.Q
         out = np.empty((2, *P.shape))
         center, _ = observer_mod._prior_step(P, c, model.A, Q, np.array([np.trace(Q)]), out)
         return out, center

@@ -24,6 +24,7 @@ from setobs import (
     run_seed_sweep,
     sample_point,
 )
+from setobs.ellipsoid import CONTAINMENT_TOL
 from setobs.observability import WindowSolver
 from setobs.simulation import evaluate_trigger, sample_noise, step_plant
 
@@ -321,3 +322,46 @@ def test_stacked_sweep_equals_solo_runs(case):
                 assert same_bits(getattr(run_s, name), getattr(run, name)), name
             assert metrics_s == metrics
             assert same_bits(metrics_s.distances, metrics.distances)
+
+
+@st.composite
+def hard_plants(draw):
+    """A plant at the edges of what the guarantee is claimed for: n up to 10, A
+    either contractive with ||A|| -> 1- or stable and non-normal with
+    rho(A) < 1 <= ||A|| (up to about 17), C's components spread over up to four
+    decades (cond(O) up to about 1e8 and beyond), Gamma_e / Gamma down to
+    1e-8, and every set scaled by s^2 for a unit scale s from 1e-6 to 1e6."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    if n > 1 and draw(st.booleans()):
+        # ||N|| >= 2 and ||D|| <= 0.9 give ||A|| >= 1.1; the eigenvalues are D's.
+        N = np.triu(rng.standard_normal((n, n)), 1)
+        N *= draw(st.floats(2.0, 16.0)) / np.linalg.norm(N, 2)
+        A = U @ (np.diag(rng.uniform(-0.9, 0.9, n)) + N) @ U.T
+    else:
+        A = (1.0 - 10.0 ** -draw(st.integers(1, 6))) * U
+    C = rng.standard_normal(n) * 10.0 ** rng.uniform(-draw(st.sampled_from([0, 2, 4])), 0.0, n)
+    s2 = (10.0 ** draw(st.integers(-6, 6))) ** 2
+    G = rng.standard_normal((n, n))
+    model = SystemModel(A=A, C=C, Q=s2 * (G @ G.T + 0.1 * np.eye(n)),
+                        R=s2 * draw(st.floats(0.01, 2.0)))
+    threshold = s2 * draw(st.floats(0.05, 5.0))
+    trigger = TriggerConfig(threshold, threshold * 10.0 ** -draw(st.integers(1, 8)))
+    return SimConfig(model=model, trigger=trigger, x0=np.sqrt(s2) * rng.standard_normal(n),
+                     N=draw(st.integers(n, 80)), seed=draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hard_plants())
+def test_completed_runs_on_hard_plants_contain_the_state(config):
+    """A run that completes contains the true state at every step; a run that
+    stops raises one of the errors the CLI reports with exit 1 or 2. Non-normal
+    plants with ||A|| near 10 can stop at a failed PSD test (ValueError)."""
+    try:
+        _, _, metrics = run_closed_loop(config)
+    except (DivergenceError, NotObservableError, ValueError):
+        return
+    assert metrics.containment_violations == 0
+    assert metrics.max_generalized_distance <= 1.0 + CONTAINMENT_TOL

@@ -1,0 +1,85 @@
+"""Record everything the setobs CLI writes and prints on a fixed set of configs.
+
+Usage: python tools/cli_snapshot.py OUT_DIR
+
+For each config below, runs ``python -m setobs.cli`` from this checkout's
+``src/`` with ``simulate``, ``replay`` of the log that ``simulate`` wrote,
+``simulate --seeds 12``, ``check`` and ``bound``. Each command runs in
+OUT_DIR/<config>/ with relative paths, so nothing it prints names OUT_DIR;
+its files go to a subdirectory named after it, and its stdout, stderr and
+exit code to <command>.stdout, <command>.stderr and <command>.code.
+
+Two checkouts produce the same CLI output when the snapshots they make
+compare equal with ``diff -r``. The n6 and n16 plants are read from
+``bench/plants.json``; nothing under ``bench/`` is written.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PAPER = {
+    "A": [[0.75, 0.2], [0.5, 0.3]], "C": [0.5, 0.5], "Q": [[5.0, 0.0], [0.0, 5.0]],
+    "R": 0.5, "Gamma": 0.6, "Gamma_e": 0.0001, "a": [0.5, 0.5], "x0": [0.0, 0.0],
+    "N": 200, "seed": 1,
+}
+
+
+def bench_plant(name: str, N: int) -> dict:
+    """A plant of ``bench/plants.json`` with the benchmark's Q, R and channel."""
+    plant = json.loads((ROOT / "bench" / "plants.json").read_text())[name]
+    n = len(plant["C"])
+    Q = [[float(i == j) for j in range(n)] for i in range(n)]
+    config = {**PAPER, "A": plant["A"], "C": plant["C"], "Q": Q, "x0": [0.0] * n, "N": N}
+    del config["a"]  # uniform weights
+    return config
+
+
+CONFIGS = {
+    # The README example.
+    "paper": PAPER,
+    # Non-uniform weights over a long horizon.
+    "paper-a37-n2000": {**PAPER, "a": [0.3, 0.7], "N": 2000},
+    "n6": bench_plant("n6", 300),
+    "n16": bench_plant("n16", 100),
+    # An unstable plant: simulate stops with a resolution error.
+    "unstable": {**PAPER, "A": [[1.3, 0.1], [0.0, 1.2]], "C": [1.0, 0.0]},
+}
+
+COMMANDS = {
+    "simulate": ["simulate", "--config", "config.json", "--out", "simulate"],
+    "replay": ["replay", "--config", "config.json", "--log", "simulate/log.csv",
+               "--out", "replay"],
+    "sweep": ["simulate", "--config", "config.json", "--out", "sweep", "--seeds", "12"],
+    "check": ["check", "--config", "config.json"],
+    "bound": ["bound", "--config", "config.json"],
+}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for name, config in CONFIGS.items():
+        case = out / name
+        case.mkdir(parents=True)
+        (case / "config.json").write_text(json.dumps(config, indent=1) + "\n")
+        for command, args in COMMANDS.items():
+            done = subprocess.run([sys.executable, "-m", "setobs.cli", *args], cwd=case,
+                                  env=env, capture_output=True)
+            (case / f"{command}.stdout").write_bytes(done.stdout)
+            (case / f"{command}.stderr").write_bytes(done.stderr)
+            (case / f"{command}.code").write_text(f"{done.returncode}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
