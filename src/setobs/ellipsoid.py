@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 # Tolerances shared by the whole toolkit.
 SYMMETRY_TOL = 1e-9
@@ -47,7 +46,10 @@ def _require_symmetric(S: np.ndarray, name: str) -> None:
     """Raise ValueError unless S is symmetric within ``SYMMETRY_TOL`` of its largest entry."""
     if not S.size:
         return
-    asym = float(np.max(np.abs(S - S.T)))
+    # An asymmetry too large for float64 is inf, which the test refuses; a
+    # finite S cannot make a NaN here.
+    with np.errstate(over="ignore"):
+        asym = float(np.max(np.abs(S - S.T)))
     scale = float(np.max(np.abs(S)))
     if asym > SYMMETRY_TOL * scale:
         raise ValueError(
@@ -292,36 +294,53 @@ def contains(ell: Ellipsoid, x: np.ndarray) -> tuple[bool, float]:
 
     The point is inside when d <= 1 + ``CONTAINMENT_TOL``. A near-singular
     shape is regularized by 1e-12 Tr(S)/d on the diagonal so queries stay
-    total on strongly flattened ellipsoids.
+    total on strongly flattened ellipsoids. This is ``_generalized_distances``
+    on a stack of one.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if x.size != ell.dim:
         raise ValueError(f"point has dimension {x.size}, ellipsoid {ell.dim}")
     if not np.isfinite(x).all():
         raise ValueError(f"point must be finite, got {x.tolist()}")
-    dist = _generalized_distance(ell.center, ell.shape, x)
+    dist = float(_generalized_distances(ell.center[None], ell.shape[None], x[None])[0])
     return dist <= 1.0 + CONTAINMENT_TOL, dist
 
 
-def _generalized_distance(center: np.ndarray, shape: np.ndarray, x: np.ndarray) -> float:
-    """d of ``contains`` for a finite float point of the set's dimension.
+def _generalized_distances(
+    centers: np.ndarray, shapes: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """d of ``contains`` for each member of a stack: (K, n) centers and finite
+    float points, (K, n, n) shapes.
 
-    LAPACK's potrf/potrs are called directly: they are what scipy's
-    ``cho_factor``/``cho_solve`` run, without the wrappers' per-call checks.
+    d = ||L^-1 (x - c)||^2 with S = L L^T, from one stacked Cholesky and one
+    stacked solve; each member gets the bits of a stack of one. If the stacked
+    factorization fails, the factors are taken member by member, in order,
+    so the error raised is that of the first member that fails alone.
     """
+    residuals = (points - centers)[..., None]
+    try:
+        factors = np.linalg.cholesky(shapes)
+    except np.linalg.LinAlgError:
+        factors = np.array([_distance_factor(shape) for shape in shapes])
+    halves = np.linalg.solve(factors, residuals)
+    return (halves.swapaxes(-1, -2) @ halves)[:, 0, 0]
+
+
+def _distance_factor(shape: np.ndarray) -> np.ndarray:
+    """Cholesky factor of one shape for ``_generalized_distances``: a shape that
+    is not positive definite is retried once with 1e-12 Tr(S)/n on the diagonal."""
     trace = float(shape.trace())
     if trace <= 0.0:
         raise SingularShapeError("shape matrix has zero trace; membership is undefined")
-    residual = x - center
-    factor, info = dpotrf(shape, lower=0, clean=0)
-    if info:
-        regularized = shape + (1e-12 * trace / center.size) * np.eye(center.size)
-        factor, info = dpotrf(regularized, lower=0, clean=0)
-        if info:
-            raise SingularShapeError(
-                f"shape matrix singular beyond repair: potrf failed with info {info}"
-            )
-    return float(residual @ dpotrs(factor, residual, lower=0)[0])
+    try:
+        return np.linalg.cholesky(shape)
+    except np.linalg.LinAlgError:
+        pass
+    n = shape.shape[0]
+    try:
+        return np.linalg.cholesky(shape + (1e-12 * trace / n) * np.eye(n))
+    except np.linalg.LinAlgError as err:
+        raise SingularShapeError(f"shape matrix singular beyond repair: {err}") from None
 
 
 def shape_sqrt(S: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .ellipsoid import Ellipsoid, _require_psd, _require_symmetric, _symmetrize
 
@@ -198,7 +197,9 @@ class WindowSolver:
 
     Caches the observability matrix O (validated full rank), the per-offset
     uncertainty table W[flag, i], the weights a and the diagonal of
-    (O O^T)^-1. Inverting a window then reduces to a diagonal scale and two
+    (O O^T)^-1, taken as the squared column norms of O^-1 from one inverse of
+    O (the Gram matrix O O^T is never factored: its condition number is
+    cond(O)^2). Inverting a window then reduces to a diagonal scale and two
     linear solves, and the window-ellipsoid trace of an event pattern is
     Tr(O^-1 diag(W_i/a_i) O^-T) = sum_i (W_i/a_i) [(O O^T)^-1]_ii, an O(n) sum.
 
@@ -223,8 +224,7 @@ class WindowSolver:
         if len(a) != model.n:
             raise ValueError(f"weight vector has length {len(a)}, expected {model.n}")
         O = observability_matrix(model)
-        gram = O @ O.T
-        if not np.isfinite(gram).all():
+        if not np.isfinite(O @ O.T).all():
             raise ValueError("the observability matrix O or O O^T overflows float64")
         if not is_full_rank(O):
             raise NotObservableError("observability matrix is rank deficient")
@@ -238,7 +238,8 @@ class WindowSolver:
         channel = np.sqrt([[trigger.output_uncertainty(bool(flag))] for flag in (0, 1)])
         self.uncertainty = (channel + reach + np.sqrt(model.R)) ** 2
         self.weights = a.weights
-        self.gram_inv_diag = np.diag(cho_solve(cho_factor(gram), np.eye(model.n)))
+        # [(O O^T)^-1]_ii = [O^-T O^-1]_ii, the squared norm of column i of O^-1.
+        self.gram_inv_diag = np.sum(np.linalg.inv(O) ** 2, axis=0)
         # The terms (W_i/a_i) [(O O^T)^-1]_ii of the pattern trace, by flag.
         self._trace_terms = self.uncertainty / self.weights * self.gram_inv_diag
         self.epsilon = self.pattern_trace([0] * self.n)

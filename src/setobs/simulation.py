@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ellipsoid import CONTAINMENT_TOL, _draw, _generalized_distance, shape_sqrt
+from .ellipsoid import CONTAINMENT_TOL, _draw, _generalized_distances, shape_sqrt
 from .observability import (
     NotObservableError,
     SystemModel,
@@ -215,10 +215,7 @@ def compute_metrics(trace: Trace, estimates: ObserverRun) -> Metrics:
     residuals = states[fused:] - estimates.centers[fused:]
     # Row by row, the bits of np.linalg.norm of each residual.
     errors = np.sqrt((residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0])
-    distances = [
-        _generalized_distance(center, shape, x)
-        for x, center, shape in zip(states, estimates.centers, estimates.shapes)
-    ]
+    distances = _generalized_distances(estimates.centers, estimates.shapes, states).tolist()
     rate = sum(int(r.gamma) for r in trace.records[1:]) / N
     return Metrics(
         mean_estimation_error=float(np.mean(errors)) if errors.size else 0.0,

@@ -5,10 +5,10 @@ the trace-optimal p, the scalar fold checks ``minkowski_sum_outer`` against
 the closed form (sum of sqrts)^2, and ``intersection_outer`` is the split
 x = M x + (I - M) x that ``observer.fuse`` must reproduce bit for bit, its
 outer sum written out in numpy rather than taken from the library. The
-per-set polyline writer and the scipy-wrapped generalized distance are what
-the CLI's stacked writer and the metrics' direct LAPACK calls must reproduce
-byte for byte, and the per-pattern listing is what ``check``'s blocked listing
-must print.
+per-set polyline writer is what the CLI's stacked writer must reproduce byte
+for byte, the scipy-wrapped generalized distance is what the metrics' stacked
+numpy distances must reproduce to rounding, and the per-pattern listing is what
+``check``'s blocked listing must print.
 """
 
 from __future__ import annotations

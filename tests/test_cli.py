@@ -58,11 +58,16 @@ def plant_config(tmp_path, n: int, seed: int) -> Path:
                         R=model.R, a=(raw / raw.sum()).tolist(), x0=[0.0] * n)
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a child process that imports this checkout's package."""
+    paths = [str(Path(setobs.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def run_cli(*args: str, **popen_args) -> subprocess.Popen:
     """``setobs`` in a child process that imports this checkout's package."""
-    paths = [str(Path(setobs.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    return subprocess.Popen([sys.executable, "-m", "setobs.cli", *args], env=env, **popen_args)
+    return subprocess.Popen([sys.executable, "-m", "setobs.cli", *args], env=child_env(),
+                            **popen_args)
 
 
 def first_entry_replaced(value, entry):
@@ -198,6 +203,15 @@ class TestCheck:
         epsilon = float(next(l for l in out.splitlines() if l.startswith("epsilon:")).split()[1])
         assert epsilon == pytest.approx(323.43, abs=0.01)
         assert sum(1 for l in out.splitlines() if l.startswith("pattern ")) == 4
+
+    def test_ill_conditioned_observable_plant(self, tmp_path, capsys):
+        # cond(O) is about 2.5e9: O passes the rank test, O O^T does not factor.
+        path = write_config(tmp_path, A=[[0.5, 0.0], [0.0, 0.5 + 1e-9]], C=[1.0, 1.0])
+        code = main(["check", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        epsilon = WindowSolver(*build_system(load_config(path))).epsilon
+        assert "full_rank: true\n" in out and f"epsilon: {epsilon:.17g}\n" in out
 
     def test_rank_deficient_exit_status(self, tmp_path, capsys):
         path = write_config(tmp_path, A=[[1.0, 0.0], [0.0, 1.0]], C=[1.0, 0.0])
@@ -485,6 +499,15 @@ class TestOverflow:
         assert err == "config error: invalid config value: Q overflows float64 when " \
                       "symmetrized as (Q + Q^T) / 2\n"
 
+    def test_asymmetry_that_overflows(self, tmp_path, capsys):
+        # Q - Q^T overflows to inf, which the symmetry test refuses without a warning.
+        path = write_config(tmp_path, Q=[[1.0, 1e308], [-1e308, 1.0]])
+        code = main(["check", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "config error: invalid config value: Q asymmetry inf exceeds 1e-09 " \
+                      "of its largest entry 1.000e+308\n"
+
     @pytest.mark.parametrize("command", ["check", "simulate"])
     def test_observability_matrix_that_overflows(self, tmp_path, capsys, command):
         path = write_config(tmp_path, A=[[1e308, 0.2], [0.5, 0.3]])
@@ -737,3 +760,12 @@ class TestRandomConfigRoundTrips:
                 for col in hat_cols:
                     assert s[col] == r[col]
             done += 1
+
+
+def test_import_loads_no_scipy():
+    # numpy and the standard library are the only runtime dependencies.
+    script = ("import sys, setobs, setobs.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -16,8 +16,9 @@ from setobs import (
     optimal_sum_parameter,
     sample_point,
 )
+from setobs.ellipsoid import _generalized_distances
 
-from conftest import rand_spd, scalar_chain
+from conftest import rand_spd, same_bits, scalar_chain
 from oracles import (
     SumParameterRange,
     cho_distance,
@@ -382,6 +383,37 @@ class TestContains:
     def test_non_finite_point_rejected(self, entry):
         with pytest.raises(ValueError, match=r"point must be finite, got \[0.0, (nan|inf)\]"):
             contains(Ellipsoid([0.0, 0.0], np.eye(2)), [0.0, entry])
+
+
+class TestGeneralizedDistances:
+    """A stack's distances are those of each member alone, and its error is
+    that of the first member that fails alone."""
+
+    @staticmethod
+    def stack(middle: list[np.ndarray]):
+        rng = np.random.default_rng(21)
+        shapes = [rand_spd(rng, 2), *middle, rand_spd(rng, 2)]
+        ells = [Ellipsoid(rng.standard_normal(2), shape) for shape in shapes]
+        points = rng.standard_normal((len(ells), 2))
+        centers = np.array([ell.center for ell in ells])
+        return ells, centers, np.array([ell.shape for ell in ells]), points
+
+    def test_member_needing_the_regularized_retry(self):
+        ells, centers, shapes, points = self.stack([np.diag([4.0, 0.0])])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(shapes)
+        alone = [contains(ell, x)[1] for ell, x in zip(ells, points)]
+        assert same_bits(_generalized_distances(centers, shapes, points), alone)
+
+    @pytest.mark.parametrize("middle, message", [
+        ([np.diag([1.0, -1e-10])], "beyond repair"),
+        ([np.zeros((2, 2)), np.diag([1.0, -1e-10])], "zero trace"),
+        ([np.diag([1.0, -1e-10]), np.zeros((2, 2))], "beyond repair"),
+    ], ids=["beyond-repair", "zero-trace-first", "beyond-repair-first"])
+    def test_first_failing_member_raises(self, middle, message):
+        _, centers, shapes, points = self.stack(middle)
+        with pytest.raises(SingularShapeError, match=message):
+            _generalized_distances(centers, shapes, points)
 
 
 class TestSamplePoint:

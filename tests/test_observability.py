@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -158,6 +159,23 @@ class TestEpsilonObservability:
         assert report.worst_pattern == "00"
         assert report.epsilon == pytest.approx(max(expected.values()), rel=1e-12)
         assert report.epsilon == pytest.approx(323.43, abs=0.01)
+
+    def test_ill_conditioned_plant_epsilon_exact(self, bench_trigger):
+        # cond(O) is about 2.5e9, so cond(O O^T) about 6e18: the Gram matrix
+        # does not factor in float64, yet O passes the rank test. The Gram
+        # diagonal is checked against its exact value from O's float entries.
+        model = SystemModel(A=np.diag([0.5, 0.5 + 1e-9]), C=[1.0, 1.0], Q=5.0 * np.eye(2),
+                            R=0.5)
+        solver = WindowSolver(model, bench_trigger, WeightVector.uniform(2))
+        assert np.linalg.cond(solver.matrix) > 1e9
+        (a, b), (c, d) = [[Fraction(v) for v in row] for row in solver.matrix]
+        det = a * d - b * c
+        gram_inv_diag = [(d * d + c * c) / det**2, (b * b + a * a) / det**2]
+        exact = sum(Fraction(w) / Fraction(weight) * g for w, weight, g
+                    in zip(solver.uncertainty[0], solver.weights, gram_inv_diag))
+        assert solver.epsilon == pytest.approx(float(exact), rel=1e-14)
+        report = epsilon_observability(model, bench_trigger)
+        assert report.full_rank and report.epsilon == solver.epsilon
 
     def test_rank_deficient_system(self, bench_trigger):
         model = SystemModel(A=np.eye(2), C=[1.0, 0.0], Q=np.eye(2), R=1.0)

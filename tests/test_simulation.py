@@ -20,6 +20,7 @@ from setobs import (
     SimConfig,
     SystemModel,
     TriggerConfig,
+    contains,
     run_closed_loop,
     run_seed_sweep,
     sample_point,
@@ -207,14 +208,22 @@ class TestRunClosedLoop:
 
 
 class TestMetricsDistances:
-    def test_distances_equal_scipy_cholesky(self, bench_trigger):
+    def test_distances_equal_lone_contains_and_cholesky_oracle(self, bench_trigger):
         model = orthogonal_plant(6, 95)
         config = SimConfig(model=model, trigger=bench_trigger, x0=np.zeros(6), N=1000, seed=301)
         trace, estimates, metrics = run_closed_loop(config)
+        states = trace.states[estimates.first_k:estimates.first_k + len(estimates)]
+        alone = [contains(estimates[i].posterior_set, x) for i, x in enumerate(states)]
+        assert len(alone) == 996
+        assert same_bits(metrics.distances, [d for _, d in alone])
+        # scipy's Cholesky as an independent reference: LAPACK builds differ
+        # in the last bits, not in the verdict.
         expected = [cho_distance(center, shape, x) for center, shape, x
-                    in zip(estimates.centers, estimates.shapes, trace.states)]
-        assert len(expected) == 996
-        assert metrics.distances == expected
+                    in zip(estimates.centers, estimates.shapes, states)]
+        np.testing.assert_allclose(metrics.distances, expected, rtol=1e-11, atol=0.0)
+        verdicts = [inside for inside, _ in alone]
+        assert verdicts == [d <= 1.0 + CONTAINMENT_TOL for d in expected]
+        assert metrics.containment_violations == verdicts.count(False)
 
 
 class TestSeedSweep:
