@@ -29,7 +29,7 @@ from .observability import (
     convergence_bound,
     observability_matrix,
 )
-from .observer import DivergenceError, MeasurementRecord, ObserverRun, observer_run
+from .observer import DivergenceError, ObserverRun, _log_solver, _observe, _require_record
 from .simulation import Metrics, SimConfig, Trace, run_closed_loop, run_seed_sweep
 
 BOUNDARY_POINTS = 64
@@ -216,8 +216,9 @@ def cmd_bound(config_path: str) -> int:
 def _write_step_table(
     path: Path, trace: Trace, estimates: ObserverRun, distances: list[float]
 ) -> None:
-    """One row per record; the estimate columns of step k = i are read from row i
-    of the run's arrays and ``distances``, and stay empty past the last estimate."""
+    """One row per step of the trace; the estimate columns of step k are read
+    from row k of the run's arrays and ``distances``, and stay empty past the
+    last estimate."""
     n = trace.states.shape[1]
     header = (
         ["k"]
@@ -228,47 +229,48 @@ def _write_step_table(
     with_estimate = "%d," + "%.17g," * (2 * n) + "%d,%.17g,%.17g,%.17g,%.17g" + ROW_END
     without_estimate = "%d," + "%.17g," * n + "," * n + "%d,%.17g,%.17g,," + ROW_END
     traces = np.trace(estimates.shapes, axis1=1, axis2=2)
+    rows = zip(trace.states.tolist(), trace.flags.tolist(), trace.outputs.tolist(),
+               trace.references.tolist())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + ROW_END)
-        for i, record in enumerate(trace.records):
-            k = record.k
-            plant = trace.states[k].tolist()
-            channel = (record.gamma, trace.outputs[k], record.y_tau)
-            if i < len(estimates):
-                fh.write(with_estimate % (k, *plant, *estimates.centers[i].tolist(), *channel,
-                                          traces[i], distances[i]))
+        for k, (plant, *channel) in enumerate(rows):
+            if k < len(estimates):
+                fh.write(with_estimate % (k, *plant, *estimates.centers[k].tolist(), *channel,
+                                          traces[k], distances[k]))
             else:
                 fh.write(without_estimate % (k, *plant, *channel))
 
 
-def _write_replay_table(path: Path, records: list[MeasurementRecord],
+def _write_replay_table(path: Path, first_k: int, flags: np.ndarray, references: np.ndarray,
                         estimates: ObserverRun, n: int) -> None:
-    """One row per record; estimate i belongs to ``records[i]``, as the run starts
-    at the first record of the consecutive log."""
+    """One row per step of the log; estimate i belongs to step ``first_k + i``,
+    as the run starts at the first step of the consecutive log."""
     header = ["k"] + [f"x_hat{i + 1}" for i in range(n)] + ["gamma", "y_tau", "trace_P_hat"]
     with_estimate = "%d," + "%.17g," * n + "%d,%.17g,%.17g" + ROW_END
     without_estimate = "%d," + "," * n + "%d,%.17g," + ROW_END
     traces = np.trace(estimates.shapes, axis1=1, axis2=2)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + ROW_END)
-        for i, record in enumerate(records):
+        for i, (gamma, y_tau) in enumerate(zip(flags.tolist(), references.tolist())):
             if i < len(estimates):
-                fh.write(with_estimate % (record.k, *estimates.centers[i].tolist(),
-                                          record.gamma, record.y_tau, traces[i]))
+                fh.write(with_estimate % (first_k + i, *estimates.centers[i].tolist(),
+                                          gamma, y_tau, traces[i]))
             else:
-                fh.write(without_estimate % (record.k, record.gamma, record.y_tau))
+                fh.write(without_estimate % (first_k + i, gamma, y_tau))
 
 
-def _write_log(path: Path, records: list[MeasurementRecord]) -> None:
+def _write_log(path: Path, flags: np.ndarray, references: np.ndarray) -> None:
+    """The channel log of steps 0, 1, ... from its flag and reference arrays."""
     with open(path, "w", newline="") as fh:
         fh.write("k,gamma,y_tau" + ROW_END)
-        for record in records:
-            fh.write("%d,%d,%.17g%s" % (record.k, record.gamma, record.y_tau, ROW_END))
+        for k, (gamma, y_tau) in enumerate(zip(flags.tolist(), references.tolist())):
+            fh.write("%d,%d,%.17g%s" % (k, gamma, y_tau, ROW_END))
 
 
-def read_log(path: str | Path) -> list[MeasurementRecord]:
-    """Parse a channel log; event flags must be 0 or 1 and steps contiguous."""
-    records = []
+def read_log(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
+    """Parse a channel log into its first step k and its event flag and
+    reference arrays; event flags must be 0 or 1 and steps contiguous."""
+    ks, flags, references = [], [], []
     try:
         fh = open(path, newline="")
     except OSError as err:
@@ -283,23 +285,25 @@ def read_log(path: str | Path) -> list[MeasurementRecord]:
             gamma = int(row["gamma"])
             if gamma not in (0, 1):
                 raise ValueError(f"event flag gamma must be 0 or 1, got {gamma}")
-            records.append(
-                MeasurementRecord(k=int(row["k"]), gamma=bool(gamma), y_tau=float(row["y_tau"]))
-            )
+            k, y_tau = int(row["k"]), float(row["y_tau"])
+            _require_record(k, y_tau)
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"{path}: malformed log row {row}: {err}") from err
-    if not records:
+        ks.append(k)
+        flags.append(gamma)
+        references.append(y_tau)
+    if not ks:
         raise ConfigError(f"{path}: log is empty")
-    for prev, cur in zip(records, records[1:]):
-        if cur.k <= prev.k:
+    for prev, cur in zip(ks, ks[1:]):
+        if cur <= prev:
             raise ConfigError(
-                f"{path}: step k={cur.k} is not after the previous step k={prev.k}"
+                f"{path}: step k={cur} is not after the previous step k={prev}"
             )
-        if cur.k != prev.k + 1:
+        if cur != prev + 1:
             raise ConfigError(
-                f"{path}: gap in step sequence at k={cur.k} (expected {prev.k + 1})"
+                f"{path}: gap in step sequence at k={cur} (expected {prev + 1})"
             )
-    return records
+    return ks[0], np.array(flags, dtype=bool), np.array(references)
 
 
 def _write_polylines(out_dir: Path, estimates: ObserverRun, n: int) -> list[str]:
@@ -395,7 +399,7 @@ def cmd_simulate(config_path: str, out_dir: str, seeds: int | None = None) -> in
 
     trace, estimates, metrics = run_closed_loop(config)
     _write_step_table(out / "steps.csv", trace, estimates, metrics.distances)
-    _write_log(out / "log.csv", trace.records)
+    _write_log(out / "log.csv", trace.flags, trace.references)
     polylines = _write_polylines(out, estimates, config.model.n)
     solver = estimates.solver
     try:
@@ -419,15 +423,17 @@ def cmd_simulate(config_path: str, out_dir: str, seeds: int | None = None) -> in
 
 def cmd_replay(config_path: str, log_path: str, out_dir: str) -> int:
     model, trigger, weights = build_system(load_config(config_path))
-    records = read_log(log_path)
-    estimates = observer_run(records, model, trigger, weights)
+    first_k, flags, references = read_log(log_path)
+    solver = _log_solver(len(flags), model, trigger, weights)
+    [estimates] = _observe(flags[None], references[None], first_k, solver)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         print(f"cannot create output directory {out}: {err}", file=sys.stderr)
         return 1
-    _write_replay_table(out / "replay_steps.csv", records, estimates, model.n)
+    _write_replay_table(out / "replay_steps.csv", first_k, flags, references, estimates,
+                        model.n)
     print(f"replay written to {out / 'replay_steps.csv'}")
     return 0
 

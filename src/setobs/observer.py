@@ -72,10 +72,15 @@ class MeasurementRecord:
     y_tau: float
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"step index must be non-negative, got {self.k}")
-        if not math.isfinite(self.y_tau):
-            raise ValueError(f"reference output must be finite, got {self.y_tau}")
+        _require_record(self.k, self.y_tau)
+
+
+def _require_record(k: int, y_tau: float) -> None:
+    """The checks of a ``MeasurementRecord``, for a step read without building one."""
+    if k < 0:
+        raise ValueError(f"step index must be non-negative, got {k}")
+    if not math.isfinite(y_tau):
+        raise ValueError(f"reference output must be finite, got {y_tau}")
 
 
 @dataclass(frozen=True)
@@ -310,10 +315,7 @@ def observer_run(
     propagated previous posterior with its own measurement window.
     """
     a = a if a is not None else WeightVector.uniform(model.n)
-    n = model.n
-    if len(records) < n:
-        raise ValueError(f"log holds {len(records)} records; at least {n} are required")
-    solver = WindowSolver(model, trigger, a)
+    solver = _log_solver(len(records), model, trigger, a)
     ks = [r.k for r in records]
     if ks != list(range(ks[0], ks[0] + len(records))):
         raise ValueError("record log has non-consecutive step indices")
@@ -321,6 +323,15 @@ def observer_run(
     references = np.array([[float(r.y_tau) for r in records]])
     [run] = _observe(flags, references, ks[0], solver)
     return run
+
+
+def _log_solver(
+    length: int, model: SystemModel, trigger: TriggerConfig, a: WeightVector
+) -> WindowSolver:
+    """The ``WindowSolver`` of a log of ``length`` records, which must fill a window."""
+    if length < model.n:
+        raise ValueError(f"log holds {length} records; at least {model.n} are required")
+    return WindowSolver(model, trigger, a)
 
 
 def _observe(
@@ -479,10 +490,14 @@ def _require_resolution(
     steps, runs = centers.shape[:2]
     centers = centers.reshape(-1, n)
     unit_roundoff = np.finfo(float).eps / 2.0
-    error = n * unit_roundoff * (
-        np.linalg.cond(solver.matrix) * np.linalg.norm(window_centers.reshape(-1, n), axis=1)
-        + np.linalg.norm(centers, axis=1)
-    )
+    # A center whose squared norm overflows has an infinite norm and error: no
+    # set resolves it, and the check below fails on it.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(centers, axis=1)
+        error = n * unit_roundoff * (
+            np.linalg.cond(solver.matrix) * np.linalg.norm(window_centers.reshape(-1, n), axis=1)
+            + norms
+        )
     # eigvalsh finds the smallest eigenvalue only to within about n u times the
     # largest, so the width tested is the largest the set can have: the check
     # fires only on sets known to be too thin.
@@ -494,7 +509,7 @@ def _require_resolution(
         raise DivergenceError(
             f"posterior at step {first_k + i // runs} has smallest semi-axis "
             f"{semi_axis[i]:.3e}, below {RESOLUTION_MARGIN:.0f} times the rounding error "
-            f"{error[i]:.3e} of its center (norm {np.linalg.norm(centers[i]):.3e}); the state "
+            f"{error[i]:.3e} of its center (norm {norms[i]:.3e}); the state "
             f"has outgrown float64 resolution and containment is no longer guaranteed"
         )
 

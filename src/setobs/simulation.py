@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ellipsoid import CONTAINMENT_TOL, _draw, _generalized_distances, shape_sqrt
+from .ellipsoid import CONTAINMENT_TOL, _generalized_distances, shape_sqrt
 from .observability import (
     NotObservableError,
     SystemModel,
@@ -59,14 +59,22 @@ class Trace:
     """Realized closed-loop trajectory and the channel log it produced.
 
     ``process_noise[k]`` is the disturbance taking x_k to x_{k+1};
-    ``measurement_noise[k]`` enters y_k.
+    ``measurement_noise[k]`` enters y_k. The channel log is ``flags[k]`` and
+    ``references[k]``, the event flag and reference output of step k;
+    ``records`` builds it as ``MeasurementRecord``s on demand.
     """
 
     states: np.ndarray
     outputs: np.ndarray
-    records: list[MeasurementRecord]
+    flags: np.ndarray
+    references: np.ndarray
     process_noise: np.ndarray
     measurement_noise: np.ndarray
+
+    @property
+    def records(self) -> list[MeasurementRecord]:
+        return [MeasurementRecord(k, gamma, y_tau) for k, (gamma, y_tau)
+                in enumerate(zip(self.flags.tolist(), self.references.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -88,47 +96,9 @@ class Metrics:
     distances: list[float] = field(default_factory=list, repr=False, compare=False)
 
 
-def step_plant(x: np.ndarray, w: np.ndarray, model: SystemModel) -> np.ndarray:
-    """One step of x -> A x + w."""
-    x = np.asarray(x, dtype=float).ravel()
-    w = np.asarray(w, dtype=float).ravel()
-    if x.size != model.n or w.size != model.n:
-        raise ValueError(f"state/disturbance must have dimension {model.n}")
-    return model.A @ x + w
-
-
-def evaluate_trigger(
-    y: float, y_tau_prev: float, trigger: TriggerConfig
-) -> tuple[bool, float]:
-    """Send-on-delta decision: transmit iff (y - y_tau)^2 strictly exceeds the threshold.
-
-    Returns (flag, new reference); the reference moves to y only on an event.
-    """
-    if (y - y_tau_prev) ** 2 > trigger.threshold:
-        return True, y
-    return False, y_tau_prev
-
-
-def sample_noise(model: SystemModel, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Draw (w, v) uniformly from their bounded-noise ellipsoids."""
-    return _draw_noise(_noise_roots(model), rng)
-
-
 def _noise_roots(model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     """shape_sqrt of the model's disturbance shape Q and noise shape [[R]]."""
     return shape_sqrt(model.Q), shape_sqrt([[model.R]])
-
-
-def _draw_v(roots: tuple[np.ndarray, np.ndarray], rng: np.random.Generator) -> float:
-    return float(_draw(np.zeros(1), roots[1], rng)[0])
-
-
-def _draw_noise(
-    roots: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """``sample_noise`` from precomputed roots: w first, then v."""
-    w = _draw(np.zeros(roots[0].shape[0]), roots[0], rng)
-    return w, _draw_v(roots, rng)
 
 
 def run_closed_loop(config: SimConfig) -> tuple[Trace, ObserverRun, Metrics]:
@@ -151,57 +121,103 @@ def _window_solver(config: SimConfig) -> WindowSolver:
         raise NotObservableError("model is not observable; refusing to simulate") from None
 
 
-def _simulate(config: SimConfig, roots: tuple[np.ndarray, np.ndarray]) -> Trace:
-    """The plant and channel of one run, drawing noise from the given roots."""
-    model, trigger = config.model, config.trigger
-    rng = np.random.default_rng(config.seed)
-    n, N = model.n, config.N
+def _simulate(configs: list[SimConfig], roots: tuple[np.ndarray, np.ndarray]) -> list[Trace]:
+    """The plants and channels of runs that differ only in their seed, drawing
+    noise from the given roots; each run gets the bits it gets alone.
 
+    Each seed's stream is drawn in the order of one run: step 0's v, then w and
+    v of every later step, each as ``sample_point`` draws it (a normal vector
+    and a uniform number per point). The draws then become noise in one batch,
+    the dynamics step every seed as one (S, n) stack, and the send-on-delta
+    trigger runs on Python floats.
+    """
+    model, threshold = configs[0].model, configs[0].trigger.threshold
+    n, N, runs = model.n, configs[0].N, len(configs)
     try:
-        states = np.empty((N + 1, n))
-        outputs = np.empty(N + 1)
-        process_noise = np.empty((N, n))
-        measurement_noise = np.empty(N + 1)
+        states = np.empty((runs, N + 1, n))
+        process_noise = np.empty((runs, N, n))  # normal draws, then w
+        measurement_noise = np.empty((runs, N + 1))  # normal draws, then v
+        w_radii = np.empty((runs, N))
+        v_radii = np.empty((runs, N + 1))
+        flags = np.empty((runs, N + 1), dtype=bool)
+        references = np.empty((runs, N + 1))
     except (MemoryError, ValueError) as err:  # numpy refuses some sizes outright
-        size = 8 * ((N + 1) * (n + 2) + N * n)
+        size = 8 * runs * ((N + 1) * (n + 2) + N * n)
         raise ValueError(
             f"N = {N} steps need {size:.3g} bytes of plant history, more than can be allocated"
         ) from err
-    records: list[MeasurementRecord] = []
 
-    states[0] = config.x0
-    v = _draw_v(roots, rng)
-    measurement_noise[0] = v
-    outputs[0] = float(model.C @ states[0]) + v
-    y_tau = outputs[0]
-    records.append(MeasurementRecord(k=0, gamma=True, y_tau=y_tau))
+    power = 1.0 / n
+    for config, w_normal, w_radius, v_normal, v_radius in zip(
+        configs, process_noise, w_radii, measurement_noise, v_radii
+    ):
+        rng = np.random.default_rng(config.seed)
+        normal, uniform = rng.standard_normal, rng.random
+        v_normal[0] = normal()
+        v_radius[0] = uniform()
+        for k in range(N):
+            normal(out=w_normal[k])
+            w_radius[k] = uniform() ** power  # a Python power, as _draw takes it
+            v_normal[k + 1] = normal()
+            v_radius[k + 1] = uniform()
 
-    for k in range(1, N + 1):
-        w, v = _draw_noise(roots, rng)
-        process_noise[k - 1] = w
-        measurement_noise[k] = v
-        states[k] = model.A @ states[k - 1] + w
-        outputs[k] = float(model.C @ states[k]) + v
-        gamma, y_tau = evaluate_trigger(outputs[k], y_tau, trigger)
-        records.append(MeasurementRecord(k=k, gamma=gamma, y_tau=y_tau))
+    # A plant that overflows yields non-finite states and outputs; the check
+    # of the references below reports the failure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        process_noise[:] = _ball_noise(roots[0], process_noise, w_radii)
+        measurement_noise[:] = _ball_noise(roots[1], measurement_noise[..., None], v_radii)[..., 0]
+        states[:, 0] = configs[0].x0
+        for k in range(N):
+            # Row by row, the bits of A @ x + w.
+            states[:, k + 1] = (model.A @ states[:, k, :, None])[..., 0] + process_noise[:, k]
+        # Row by row, the bits of C @ x.
+        outputs = (states[..., None, :] @ model.C[:, None])[..., 0, 0] + measurement_noise
 
-    return Trace(
-        states=states,
-        outputs=outputs,
-        records=records,
-        process_noise=process_noise,
-        measurement_noise=measurement_noise,
-    )
+    for y, flag, reference in zip(outputs.tolist(), flags, references):
+        # The first transmission is forced; later ones fire when (y - y_tau)^2
+        # strictly exceeds the threshold. The square is C's pow, as numpy's
+        # scalars take it (d * d differs in the last bit for about 0.1% of d);
+        # a square that overflows is numpy's inf, so an event.
+        y_tau, gammas, y_taus = y[0], [True], [y[0]]
+        for y_k in y[1:]:
+            try:
+                gamma = (y_k - y_tau) ** 2 > threshold
+            except OverflowError:
+                gamma = True
+            if gamma:
+                y_tau = y_k
+            gammas.append(gamma)
+            y_taus.append(y_tau)
+        flag[:] = gammas
+        reference[:] = y_taus
+    finite = np.isfinite(references)
+    if not finite.all():
+        raise ValueError(f"reference output must be finite, got {references[~finite][0]}")
+
+    return [Trace(*arrays) for arrays in zip(
+        states, outputs, flags, references, process_noise, measurement_noise
+    )]
+
+
+def _ball_noise(root: np.ndarray, normals: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Noise points root @ (radius * normal / ||normal||) + 0.0 of a stack of
+    (..., d) normal draws and their radii, with the bits ``_draw`` gives each
+    point; a zero draw stays zero. Scales ``normals`` in place."""
+    # Row by row, the bits of np.linalg.norm of each draw.
+    norms = np.sqrt(normals[..., None, :] @ normals[..., :, None])[..., 0]
+    np.divide(normals, norms, out=normals, where=norms > 0.0)
+    normals *= radii[..., None]
+    return (root @ normals[..., None])[..., 0] + 0.0
 
 
 def _run_seeds(
     configs: list[SimConfig], solver: WindowSolver, roots: tuple[np.ndarray, np.ndarray]
 ) -> list[tuple[Trace, ObserverRun, Metrics]]:
-    """``run_closed_loop`` of configs that differ only in their seed: each plant
-    is simulated alone, the observer advances all of them as one stack."""
-    traces = [_simulate(config, roots) for config in configs]
-    flags = np.array([[r.gamma for r in trace.records] for trace in traces])
-    references = np.array([[r.y_tau for r in trace.records] for trace in traces])
+    """``run_closed_loop`` of configs that differ only in their seed: the plants
+    are simulated as one group and the observer advances them as one stack."""
+    traces = _simulate(configs, roots)
+    flags = np.array([trace.flags for trace in traces])
+    references = np.array([trace.references for trace in traces])
     runs = _observe(flags, references, 0, solver)
     return [(trace, run, compute_metrics(trace, run)) for trace, run in zip(traces, runs)]
 
@@ -216,7 +232,7 @@ def compute_metrics(trace: Trace, estimates: ObserverRun) -> Metrics:
     # Row by row, the bits of np.linalg.norm of each residual.
     errors = np.sqrt((residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0])
     distances = _generalized_distances(estimates.centers, estimates.shapes, states).tolist()
-    rate = sum(int(r.gamma) for r in trace.records[1:]) / N
+    rate = np.count_nonzero(trace.flags[1:]) / N
     return Metrics(
         mean_estimation_error=float(np.mean(errors)) if errors.size else 0.0,
         communication_rate=rate,
@@ -247,8 +263,12 @@ def _sweep(
     solver = _window_solver(base)
     roots = _noise_roots(base.model)
     n, steps = base.model.n, base.N + 1
-    # Plant history, channel log (about 160 bytes a record) and run arrays.
-    seed_bytes = steps * (8 * (2 * n * n + 5 * n + 2) + 160)
+    # A seed's bytes per step: plant history (2n + 2 floats) and noise radii
+    # (2), flags and references twice (the traces' and the observer's stacked
+    # copy), run arrays (2n^2 + 3n floats and a pattern index), the resolution
+    # check's eigenvalues and error terms (n + 2) and the metrics' list of
+    # distances (a pointer and a float object).
+    seed_bytes = steps * (8 * (2 * n * n + 6 * n + 7) + 2 * 9 + 32)
     group = max(1, SWEEP_GROUP_BYTES // seed_bytes)
     ordered = sorted(seeds)
     for start in range(0, len(ordered), group):
@@ -261,3 +281,4 @@ def _sweep(
             runs = [run for config in configs for run in _run_seeds([config], solver, roots)]
         for config, run in zip(configs, runs):
             yield config.seed, *run
+        del runs, run  # so that the next group is not computed beside this one

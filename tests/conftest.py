@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from setobs import Ellipsoid, MeasurementRecord, SystemModel, TriggerConfig, WeightVector, sample_point
-from setobs.simulation import evaluate_trigger, sample_noise, step_plant
+
+from oracles import evaluate_trigger, sample_noise, step_plant
 
 
 @pytest.fixture
@@ -66,16 +67,31 @@ UNSTABLE_PLANT = {"A": [[1.3, 0.1], [0.0, 1.2]], "C": [1.0, 0.0], "Q": [[5.0, 0.
                   "R": 0.5, "Gamma": 0.6, "Gamma_e": 1e-4}
 
 
-def channel_log(model: SystemModel, trigger: TriggerConfig, x0, N: int, seed: int):
-    """The channel log ``run_closed_loop`` records for a config, built from the
-    simulation's own draws and steps without running the observer."""
+def reference_plant(model: SystemModel, trigger: TriggerConfig, x0, N: int, seed: int):
+    """The states, outputs, process noise, measurement noise and channel log
+    ``run_closed_loop`` simulates for a config, one step at a time: each noise
+    point drawn alone, each state stepped alone and each flag decided alone."""
     rng = np.random.default_rng(seed)
     x = np.asarray(x0, dtype=float)
-    y_tau = float(model.C @ x) + float(sample_point(Ellipsoid([0.0], [[model.R]]), rng)[0])
-    records = [MeasurementRecord(0, True, y_tau)]
+    v = float(sample_point(Ellipsoid([0.0], [[model.R]]), rng)[0])
+    y = float(model.C @ x) + v
+    states, outputs, process_noise, measurement_noise = [x], [y], [], [v]
+    records = [MeasurementRecord(0, True, y)]
     for k in range(1, N + 1):
         w, v = sample_noise(model, rng)
         x = step_plant(x, w, model)
-        gamma, y_tau = evaluate_trigger(float(model.C @ x) + v, y_tau, trigger)
+        y = float(model.C @ x) + v
+        gamma, y_tau = evaluate_trigger(y, records[-1].y_tau, trigger)
+        states.append(x)
+        outputs.append(y)
+        process_noise.append(w)
+        measurement_noise.append(v)
         records.append(MeasurementRecord(k, gamma, y_tau))
-    return records
+    return (np.array(states), np.array(outputs), np.array(process_noise).reshape(N, model.n),
+            np.array(measurement_noise), records)
+
+
+def channel_log(model: SystemModel, trigger: TriggerConfig, x0, N: int, seed: int):
+    """The channel log ``run_closed_loop`` records for a config, built from the
+    simulation's own draws and steps without running the observer."""
+    return reference_plant(model, trigger, x0, N, seed)[-1]

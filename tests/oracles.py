@@ -8,7 +8,8 @@ outer sum written out in numpy rather than taken from the library. The
 per-set polyline writer is what the CLI's stacked writer must reproduce byte
 for byte, the scipy-wrapped generalized distance is what the metrics' stacked
 numpy distances must reproduce to rounding, and the per-pattern listing is what
-``check``'s blocked listing must print.
+``check``'s blocked listing must print. The per-step plant, trigger and noise
+draws are what the simulation's batched plant must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from setobs import (
     minkowski_sum_outer,
 )
 from setobs.cli import BOUNDARY_POINTS, PLOT_STEPS
-from setobs.ellipsoid import shape_sqrt
-from setobs.observability import WindowSolver
+from setobs.ellipsoid import _draw, shape_sqrt
+from setobs.observability import SystemModel, TriggerConfig, WindowSolver
+from setobs.simulation import _noise_roots
 
 
 def _symmetrize(S: np.ndarray) -> np.ndarray:
@@ -191,3 +193,41 @@ def list_patterns(model, trigger, weights) -> str:
         lines.append(f"pattern {''.join(map(str, bits))}: {trace:.17g}")
     lines.append("epsilon-observable: yes")
     return "\n".join(lines) + "\n"
+
+
+def step_plant(x: np.ndarray, w: np.ndarray, model: SystemModel) -> np.ndarray:
+    """One step of x -> A x + w."""
+    x = np.asarray(x, dtype=float).ravel()
+    w = np.asarray(w, dtype=float).ravel()
+    if x.size != model.n or w.size != model.n:
+        raise ValueError(f"state/disturbance must have dimension {model.n}")
+    return model.A @ x + w
+
+
+def evaluate_trigger(
+    y: float, y_tau_prev: float, trigger: TriggerConfig
+) -> tuple[bool, float]:
+    """Send-on-delta decision: transmit iff (y - y_tau)^2 strictly exceeds the threshold.
+
+    Returns (flag, new reference); the reference moves to y only on an event.
+    """
+    if (y - y_tau_prev) ** 2 > trigger.threshold:
+        return True, y
+    return False, y_tau_prev
+
+
+def sample_noise(model: SystemModel, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """Draw (w, v) uniformly from their bounded-noise ellipsoids."""
+    return _draw_noise(_noise_roots(model), rng)
+
+
+def _draw_v(roots: tuple[np.ndarray, np.ndarray], rng: np.random.Generator) -> float:
+    return float(_draw(np.zeros(1), roots[1], rng)[0])
+
+
+def _draw_noise(
+    roots: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
+) -> tuple[np.ndarray, float]:
+    """``sample_noise`` from precomputed roots: w first, then v."""
+    w = _draw(np.zeros(roots[0].shape[0]), roots[0], rng)
+    return w, _draw_v(roots, rng)

@@ -16,7 +16,7 @@ from setobs import SystemModel, TriggerConfig, cli, convergence_bound, run_close
 from setobs.cli import PLOT_STEPS, build_sim_config, build_system, load_config, main, read_log
 from setobs.observability import WindowSolver
 
-from conftest import UNSTABLE_PLANT, channel_log, orthogonal_plant, read_rows
+from conftest import UNSTABLE_PLANT, channel_log, orthogonal_plant, read_rows, same_bits
 from oracles import list_patterns, write_polylines
 
 BENCH = {
@@ -536,6 +536,36 @@ class TestOverflow:
         assert err == "error: epsilon overflows float64: inf\n"
 
 
+class TestOverflowingPlant:
+    """A plant whose numbers overflow float64 stops with one error line and no
+    warnings, alone and in a sweep."""
+
+    CASES = {
+        # The state grows like 10^k: the output reaches inf at step 311.
+        "reference": ({"A": [[10.0]], "C": [1.0], "Q": [[5.0]], "a": None, "x0": [0.0],
+                       "N": 400},
+                      "error: reference output must be finite, got inf\n"),
+        # Finite states whose squared norms overflow: the center's rounding
+        # error is infinite, so no set resolves it.
+        "center": ({"x0": [1e200, -1e200]},
+                   "error: posterior at step 0 has smallest semi-axis 1.383e+00, below 1024 "
+                   "times the rounding error inf of its center (norm inf); the state has "
+                   "outgrown float64 resolution and containment is no longer guaranteed\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("sweep", [[], ["--seeds", "3"]])
+    def test_exits_1_with_one_error_line(self, tmp_path, case, sweep):
+        overrides, stderr = self.CASES[case]
+        path = write_config(tmp_path, **overrides)
+        done = subprocess.run(
+            [sys.executable, "-m", "setobs.cli", "simulate", "--config", str(path),
+             "--out", str(tmp_path / "out"), *sweep],
+            env=child_env(), capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", stderr)
+
+
 class TestResolutionLoss:
     """An unstable plant outgrows float64 resolution: exit 1 with a message."""
 
@@ -668,9 +698,10 @@ class TestReplay:
     def test_read_log_round_trip_values(self, bench_config_file, tmp_path):
         sim_dir = tmp_path / "sim"
         main(["simulate", "--config", str(bench_config_file), "--out", str(sim_dir)])
-        records = read_log(sim_dir / "log.csv")
-        assert len(records) == BENCH["N"] + 1
-        assert records[0].gamma and records[0].k == 0
+        first_k, flags, references = read_log(sim_dir / "log.csv")
+        assert first_k == 0 and flags.size == BENCH["N"] + 1 and flags[0]
+        trace = run_closed_loop(build_sim_config(BENCH))[0]
+        assert same_bits(flags, trace.flags) and same_bits(references, trace.references)
 
 
 class TestBeyondListingCap:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import setobs.observer as observer_mod
@@ -27,10 +28,9 @@ from setobs import (
 )
 from setobs.ellipsoid import CONTAINMENT_TOL
 from setobs.observability import WindowSolver
-from setobs.simulation import evaluate_trigger, sample_noise, step_plant
 
-from conftest import UNSTABLE_PLANT, orthogonal_plant, same_bits
-from oracles import cho_distance
+from conftest import UNSTABLE_PLANT, orthogonal_plant, reference_plant, same_bits
+from oracles import cho_distance, evaluate_trigger, sample_noise, step_plant
 
 
 @pytest.fixture
@@ -331,6 +331,94 @@ def test_stacked_sweep_equals_solo_runs(case):
                 assert same_bits(getattr(run_s, name), getattr(run, name)), name
             assert metrics_s == metrics
             assert same_bits(metrics_s.distances, metrics.distances)
+
+
+def test_sweep_holds_one_group_within_its_byte_budget(bench_model, bench_trigger):
+    """A sweep computes one group at a time, and the traced peak of a group is
+    within SWEEP_GROUP_BYTES: nine 2000-step seeds of the paper plant span two
+    groups, and what a caller keeps of a seed is dropped at once."""
+    base = SimConfig(model=bench_model, trigger=bench_trigger, x0=[0.0, 0.0], N=2000, seed=0)
+    run_closed_loop(base)  # lazy imports and caches, which are not the group's
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        for item in simulation_mod._sweep(base, list(range(9))):
+            del item
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= simulation_mod.SWEEP_GROUP_BYTES
+
+
+_default_rng = np.random.default_rng
+
+
+class _ZeroDraws:
+    """The generator of a seed, except that every ``every``-th normal draw is
+    zero: a direction of norm zero, which ``sample_point`` leaves unscaled."""
+
+    def __init__(self, seed: int, every: int):
+        self._rng, self._every, self._count = _default_rng(seed), every, 0
+
+    def standard_normal(self, size=None, out=None):
+        draw = self._rng.standard_normal(size, out=out)
+        self._count += 1
+        if self._count % self._every:
+            return draw
+        if out is not None:
+            out[...] = 0.0
+            return out
+        return 0.0 if size is None else np.zeros(size)
+
+    def random(self) -> float:
+        return self._rng.random()
+
+
+@st.composite
+def plant_cases(draw):
+    """A random plant and channel, a few seeds, and every how many normal draws
+    one is zero (0: none is)."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = draw(st.floats(0.1, 1.2)) * np.linalg.qr(rng.standard_normal((n, n)))[0]
+    G = rng.standard_normal((n, n))
+    model = SystemModel(A=A, C=rng.standard_normal(n), Q=G @ G.T + 0.1 * np.eye(n),
+                        R=draw(st.floats(0.01, 2.0)))
+    threshold = draw(st.floats(0.05, 5.0))
+    base = SimConfig(model=model, trigger=TriggerConfig(threshold, threshold * 1e-3),
+                     x0=rng.standard_normal(n), N=draw(st.integers(n, 40)), seed=0)
+    seeds = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4, unique=True))
+    return base, seeds, draw(st.sampled_from([0, 1, 2, 3, 7]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(plant_cases())
+@example((SimConfig(model=SystemModel(A=[[0.9]], C=[1.0], Q=[[2.0]], R=0.5),
+                    trigger=TriggerConfig(0.6, 1e-4), x0=[0.3], N=12, seed=0), [4, 1], 2))
+@example((SimConfig(model=orthogonal_plant(16, 7), trigger=TriggerConfig(0.6, 1e-4),
+                    x0=np.zeros(16), N=30, seed=0), [3, 8], 5))
+def test_simulate_equals_the_per_step_plant(case):
+    """Every seed's plant, noise and channel log, from a group and from a group
+    of one, have the bits of the per-step plant of ``reference_plant``."""
+    base, seeds, every = case
+    configs = [replace(base, seed=seed) for seed in seeds]
+    roots = simulation_mod._noise_roots(base.model)
+    rng = (lambda seed: _ZeroDraws(seed, every)) if every else _default_rng
+    with mock.patch.object(np.random, "default_rng", rng):
+        group = simulation_mod._simulate(configs, roots)
+        alone = [simulation_mod._simulate([config], roots)[0] for config in configs]
+        expected = [reference_plant(base.model, base.trigger, base.x0, base.N, seed)
+                    for seed in seeds]
+    for trace_g, trace_a, (states, outputs, w, v, records) in zip(group, alone, expected):
+        for trace in (trace_g, trace_a):
+            assert same_bits(trace.states, states)
+            assert same_bits(trace.outputs, outputs)
+            assert same_bits(trace.process_noise, w)
+            assert same_bits(trace.measurement_noise, v)
+            assert same_bits(trace.flags, [r.gamma for r in records])
+            assert same_bits(trace.references, [r.y_tau for r in records])
+            assert trace.records == records
 
 
 @st.composite
