@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Tolerances shared by the whole toolkit.
 SYMMETRY_TOL = 1e-9
@@ -280,6 +281,24 @@ def _fusion_matrix(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
         )
     # M (Q1+Q2) = Q2  =>  (Q1+Q2) M^T = Q2 by symmetry.
     return np.linalg.solve(total, Q2).T
+
+
+def _solve_regular(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) of float64 (S, n, n) stacks, written into ``out``,
+    for stacks whose every member is regular.
+
+    It calls the LAPACK gufunc that np.linalg.solve wraps (numpy's private
+    ``_umath_linalg.solve``, one gesv per member), so each member gets the same
+    bits, without the wrapper's checks, conversions and error-state context,
+    which cost three times the solve itself on a stack of one 2 x 2 member.
+    The wrapper is also what turns an exactly singular member into
+    LinAlgError; here that member comes back NaN with the invalid flag raised
+    (a RuntimeWarning under numpy's default error state). So the caller must
+    know every member is regular: cleared by ``_singular``, or proven so for
+    the whole run (``observer._singularity_skip_level``). Any other solve goes
+    through np.linalg.solve.
+    """
+    return _umath_linalg.solve(a, b, out=out)
 
 
 def _singular(eigs: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from .ellipsoid import (
     _outer_sum_into,
     _require_psd_stack,
     _singular,
+    _solve_regular,
     _symmetrize,
     _traces,
 )
@@ -180,61 +181,91 @@ class _PsdBlock:
         _require_psd_stack(pending.reshape(-1, *pending.shape[-2:]))
 
 
+class _FusionBuffers:
+    """Work arrays of ``_fuse_step`` for stacks of ``runs`` n x n shapes, made
+    once per run: ``operands`` for the caller to fill with [W; P], the sum
+    W + P, the solve result X = M^T, ``factors`` [M; K], the half products
+    [M W; K P] and the unsymmetrized split shapes; ``eye`` is the n x n
+    identity."""
+
+    def __init__(self, runs: int, n: int):
+        self.eye = np.eye(n)
+        self.operands = np.empty((2, runs, n, n))
+        self.total = np.empty((runs, n, n))
+        self.solution = np.empty((runs, n, n))
+        self.factors = np.empty((2, runs, n, n))
+        self.halves = np.empty((2, runs, n, n))
+        self.products = np.empty((2, runs, n, n))
+
+
 def _prior_step(
-    P: np.ndarray, c: np.ndarray, A: np.ndarray, Q: np.ndarray, trace_q: np.ndarray,
-    out: np.ndarray,
+    P: np.ndarray, c: np.ndarray, A: np.ndarray, A_T: np.ndarray, Q: np.ndarray,
+    trace_q: np.ndarray, out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Prior sets E(A c, f+(A P A^T, Q)) of a stack of posteriors.
 
-    ``P`` is (S, n, n), ``c`` holds the centers as (S, n, 1) columns and
-    ``trace_q`` is Tr Q as a one-element array. ``out`` (2, S, n, n) receives
-    A P A^T and the prior shapes, for the caller to PSD-test in that order.
-    Returns the prior centers and ``out[1]``.
+    ``P`` is (S, n, n), ``c`` holds the centers as (S, n, 1) columns, ``A_T``
+    is A.T and ``trace_q`` is Tr Q as a one-element array. ``out`` (2, S, n, n)
+    receives A P A^T and the prior shapes, for the caller to PSD-test in that
+    order. Returns the prior centers and ``out[1]``.
     """
-    mapped, prior = out
-    _symmetrize(A @ P @ A.T, out=mapped)
+    mapped, prior = out[0], out[1]
+    _symmetrize(A @ P @ A_T, out=mapped)
     _outer_sum_into(prior, mapped, _traces(mapped), Q, trace_q)
     # The + 0.0 turns a -0.0 entry into 0.0, as adding a zero offset does.
     return A @ c + 0.0, prior
 
 
 def _fuse_step(
-    W: np.ndarray, c_meas: np.ndarray, P: np.ndarray, c_prior: np.ndarray, eye: np.ndarray,
+    operands: np.ndarray, c_meas: np.ndarray, c_prior: np.ndarray, buffers: _FusionBuffers,
     out: np.ndarray, test_singular: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Trace-optimal outer approximations of E(c_meas, W) ^ E(c_prior, P), stacked.
 
-    Shapes are (S, n, n) and centers (S, n, 1) columns. ``out`` (3, S, n, n)
-    receives the two split shapes M W M^T and (I - M) P (I - M)^T and the
-    posterior shapes, for the caller to PSD-test in that order. Returns the
-    posterior centers, ``out[2]``, the fusion matrices M and the sum
-    parameters p.
+    ``operands`` (2, S, n, n) holds the shapes [W; P] and the centers are
+    (S, n, 1) columns; ``buffers`` are the step's work arrays for S runs.
+    ``out`` (3, S, n, n) receives the two split shapes M W M^T and
+    (I - M) P (I - M)^T and the posterior shapes, for the caller to PSD-test
+    in that order. Returns the posterior centers, ``out[2]``, the fusion
+    matrices M and the sum parameters p; M is a view of ``buffers``.
+
+    M^T = X solves (W + P) X = P. The split shapes are one product pair,
+    ([M; K] @ [W; P]) @ [X; K^T] with K = I - M, where [M; K] is a copy and
+    [X; K^T] its transposed view: two matmuls for the four products. Each
+    member gets the bits of m @ w @ m.T and k @ p @ k.T with m the transposed
+    view of its own solve result, the layout the centers' products use; that
+    needs BLAS to give a transposed operand the bits of its copy, which
+    ``test_stacked_calls_equal_per_matrix_calls`` checks.
 
     A member that ``_singular`` finds singular gets b = max(1e-12/n, n 1e-14) Tr
     (1e-12 Tr/n up to n = 10) on each operand's diagonal, which lifts a PSD sum
-    to twice the rule's floor at any n. With ``test_singular`` false the caller
-    has proven that no member is singular, and the eigenvalue test is skipped.
+    to twice the rule's floor at any n; that stack's regular members go through
+    np.linalg.solve. With ``test_singular`` false the caller has proven that no
+    member is singular, and the eigenvalue test is skipped. A stack known to be
+    regular either way is solved by ``_solve_regular``.
     """
-    total = W + P
+    W, P = operands[0], operands[1]
+    total = np.add(W, P, out=buffers.total)
+    X = buffers.solution
     if test_singular:
         singular = _singular(np.linalg.eigvalsh(total))
     if test_singular and singular.any():
-        X = np.empty_like(total)
         regular = ~singular
         X[regular] = np.linalg.solve(total[regular], P[regular])
-        n = eye.shape[0]
+        n = buffers.eye.shape[0]
         for s in np.flatnonzero(singular):
-            bump = 1e-12 * float(np.trace(total[s])) / n * max(1.0, n * n / 100.0) * eye
+            bump = 1e-12 * float(np.trace(total[s])) / n * max(1.0, n * n / 100.0) * buffers.eye
             X[s] = _fusion_matrix(W[s] + bump, P[s] + bump).T
     else:
         # M (W + P) = P  =>  (W + P) M^T = P by symmetry.
-        X = np.linalg.solve(total, P)
+        _solve_regular(total, P, out=X)
     M = X.swapaxes(1, 2)
-    K = eye - M
-    split = out[:2]
-    np.matmul(M @ W, X, out=split[0])
-    np.matmul(K @ P, K.swapaxes(1, 2), out=split[1])
-    _symmetrize(split, out=split)
+    factors = buffers.factors
+    factors[0] = M
+    K = np.subtract(buffers.eye, M, out=factors[1])
+    products = np.matmul(np.matmul(factors, operands, out=buffers.halves),
+                         factors.swapaxes(2, 3), out=buffers.products)
+    split = _symmetrize(products, out=out[:2])
     traces = _traces(split)
     p = _outer_sum_into(out[2], split[0], traces[0], split[1], traces[1])
     # The + 0.0 turns a -0.0 entry into 0.0; on a sum it has the bits of adding
@@ -255,7 +286,7 @@ def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
         raise ValueError(f"matrix has {n} columns, ellipsoid has dimension {previous.dim}")
     shapes = np.empty((2, 1, n, n))
     center, shape = _prior_step(
-        previous.shape[None], previous.center[None, :, None], model.A, model.Q,
+        previous.shape[None], previous.center[None, :, None], model.A, model.A.T, model.Q,
         np.array([np.trace(model.Q)]), shapes,
     )
     _require_psd_stack(shapes[:, 0])
@@ -277,8 +308,8 @@ def fuse(measurement: Ellipsoid, prior: Ellipsoid) -> tuple[Ellipsoid, np.ndarra
     n = measurement.dim
     shapes = np.empty((3, 1, n, n))
     center, shape, M, p = _fuse_step(
-        measurement.shape[None], measurement.center[None, :, None], prior.shape[None],
-        prior.center[None, :, None], np.eye(n), shapes,
+        np.stack((measurement.shape, prior.shape))[:, None], measurement.center[None, :, None],
+        prior.center[None, :, None], _FusionBuffers(1, n), shapes,
     )
     _require_psd_stack(shapes[:, 0])
     return Ellipsoid._trusted(center[0, :, 0], shape[0]), M[0], float(p[0])
@@ -358,7 +389,7 @@ def _observe(
     steps = length - (n - 1)
     # Windows step by step: row t * S + s is the window of run s at step t.
     windows = sliding_window_view(flags, n, axis=1).swapaxes(0, 1).reshape(-1, n)
-    patterns, pattern = np.unique(windows, axis=0, return_inverse=True)
+    patterns, pattern = _distinct_rows(windows)
     pattern = pattern.reshape(steps, runs)
     window_shapes = np.array([solver.window_shape(p) for p in patterns])
     _require_psd_stack(window_shapes)  # every window of the run is one of these
@@ -374,39 +405,51 @@ def _observe(
     skip_level = _singularity_skip_level(model, window_shapes)
     settled = min(guard, skip_level)
     A, Q = model.A, model.Q
+    A_T = A.T
     trace_q = np.array([np.trace(Q)])
-    eye = np.eye(n)
+    buffers = _FusionBuffers(runs, n)
+    operands = buffers.operands
+    # The steps take and give centers as (S, n, 1) columns.
+    center_columns, prior_columns = centers[..., None], prior_centers[..., None]
+    window_columns = window_centers[..., None]
+
+    def singular_test_needed(t: int) -> bool:
+        """Apply the divergence guard to step t's posteriors, and tell whether
+        the fusion of step t + 1 must run its singularity test."""
+        traces = _traces(shapes[t]).tolist()
+        # Usually every trace is below both levels, and one pass shows it.
+        if all(trace <= settled for trace in traces):
+            return False
+        for trace in traces:
+            if trace > guard:
+                raise DivergenceError(
+                    f"posterior trace {trace:.3e} at step {first_k + t} exceeds "
+                    f"divergence guard {guard:.3e}; the model is likely unstable"
+                )
+        return not all(trace <= skip_level for trace in traces)
+
     # Per step: A P A^T, the prior, the two split shapes and the posterior.
     block = _PsdBlock((5, runs, n, n))
     try:
-        for t in range(steps):
-            if t == 0:
-                centers[0] = window_centers[0]
-                shapes[0] = window_shapes[pattern[0]]
-            else:
-                region = block.reserve()
-                c_prior, prior = _prior_step(
-                    shapes[t - 1], centers[t - 1][..., None], A, Q, trace_q, region[:2]
-                )
-                center, shape, _, _ = _fuse_step(
-                    window_shapes[pattern[t]], window_centers[t][..., None], prior, c_prior,
-                    eye, region[2:], test_singular=test_singular,
-                )
-                prior_centers[t] = c_prior[..., 0]
-                prior_shapes[t] = prior
-                centers[t] = center[..., 0]
-                shapes[t] = shape
-            traces = _traces(shapes[t]).tolist()
-            # Usually every trace is below both levels, and one pass shows it.
-            test_singular = not all(trace <= settled for trace in traces)
-            if test_singular:
-                for trace in traces:
-                    if trace > guard:
-                        raise DivergenceError(
-                            f"posterior trace {trace:.3e} at step {first_k + t} exceeds "
-                            f"divergence guard {guard:.3e}; the model is likely unstable"
-                        )
-                test_singular = not all(trace <= skip_level for trace in traces)
+        centers[0] = window_centers[0]
+        window_shapes.take(pattern[0], axis=0, out=shapes[0], mode="clip")
+        test_singular = singular_test_needed(0)
+        for t in range(1, steps):
+            region = block.reserve()
+            c_prior, prior = _prior_step(
+                shapes[t - 1], center_columns[t - 1], A, A_T, Q, trace_q, region[:2]
+            )
+            # The fusion's operands [W; P]; pattern indices are always in range.
+            window_shapes.take(pattern[t], axis=0, out=operands[0], mode="clip")
+            operands[1] = prior
+            center, shape, _, _ = _fuse_step(
+                operands, window_columns[t], c_prior, buffers, region[2:], test_singular
+            )
+            prior_columns[t] = c_prior
+            prior_shapes[t] = prior
+            center_columns[t] = center
+            shapes[t] = shape
+            test_singular = singular_test_needed(t)
     except Exception:
         block.flush()  # an earlier failing PSD test would have stopped the run first
         raise
@@ -420,6 +463,21 @@ def _observe(
                     pattern=pattern[:, s], window_shapes=window_shapes)
         for s in range(runs)
     ]
+
+
+def _distinct_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(flags, axis=0, return_inverse=True) of a 2-D bool array: its
+    distinct rows in ascending order, and the index of each row among them.
+
+    Each row is packed into bytes, its first flag the high bit, and the bytes
+    are one opaque key. Keys compare as byte strings, which orders the rows as
+    np.unique does (False before True, from the first flag on), at a fraction
+    of the cost of its row-wise path.
+    """
+    packed = np.packbits(flags, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return flags[first], inverse.reshape(-1)
 
 
 def _singularity_skip_level(model: SystemModel, window_shapes: np.ndarray) -> float:

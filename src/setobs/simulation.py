@@ -250,9 +250,10 @@ def run_seed_sweep(base: SimConfig, seeds: list[int]) -> list[tuple[int, Metrics
     the bits it gets alone, so every seed's metrics equal those of a single
     run with that seed. Groups hold as many seeds as keep their run arrays
     within ``SWEEP_GROUP_BYTES``. A group that raises is rerun one seed at a
-    time, so the error raised is that of the first failing seed.
+    time, so the error raised is that of the first failing seed. The metrics
+    returned carry no per-step ``distances``, which would outlive their group.
     """
-    return [(seed, metrics) for seed, _, _, metrics in _sweep(base, seeds)]
+    return [(seed, replace(metrics, distances=[])) for seed, _, _, metrics in _sweep(base, seeds)]
 
 
 def _sweep(

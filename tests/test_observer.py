@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from setobs import (
     DivergenceError,
@@ -28,7 +29,15 @@ from setobs import (
     spectral_norm,
 )
 import setobs.observer as observer_mod
-from setobs.ellipsoid import _outer_sum_into, _require_psd, _symmetrize, _traces
+from setobs.ellipsoid import (
+    SingularShapeError,
+    _outer_sum_into,
+    _require_psd,
+    _singular,
+    _solve_regular,
+    _symmetrize,
+    _traces,
+)
 from setobs.observability import WindowSolver
 
 from conftest import (
@@ -402,6 +411,22 @@ class TestObserverRunView:
                 assert np.array_equal(got.shape, expected.shape)
 
 
+@pytest.mark.parametrize("n", [1, 2, 6, 16, 70])
+def test_distinct_rows_equal_unique_rows(n):
+    """The window patterns and their indices are those of np.unique(axis=0), in
+    its order, for any window length (70 flags pack into 9 bytes)."""
+    rng = np.random.default_rng(n)
+    for runs, length, rate in ((1, n, 0.5), (1, 400 + n, 0.5), (3, 150 + n, 0.05)):
+        flags = rng.random((runs, length)) < rate
+        flags[:, 0] = True
+        # The windows as ``_observe`` lays them out: a strided view of the flags.
+        windows = sliding_window_view(flags, n, axis=1).swapaxes(0, 1).reshape(-1, n)
+        expected, inverse = np.unique(windows, axis=0, return_inverse=True)
+        patterns, pattern = observer_mod._distinct_rows(windows)
+        assert same_bits(patterns, expected)
+        assert same_bits(pattern, inverse.reshape(-1).astype(pattern.dtype))
+
+
 class TestBlockedPsdTests:
     """PSD tests run stacked per block, yet raise what a test per shape raises."""
 
@@ -698,11 +723,18 @@ class TestReferenceRecursion:
                 assert np.array_equal(ell.shape, shape)
 
 
+def wrapped_solve(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``_solve_regular`` through np.linalg.solve: the reference it must equal."""
+    out[...] = np.linalg.solve(a, b)
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 16])
 def test_stacked_calls_equal_per_matrix_calls(n):
     """The premise of the stacked kernel: each numpy call it makes on a stack
     gives every member the bits of the same call on that member alone, in the
-    operand layouts the kernel uses (M a transposed view of a solve result)."""
+    operand layouts the kernel uses (M a transposed view of a solve result, and
+    the fusion's product pair as ``_fuse_step`` leaves it in its buffers)."""
     rng = np.random.default_rng(n)
     runs, rows = 7, 5000
     A = rng.standard_normal((n, n))
@@ -721,10 +753,19 @@ def test_stacked_calls_equal_per_matrix_calls(n):
     stacked = (A @ P @ A.T, M @ W @ X, K @ P @ K.swapaxes(1, 2), X, np.linalg.eigvalsh(W + P),
                _traces(P), (A @ c)[..., 0], (M @ c)[..., 0], (K @ c)[..., 0])
     names = ("A S A^T", "M W M^T", "K P K^T", "solve", "eigvalsh", "trace", "A c", "M c", "K c")
-    for name, got, expected in zip(names, stacked, zip(*single)):
-        assert same_bits(got, np.array(expected)), name
+    single = [np.array(column) for column in zip(*single)]
+    for name, got, expected in zip(names, stacked, single):
+        assert same_bits(got, expected), name
     assert same_bits(P.trace(axis1=1, axis2=2), _traces(P))
-    # (S + S^T) / 2 into a buffer, and in place as the fusion step runs it.
+    # The solve without np.linalg.solve's wrapper, and the fusion's product pair
+    # read from the kernel's own buffers, in the layouts it computes them in.
+    assert same_bits(_solve_regular(W + P, P, out=np.empty_like(P)), X)
+    buffers = observer_mod._FusionBuffers(runs, n)
+    observer_mod._fuse_step(np.stack((W, P)), c, c, buffers, np.empty((3, runs, n, n)),
+                            test_singular=False)
+    assert same_bits(buffers.solution, X)
+    assert same_bits(buffers.products, single[1:3])  # M W M^T and K P K^T
+    # (S + S^T) / 2 into a buffer, as the steps run it, and in place.
     S = A @ P
     plain = np.array([(s + s.T) / 2.0 for s in S])
     assert same_bits(_symmetrize(S, out=np.empty_like(S)), plain)
@@ -754,13 +795,15 @@ class TestStackedSteps:
     def prior(P, c, model):
         Q = model.Q
         out = np.empty((2, *P.shape))
-        center, _ = observer_mod._prior_step(P, c, model.A, Q, np.array([np.trace(Q)]), out)
+        center, _ = observer_mod._prior_step(P, c, model.A, model.A.T, Q,
+                                             np.array([np.trace(Q)]), out)
         return out, center
 
     @staticmethod
     def fuse(W, c_meas, P, c_prior):
         out = np.empty((3, *W.shape))
-        center, _, M, p = observer_mod._fuse_step(W, c_meas, P, c_prior, np.eye(W.shape[1]),
+        buffers = observer_mod._FusionBuffers(*W.shape[:2])
+        center, _, M, p = observer_mod._fuse_step(np.stack((W, P)), c_meas, c_prior, buffers,
                                                   out)
         return out, center, M, p
 
@@ -805,6 +848,42 @@ class TestStackedSteps:
         if case == "point prior":
             assert not out[:, 1].any()  # the posterior is the prior's point
 
+    @pytest.mark.parametrize("case", ["bump", "zero sum"])
+    def test_solve_helper_never_sees_a_singular_member(self, case, monkeypatch):
+        """``_solve_regular`` gets only stacks that ``_singular`` has cleared, and
+        every result and error is that of solving with np.linalg.solve."""
+        rng = np.random.default_rng(5)
+        W = np.array([rand_spd(rng, 2) for _ in range(3)])
+        P = np.array([rand_spd(rng, 2) for _ in range(3)])
+        W[1] = P[1] = np.diag([1.0, 0.0]) if case == "bump" else 0.0  # W + P is singular
+        c_meas, c_prior = rng.standard_normal((2, 3, 2, 1))
+        received = []
+        helper = observer_mod._solve_regular
+
+        def spy(a, b, out):
+            received.extend(a.copy())
+            return helper(a, b, out=out)
+
+        outcomes = {}
+        for solve in (spy, wrapped_solve):
+            monkeypatch.setattr(observer_mod, "_solve_regular", solve)
+            outcomes[solve] = []
+            for members in ([0, 1, 2], [0], [1], [2]):  # the stack, then each member alone
+                try:
+                    result = self.fuse(W[members], c_meas[members], P[members], c_prior[members])
+                except SingularShapeError as err:
+                    result = str(err)
+                outcomes[solve].append(result)
+        assert len(received) == 2  # members 0 and 2, alone
+        assert not _singular(np.linalg.eigvalsh(np.array(received))).any()
+        assert not any(same_bits(a, W[1] + P[1]) for a in received)
+        for got, expected in zip(*outcomes.values()):
+            if isinstance(expected, str):
+                assert got == expected and "singular" in expected and case == "zero sum"
+            else:
+                assert all(same_bits(g, e) for g, e in zip(got, expected))
+        assert isinstance(outcomes[spy][2], str) == (case == "zero sum")
+
 
 class TestSingularityTestSkip:
     def test_bench_plant_skips_every_step(self, bench_model, bench_trigger):
@@ -812,6 +891,26 @@ class TestSingularityTestSkip:
                            bench_trigger)
         level = observer_mod._singularity_skip_level(bench_model, run.window_shapes)
         assert np.max(np.trace(run.shapes, axis1=1, axis2=2)) < level
+
+    def test_solve_helper_gets_only_cleared_stacks(self, bench_trigger, monkeypatch):
+        """In a run where the bump fires, ``_solve_regular`` gets no singular stack,
+        and the run has the bits of one that solves with np.linalg.solve."""
+        model = SystemModel(A=[[0.5, 1e-7], [0.0, 0.5]], C=[1.0, 0.0], Q=1e-12 * np.eye(2),
+                            R=0.5)
+        records = [MeasurementRecord(k, k % 2 == 0, 0.0) for k in range(60)]
+        received, bumps = [], []
+        helper, fusion_matrix = observer_mod._solve_regular, observer_mod._fusion_matrix
+        monkeypatch.setattr(observer_mod, "_fusion_matrix",
+                            lambda *args: bumps.append(None) or fusion_matrix(*args))
+        monkeypatch.setattr(observer_mod, "_solve_regular",
+                            lambda a, b, out: received.append(a.copy()) or helper(a, b, out=out))
+        run = observer_run(records, model, bench_trigger)
+        assert received and bumps
+        assert not _singular(np.linalg.eigvalsh(np.concatenate(received))).any()
+        monkeypatch.setattr(observer_mod, "_solve_regular", wrapped_solve)
+        expected = observer_run(records, model, bench_trigger)
+        for name in ("centers", "shapes", "prior_centers", "prior_shapes"):
+            assert same_bits(getattr(run, name), getattr(expected, name)), name
 
     def test_bump_fires_where_the_skip_bound_fails(self, bench_trigger, monkeypatch):
         # O is nearly singular (cond about 1e7) and Q tiny, so W + P comes within

@@ -350,6 +350,25 @@ def test_sweep_holds_one_group_within_its_byte_budget(bench_model, bench_trigger
     assert 0 < peak <= simulation_mod.SWEEP_GROUP_BYTES
 
 
+def test_sweep_result_keeps_no_distance_lists(bench_model, bench_trigger):
+    """What a sweep returns grows by under 1 KB a seed: its metrics drop the
+    per-step distances, a pointer and a float object per step."""
+    base = SimConfig(model=bench_model, trigger=bench_trigger, x0=[0.0, 0.0], N=2000, seed=0)
+    seeds = list(range(20))
+    run_seed_sweep(base, seeds[:1])  # lazy imports and caches, which are not the result's
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        results = run_seed_sweep(base, seeds)
+        retained = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert [seed for seed, _ in results] == seeds
+    assert retained < 1024 * len(seeds)
+    solo = run_closed_loop(replace(base, seed=seeds[-1]))[2]
+    assert results[-1][1] == solo and solo.distances and not results[-1][1].distances
+
+
 _default_rng = np.random.default_rng
 
 
