@@ -4,6 +4,13 @@ Configs are JSON documents with row-major matrices under the keys A, C, Q, R,
 Gamma, Gamma_e, and optionally a, x0, N, seed. Numeric file output uses 17
 significant digits so replaying an emitted log reproduces estimator columns
 byte for byte.
+
+Every number that ``check`` lists and the CSV writers write is the text that
+``'%.17g' % v`` (for an integer, ``'%d' % k``) gives, made for a whole array at
+once: ``_float_fields`` and ``_int_fields`` turn an array into NUL-padded ASCII
+fields, and ``_join_rows`` lays fields and literal separators out row by row
+and drops the padding, so a block of lines becomes one bytes object without a
+Python string per number.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from itertools import combinations
@@ -26,6 +34,7 @@ from .observability import (
     UnstableSystemError,
     WeightVector,
     WindowSolver,
+    _squared_level,
     convergence_bound,
     observability_matrix,
 )
@@ -35,16 +44,22 @@ from .simulation import Metrics, SimConfig, Trace, run_closed_loop, run_seed_swe
 BOUNDARY_POINTS = 64
 PLOT_STEPS = 10
 # Line ending of every CSV file, that of the csv module's default dialect.
-ROW_END = "\r\n"
+ROW_END = b"\r\n"
 # check lists every one of the 2^n event patterns; refuse beyond this n.
 PATTERN_LISTING_CAP = 20
 # check computes and writes its listing a block of patterns at a time; a
 # block is the largest power of two of patterns whose (patterns, n) table of
-# trace terms fits in this many bytes (256 patterns at n = 16). At n = 16 the
-# peak traced allocation of a check is then within 25 KB of that of a listing
-# made one pattern at a time; twice and four times this size raised it by
-# about 130 and 270 KB and saved about 13% of its time.
-PATTERN_BLOCK_BYTES = 1 << 15
+# trace terms fits in this many bytes (2048 patterns at n = 16). Measured at
+# n = 16 in-process on 2 cores (numpy 2.4.6), a check took 57, 48, 38, 33 and
+# 34 ms with blocks of 512, 1024, 2048, 4096 and 8192 patterns, and the peak
+# traced allocation was 0.28, 0.38, 0.61, 1.17 and 2.28 MB; formatting the
+# listing line by line peaks at 0.18 MB and takes about 75 ms there.
+PATTERN_BLOCK_BYTES = 1 << 18
+# The CSV writers format and write this many numbers at a time, in whole rows.
+# Measured on a 1000-step simulate at n = 6, 2^11 keeps the peak traced
+# allocation of the command at that of writers that format line by line
+# (1.4 MB); 2^13 took about 30% less time in the writers and added 1.5 MB.
+TABLE_BLOCK_FIELDS = 1 << 11
 
 
 class ConfigError(ValueError):
@@ -55,9 +70,211 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _bits(code: int, width: int) -> str:
-    """``code`` as a string of ``width`` binary digits; empty for width 0."""
-    return format(code, f"0{width}b") if width else ""
+# The widest '%.17g' of a double, as in '-1.2345678901234567e-308'.
+FIELD_WIDTH = 24
+# Dekker's splitting constant 2^27 + 1: a double a is hi + lo with hi = the
+# top 26 bits of a, so that products of halves are exact.
+_SPLIT = 134217729.0
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of each element into two halves that sum to it exactly."""
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+# 10^k for k = 0 .. 20, all exact doubles, and their halves.
+_SCALES = np.array([float(10**k) for k in range(21)])
+_SCALE_HALVES = _halves(_SCALES)
+
+
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The digit table: each group "0000" .. "9999" as its four ASCII digits
+    in one uint32 word, and its number of trailing zero digits ("0000" has four)."""
+    digits = np.empty((10, 10, 10, 10, 4), np.uint8)
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for place in range(4):
+        digits[..., place] = ascii_digits.reshape((10,) + (1,) * (3 - place))
+    groups = np.arange(10000, dtype=np.uint16)
+    trailing = sum(groups % np.uint16(10**place) == 0 for place in range(1, 5))
+    return digits.reshape(10000, 4).view(np.uint32).ravel(), trailing.astype(np.uint8)
+
+
+_GROUP_DIGITS, _GROUP_TRAILING_ZEROS = _group_tables()
+
+
+def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed-form layout of a field, one row per (sign, X, K).
+
+    X in [-4, 16] is the decimal exponent of the value and K in [0, 16] the
+    index of its last digit kept after the trailing zeros are cut. Byte 0 of a
+    field is the sign, bytes 1 to 5 the "0.000" of X < 0 and bytes 6 to 23 the
+    digits with the point after digit X. The digits d_0 .. d_16 are read from a
+    buffer that holds d_j at byte 7 + j of the field (``aligned``) and from the
+    same buffer one byte on (``shifted``, d_j at byte 6 + j): digits up to X
+    come from the second and the ones after the point from the first. A field
+    is (aligned & ALIGNED) | (shifted & SHIFTED) | CHARS; padding is NUL.
+    """
+    x = np.arange(-4, 17, dtype=np.int8)[:, None, None]
+    last = np.arange(17, dtype=np.int8)[:, None]
+    at = np.arange(FIELD_WIDTH, dtype=np.int8)
+    shifted = (at >= 6) & (at - 6 <= np.where(x >= 0, np.minimum(x, last), last))
+    aligned = (x >= 0) & (at - 7 > x) & (at - 7 <= last)
+    zero = (x < 0) & ((at == 1) | ((at >= 3) & (at < 2 - x)))
+    point = ((x < 0) & (at == 2)) | ((x >= 0) & (x < last) & (at == 7 + x))
+    shape = (2, 21, 17, FIELD_WIDTH)
+    chars = np.zeros(shape, np.uint8)
+    chars[1, ..., 0] = ord("-")
+    chars += np.uint8(ord("0")) * zero + np.uint8(ord(".")) * point
+    return tuple(np.ascontiguousarray(np.broadcast_to(table, shape)).reshape(-1, FIELD_WIDTH)
+                 for table in (np.uint8(255) * aligned, np.uint8(255) * shifted, chars))
+
+
+_ALIGNED, _SHIFTED, _CHARS = _layout_tables()
+
+
+def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10^(16 - x) as the exact pair hi + lo (Dekker's product)."""
+    k = 16 - x
+    hi = a * _SCALES[k]
+    a_hi, a_lo = _halves(a)
+    s_hi, s_lo = _SCALE_HALVES[0][k], _SCALE_HALVES[1][k]
+    return hi, ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+
+
+def _exact_float_fields(values: np.ndarray) -> np.ndarray:
+    """``_float_fields`` of a 1-D array whose magnitudes all lie in [1e-4, 1e17).
+
+    There '%.17g' prints the 17-digit integer D = round-half-even(|v| 10^(16-X))
+    in fixed form, X being the decimal exponent of |v|. With 10^(16-X) exact
+    for X >= -4, the product is exact as a pair hi + lo; on [1e16, 1e17] hi is
+    an even integer, so D = hi + rint(lo) rounds half to even. D never rounds
+    up to 10^17: the largest double below each power of ten from 1e-3 to 1e17
+    scales to at least 8 below 10^17.
+    """
+    a = np.abs(values)
+    x = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    hi, lo = _scaled(a, x)
+    # log10 may put a value next to a power of ten one decade off.
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    if below.any() or above.any():
+        x += above
+        x -= below
+        hi, lo = _scaled(a, x)
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    top, bottom = np.divmod(digits, 10**8)
+    lead, top = np.divmod(top.astype(np.uint32), np.uint32(10**8))
+    groups = (*np.divmod(top, np.uint32(10000)), *np.divmod(bottom.astype(np.uint32),
+                                                             np.uint32(10000)))
+    m = values.size
+    # One field per row, plus a byte so that the shifted view has a last row.
+    aligned = np.zeros(m * FIELD_WIDTH + 1, np.uint8)
+    words = aligned[:-1].view(np.uint32).reshape(m, FIELD_WIDTH // 4)
+    for column, group in enumerate(groups, start=2):
+        words[:, column] = _GROUP_DIGITS[group]
+    aligned[7:-1:FIELD_WIDTH] = lead + ord("0")
+    # D's trailing zero digits, group by group: an all-zero group adds four,
+    # any other group has only its own (D's leading digit is never zero).
+    trailing = _GROUP_TRAILING_ZEROS[groups[0]]
+    for group in groups[1:]:
+        trailing = np.where(group == 0, trailing + 4, _GROUP_TRAILING_ZEROS[group])
+    layout = (np.signbit(values) * 21 + x + 4) * 17 + np.maximum(x, 16 - trailing)
+    fields = np.take(_ALIGNED, layout, axis=0).ravel()
+    fields &= aligned[:-1]
+    part = np.take(_SHIFTED, layout, axis=0).ravel()
+    part &= aligned[1:]
+    fields |= part
+    fields |= np.take(_CHARS, layout, axis=0).ravel()
+    return fields.reshape(m, FIELD_WIDTH)
+
+
+def _float_fields(values) -> np.ndarray:
+    """'%.17g' % v of every element, as ASCII fields of shape values.shape + (24,)
+    whose NUL bytes, wherever they stand, are padding.
+
+    Magnitudes in [1e-4, 1e17) go through ``_exact_float_fields``; the rest
+    (zeros, subnormals, exponent forms, infinities and NaN) through '%.17g'.
+    """
+    values = np.asarray(values, dtype=float)
+    flat = values.ravel()
+    a = np.abs(flat)
+    exact = (a >= 1e-4) & (a < 1e17)
+    if exact.all():
+        fields = _exact_float_fields(flat)
+    else:
+        fields = np.empty((flat.size, FIELD_WIDTH), np.uint8)
+        fields[exact] = _exact_float_fields(flat[exact])
+        fields[~exact] = _text_fields([b"%.17g" % v for v in flat[~exact].tolist()],
+                                      FIELD_WIDTH)
+    return fields.reshape(values.shape + (FIELD_WIDTH,))
+
+
+# An integer field holds at most four groups of digits.
+_INT_LIMIT = 10**16
+
+
+def _int_fields(values) -> np.ndarray:
+    """'%d' % k of each element of a 1-D array of integers in [0, 10^16), as
+    NUL-padded ASCII fields four digits per group wide, read from the digit
+    table; leading zeros are NUL."""
+    values = np.asarray(values, dtype=np.int64)
+    width = 4 * max(1, -(-len(str(int(values.max(initial=0)))) // 4))
+    words = np.empty((values.size, width // 4), np.uint32)
+    rest = values
+    for column in range(width // 4 - 1, -1, -1):
+        rest, words[:, column] = np.divmod(rest, 10000)
+    fields = _GROUP_DIGITS[words].view(np.uint8).reshape(values.size, width)
+    # Digit j counts 10^(width - 1 - j): a leading zero while the value is
+    # below that. The last digit always stays.
+    fields[:, :-1][values[:, None] < 10 ** np.arange(width - 1, 0, -1)] = 0
+    return fields
+
+
+def _text_fields(texts: list[bytes], width: int | None = None) -> np.ndarray:
+    """Byte strings as NUL-padded fields, ``width`` wide or as wide as the longest."""
+    fields = np.array(texts, dtype=f"S{width or max([1, *map(len, texts)])}")
+    return fields.view(np.uint8).reshape(len(texts), fields.itemsize)
+
+
+def _step_fields(first: int, count: int) -> np.ndarray:
+    """Fields of the step numbers first, first + 1, ..., first + count - 1."""
+    if first + count <= _INT_LIMIT:
+        return _int_fields(np.arange(first, first + count))
+    return _text_fields([b"%d" % k for k in range(first, first + count)])
+
+
+def _csv_fields(fields: np.ndarray) -> np.ndarray:
+    """(rows, c, width) fields as one (rows, c * (width + 1) - 1) part with a
+    comma between consecutive fields."""
+    rows, count, width = fields.shape
+    joined = np.full((rows, count, width + 1), ord(","), np.uint8)
+    joined[:, :, :width] = fields
+    return joined.reshape(rows, -1)[:, :-1]
+
+
+def _join_rows(parts: list) -> bytes:
+    """Row by row, the concatenation of ``parts``, NUL padding dropped.
+
+    A part is a literal (bytes, the same in every row) or an array of fields
+    whose first axis is the row.
+    """
+    rows = next(len(part) for part in parts if isinstance(part, np.ndarray))
+    parts = [np.frombuffer(part, np.uint8) if isinstance(part, bytes)
+             else part.reshape(rows, -1) for part in parts]
+    table = np.empty((rows, sum(part.shape[-1] for part in parts)), np.uint8)
+    at = 0
+    for part in parts:
+        table[:, at:at + part.shape[-1]] = part
+        at += part.shape[-1]
+    return table[table != 0].tobytes()
+
+
+def _row_blocks(rows: int, fields_per_row: int) -> list[slice]:
+    """Consecutive slices of whole rows, about ``TABLE_BLOCK_FIELDS`` fields each."""
+    step = max(1, TABLE_BLOCK_FIELDS // fields_per_row)
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def load_config(path: str | Path) -> dict:
@@ -183,20 +400,16 @@ def cmd_check(config_path: str) -> int:
     print(f"worst_pattern: {solver.worst_pattern}")
     # The listing runs in sorted bit-string order, a block of 2^low patterns at
     # a time: a block's patterns share their first n-low flags and run through
-    # every combination of the last low flags, so one template and one flag
-    # table of those serve every block.
+    # every combination of the last low flags, so one flag table serves every
+    # block, and its flags as ASCII digits are the patterns' bit strings.
     low = min(n, (PATTERN_BLOCK_BYTES // (8 * n)).bit_length() - 1)
-    tails = [_bits(code, low) for code in range(2**low)]
-    template = "".join(f"pattern %s{tail}: %.17g\n" for tail in tails)
     flags = np.empty((2**low, n), dtype=bool)
-    flags[:, n - low:] = [[bit == "1" for bit in tail] for tail in tails]
-    fill = [None] * 2 ** (low + 1)
+    flags[:, n - low:] = np.arange(2**low)[:, None] >> np.arange(low - 1, -1, -1) & 1
     for code in range(2 ** (n - low)):
-        head = _bits(code, n - low)
-        flags[:, :n - low] = [bit == "1" for bit in head]
-        fill[0::2] = [head] * 2**low
-        fill[1::2] = solver.pattern_trace(flags).tolist()
-        print(template % tuple(fill), end="")
+        flags[:, :n - low] = code >> np.arange(n - low - 1, -1, -1) & 1
+        lines = _join_rows([b"pattern ", flags.view(np.uint8) + ord("0"), b": ",
+                            _float_fields(solver.pattern_trace(flags)), b"\n"])
+        print(lines.decode("ascii"), end="")
     print("epsilon-observable: yes")
     return 0
 
@@ -209,7 +422,7 @@ def cmd_bound(config_path: str) -> int:
         print(f"bound undefined: {err}")
         return 1
     print(f"asymptotic sqrt-trace bound: {_fmt(bound)}")
-    print(f"asymptotic trace bound: {_fmt(bound ** 2)}")
+    print(f"asymptotic trace bound: {_fmt(_squared_level(bound))}")
     return 0
 
 
@@ -226,19 +439,26 @@ def _write_step_table(
         + [f"x_hat{i + 1}" for i in range(n)]
         + ["gamma", "y", "y_tau", "trace_P_hat", "gen_distance"]
     )
-    with_estimate = "%d," + "%.17g," * (2 * n) + "%d,%.17g,%.17g,%.17g,%.17g" + ROW_END
-    without_estimate = "%d," + "%.17g," * n + "," * n + "%d,%.17g,%.17g,," + ROW_END
-    traces = np.trace(estimates.shapes, axis1=1, axis2=2)
-    rows = zip(trace.states.tolist(), trace.flags.tolist(), trace.outputs.tolist(),
-               trace.references.tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + ROW_END)
-        for k, (plant, *channel) in enumerate(rows):
-            if k < len(estimates):
-                fh.write(with_estimate % (k, *plant, *estimates.centers[k].tolist(), *channel,
-                                          traces[k], distances[k]))
-            else:
-                fh.write(without_estimate % (k, *plant, *channel))
+    steps, estimated = len(trace.flags), len(estimates)
+    # Columns x, x_hat, y, y_tau, trace_P_hat, gen_distance; the estimate
+    # columns hold 1.0 past the last estimate and are emptied once formatted.
+    values = np.ones((steps, 2 * n + 4))
+    values[:, :n] = trace.states
+    values[:estimated, n:2 * n] = estimates.centers
+    values[:, 2 * n:2 * n + 2] = np.column_stack([trace.outputs, trace.references])
+    values[:estimated, 2 * n + 2] = np.trace(estimates.shapes, axis1=1, axis2=2)
+    values[:estimated, 2 * n + 3] = distances
+    empty = np.zeros(2 * n + 4, dtype=bool)
+    empty[n:2 * n] = empty[2 * n + 2:] = True
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + ROW_END)
+        for rows in _row_blocks(steps, 2 * n + 4):
+            fields = _float_fields(values[rows])
+            fields[max(0, estimated - rows.start):, empty] = 0
+            fh.write(_join_rows([
+                _step_fields(rows.start, len(fields)), b",", _csv_fields(fields[:, :2 * n]), b",",
+                _int_fields(trace.flags[rows]), b",", _csv_fields(fields[:, 2 * n:]), ROW_END,
+            ]))
 
 
 def _write_replay_table(path: Path, first_k: int, flags: np.ndarray, references: np.ndarray,
@@ -246,30 +466,57 @@ def _write_replay_table(path: Path, first_k: int, flags: np.ndarray, references:
     """One row per step of the log; estimate i belongs to step ``first_k + i``,
     as the run starts at the first step of the consecutive log."""
     header = ["k"] + [f"x_hat{i + 1}" for i in range(n)] + ["gamma", "y_tau", "trace_P_hat"]
-    with_estimate = "%d," + "%.17g," * n + "%d,%.17g,%.17g" + ROW_END
-    without_estimate = "%d," + "," * n + "%d,%.17g," + ROW_END
-    traces = np.trace(estimates.shapes, axis1=1, axis2=2)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + ROW_END)
-        for i, (gamma, y_tau) in enumerate(zip(flags.tolist(), references.tolist())):
-            if i < len(estimates):
-                fh.write(with_estimate % (first_k + i, *estimates.centers[i].tolist(),
-                                          gamma, y_tau, traces[i]))
-            else:
-                fh.write(without_estimate % (first_k + i, gamma, y_tau))
+    steps, estimated = len(flags), len(estimates)
+    # Columns x_hat, y_tau, trace_P_hat; the estimate columns hold 1.0 past
+    # the last estimate and are emptied once formatted.
+    values = np.ones((steps, n + 2))
+    values[:estimated, :n] = estimates.centers
+    values[:, n] = references
+    values[:estimated, n + 1] = np.trace(estimates.shapes, axis1=1, axis2=2)
+    empty = np.ones(n + 2, dtype=bool)
+    empty[n] = False
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + ROW_END)
+        for rows in _row_blocks(steps, n + 2):
+            fields = _float_fields(values[rows])
+            fields[max(0, estimated - rows.start):, empty] = 0
+            fh.write(_join_rows([
+                _step_fields(first_k + rows.start, len(fields)), b",",
+                _csv_fields(fields[:, :n]), b",", _int_fields(flags[rows]), b",",
+                _csv_fields(fields[:, n:]), ROW_END,
+            ]))
 
 
 def _write_log(path: Path, flags: np.ndarray, references: np.ndarray) -> None:
     """The channel log of steps 0, 1, ... from its flag and reference arrays."""
-    with open(path, "w", newline="") as fh:
-        fh.write("k,gamma,y_tau" + ROW_END)
-        for k, (gamma, y_tau) in enumerate(zip(flags.tolist(), references.tolist())):
-            fh.write("%d,%d,%.17g%s" % (k, gamma, y_tau, ROW_END))
+    with open(path, "wb") as fh:
+        fh.write(b"k,gamma,y_tau" + ROW_END)
+        for rows in _row_blocks(len(flags), 1):
+            fh.write(_join_rows([
+                _step_fields(rows.start, len(flags[rows])), b",", _int_fields(flags[rows]), b",",
+                _float_fields(references[rows]), ROW_END,
+            ]))
+
+
+def _dict_row(header: list[str], row: list[str]) -> dict:
+    """The dict ``csv.DictReader`` makes of ``row`` under ``header``: cells past
+    the header are a list under the key None, and missing cells are None."""
+    record = dict(zip(header, row))
+    if len(row) > len(header):
+        record[None] = row[len(header):]
+    for name in header[len(row):]:
+        record[name] = None
+    return record
 
 
 def read_log(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
     """Parse a channel log into its first step k and its event flag and
-    reference arrays; event flags must be 0 or 1 and steps contiguous."""
+    reference arrays; event flags must be 0 or 1 and steps contiguous.
+
+    Columns are found by the names in the header row, as ``csv.DictReader``
+    finds them: a name repeated in the header means its last column, and
+    blank rows are skipped.
+    """
     ks, flags, references = [], [], []
     try:
         fh = open(path, newline="")
@@ -277,18 +524,26 @@ def read_log(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
         raise ConfigError(f"cannot open log file {path}: {err.strerror}") from err
     with fh:
         try:
-            rows = list(csv.DictReader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]
         except UnicodeDecodeError as err:
             raise ConfigError(f"{path}: cannot decode text: {err}") from err
+    columns = {name: i for i, name in enumerate(header)}
+    width = len(header)
     for row in rows:
+        # A short row reads None in its missing cells.
+        cells = row if len(row) >= width else row + [None] * (width - len(row))
         try:
-            gamma = int(row["gamma"])
+            gamma = int(cells[columns["gamma"]])
             if gamma not in (0, 1):
                 raise ValueError(f"event flag gamma must be 0 or 1, got {gamma}")
-            k, y_tau = int(row["k"]), float(row["y_tau"])
+            k, y_tau = int(cells[columns["k"]]), float(cells[columns["y_tau"]])
             _require_record(k, y_tau)
         except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"{path}: malformed log row {row}: {err}") from err
+            raise ConfigError(
+                f"{path}: malformed log row {_dict_row(header, row)}: {err}"
+            ) from err
         ks.append(k)
         flags.append(gamma)
         references.append(y_tau)
@@ -337,15 +592,19 @@ def _write_polylines(out_dir: Path, estimates: ObserverRun, n: int) -> list[str]
     roots = shape_sqrt(blocks)
     angles = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_POINTS, endpoint=False)
     circle = np.vstack([np.cos(angles), np.sin(angles)])
-    # One row format per set: its step and kind, then a point.
-    template = "".join((label + "%.17g,%.17g" + ROW_END) * BOUNDARY_POINTS for label in labels)
+    # Each row is a set's step and kind, then a point.
+    label_fields = np.repeat(_text_fields([label.encode() for label in labels]),
+                             BOUNDARY_POINTS, axis=0)
     names = []
     for (i, j), pair_centers, pair_roots in zip(pairs, block_centers, roots):
         name = "ellipsoids.csv" if n == 2 else f"ellipsoids_x{i + 1}x{j + 1}.csv"
         points = pair_centers[:, :, None] + pair_roots @ circle  # (set, coordinate, point)
-        with open(out_dir / name, "w", newline="") as fh:
-            fh.write("step,set_kind,x1,x2" + ROW_END)
-            fh.write(template % tuple(points.swapaxes(1, 2).ravel().tolist()))
+        points = points.swapaxes(1, 2).reshape(-1, 2)
+        with open(out_dir / name, "wb") as fh:
+            fh.write(b"step,set_kind,x1,x2" + ROW_END)
+            for rows in _row_blocks(len(points), 2):
+                fh.write(_join_rows([label_fields[rows], _csv_fields(_float_fields(points[rows])),
+                                     ROW_END]))
         names.append(name)
     return names
 
@@ -406,11 +665,14 @@ def cmd_simulate(config_path: str, out_dir: str, seeds: int | None = None) -> in
         bound = solver.bound()
     except UnstableSystemError:
         bound = None
+    # JSON has no infinity: a trace bound that overflows is null, as an undefined one is.
+    bound_trace = _squared_level(bound) if bound is not None else math.inf
+    bound_trace = bound_trace if math.isfinite(bound_trace) else None
     summary = {
         "epsilon": solver.epsilon,
         "worst_pattern": solver.worst_pattern,
         "bound_sqrt_trace": bound,
-        "bound_trace": bound**2 if bound is not None else None,
+        "bound_trace": bound_trace,
         "metrics": _metrics_dict(metrics),
         "config": config_echo(config),
         "files": {"steps": "steps.csv", "log": "log.csv", "ellipsoids": polylines},

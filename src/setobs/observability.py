@@ -11,6 +11,7 @@ an asymptotic one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -346,3 +347,12 @@ def _sqrt_trace_level(model: SystemModel, epsilon: float, norm_a: float) -> floa
     """
     gain = np.sqrt(epsilon) + float(np.sqrt(np.trace(model.Q)))
     return gain / (1.0 - norm_a) if norm_a < 1.0 else gain
+
+
+def _squared_level(level: float) -> float:
+    """The trace level of a sqrt-trace level: ``level ** 2``, or inf where the
+    square overflows a double."""
+    try:
+        return float(level) ** 2
+    except OverflowError:
+        return math.inf

@@ -38,6 +38,7 @@ from .observability import (
     WindowSolver,
     spectral_norm,
     _sqrt_trace_level,
+    _squared_level,
 )
 
 # Abort when the posterior trace exceeds this multiple of the squared
@@ -401,7 +402,7 @@ def _observe(
     shapes = np.empty((steps, runs, n, n))
     prior_centers = np.full((steps, runs, n), np.nan)
     prior_shapes = np.full((steps, runs, n, n), np.nan)
-    guard = DIVERGENCE_FACTOR * guard_threshold(model, solver.epsilon) ** 2
+    guard = DIVERGENCE_FACTOR * _squared_level(guard_threshold(model, solver.epsilon))
     skip_level = _singularity_skip_level(model, window_shapes)
     settled = min(guard, skip_level)
     A, Q = model.A, model.Q

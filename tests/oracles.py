@@ -9,7 +9,9 @@ per-set polyline writer is what the CLI's stacked writer must reproduce byte
 for byte, the scipy-wrapped generalized distance is what the metrics' stacked
 numpy distances must reproduce to rounding, and the per-pattern listing is what
 ``check``'s blocked listing must print. The per-step plant, trigger and noise
-draws are what the simulation's batched plant must reproduce bit for bit.
+draws are what the simulation's batched plant must reproduce bit for bit. The
+``csv.DictReader`` log reader is what ``read_log`` must match, in its results
+and in its messages.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from setobs import (
     epsilon_observability,
     minkowski_sum_outer,
 )
-from setobs.cli import BOUNDARY_POINTS, PLOT_STEPS
+from setobs.cli import BOUNDARY_POINTS, PLOT_STEPS, ConfigError
 from setobs.ellipsoid import _draw, shape_sqrt
+from setobs.observer import _require_record
 from setobs.observability import SystemModel, TriggerConfig, WindowSolver
 from setobs.simulation import _noise_roots
 
@@ -231,3 +234,26 @@ def _draw_noise(
     """``sample_noise`` from precomputed roots: w first, then v."""
     w = _draw(np.zeros(roots[0].shape[0]), roots[0], rng)
     return w, _draw_v(roots, rng)
+
+
+def read_log_rows(path) -> tuple[int, np.ndarray, np.ndarray]:
+    """A channel log read through ``csv.DictReader``, one row dict at a time,
+    with the checks and messages of ``read_log``."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    ks, flags, references = [], [], []
+    for row in rows:
+        try:
+            gamma = int(row["gamma"])
+            if gamma not in (0, 1):
+                raise ValueError(f"event flag gamma must be 0 or 1, got {gamma}")
+            k, y_tau = int(row["k"]), float(row["y_tau"])
+            _require_record(k, y_tau)
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"{path}: malformed log row {row}: {err}") from err
+        ks.append(k)
+        flags.append(gamma)
+        references.append(y_tau)
+    if not ks:
+        raise ConfigError(f"{path}: log is empty")
+    return ks[0], np.array(flags, dtype=bool), np.array(references)

@@ -535,6 +535,30 @@ class TestOverflow:
         assert code == 1 and out == ""
         assert err == "error: epsilon overflows float64: inf\n"
 
+    def test_guard_whose_square_overflows(self, tmp_path):
+        # Finite epsilon and bound, but the bound squared, as the trace bound
+        # and the divergence guard take it, overflows: both saturate to inf.
+        path = write_config(tmp_path, A=[[0.9999999999999999]], C=[1.0], Q=[[1e290]], R=1.0,
+                            Gamma=1e290, Gamma_e=1e289, a=None, x0=[0.0], N=20)
+        sim, replay = tmp_path / "sim", tmp_path / "replay"
+        runs = {}
+        for args in (["simulate", "--config", str(path), "--out", str(sim)],
+                     ["replay", "--config", str(path), "--log", str(sim / "log.csv"),
+                      "--out", str(replay)],
+                     ["bound", "--config", str(path)]):
+            with run_cli(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                out, err = proc.communicate(timeout=120)
+            assert (proc.returncode, err) == (0, b""), args[0]
+            runs[args[0]] = out
+        assert runs["bound"].endswith(b"\nasymptotic trace bound: inf\n")
+
+        def no_constant(name):
+            raise AssertionError(f"summary.json holds {name}, which is not JSON")
+
+        summary = json.loads((sim / "summary.json").read_text(), parse_constant=no_constant)
+        assert summary["bound_trace"] is None
+        assert summary["bound_sqrt_trace"] == pytest.approx(1.8014398509481984e161)
+
 
 class TestOverflowingPlant:
     """A plant whose numbers overflow float64 stops with one error line and no

@@ -50,6 +50,10 @@ CONFIGS = {
     "n16": bench_plant("n16", 100),
     # An unstable plant: simulate stops with a resolution error.
     "unstable": {**PAPER, "A": [[1.3, 0.1], [0.0, 1.2]], "C": [1.0, 0.0]},
+    # Numbers outside [1e-4, 1e17), which '%.17g' prints in exponent form: states
+    # near 1e17, traces near 1e36, a tiny first state with a subnormal entry.
+    "extreme": {**PAPER, "Q": [[1e36, 0.0], [0.0, 1e36]], "R": 1e-30,
+                "x0": [3e-5, -7e-310], "N": 60},
 }
 
 COMMANDS = {
