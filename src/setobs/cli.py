@@ -10,7 +10,7 @@ Every number that ``check`` lists and the CSV writers write is the text that
 once: ``_float_fields`` and ``_int_fields`` turn an array into NUL-padded ASCII
 fields, and ``_join_rows`` lays fields and literal separators out row by row
 and drops the padding, so a block of lines becomes one bytes object without a
-Python string per number.
+Python string per number. Every CSV file is written by ``_write_csv``.
 """
 
 from __future__ import annotations
@@ -426,6 +426,45 @@ def cmd_bound(config_path: str) -> int:
     return 0
 
 
+def _write_csv(path: Path, header: list[str], lead: int | np.ndarray,
+               columns: list[np.ndarray]) -> None:
+    """A CSV file: the ``header`` line, then one row per row of the columns.
+
+    ``lead`` opens each row: an int numbers the rows from that step on, and an
+    array gives each row's leading fields. A column is a 1-D or (rows, c)
+    array, written as '%.17g' if it holds floats and as 0 or 1 if it holds
+    flags (bools). A float column shorter than the file leaves its fields
+    empty after its last row. The rows go out ``_row_blocks`` at a time, and a
+    block's floats are formatted in one ``_float_fields`` call.
+    """
+    columns = [column[:, None] if column.ndim == 1 else column for column in columns]
+    rows = max(map(len, columns))
+    # Each float column's fields among a row's floats; None for a flag column.
+    slots, width = [], 0
+    for column in columns:
+        slots.append(None if column.dtype == bool else slice(width, width + column.shape[1]))
+        width = width if column.dtype == bool else width + column.shape[1]
+    # A short column's missing rows are formatted from 1.0, a value of the
+    # exact path, and then emptied.
+    values = np.ones((rows, width))
+    for column, slot in zip(columns, slots):
+        if slot is not None:
+            values[:len(column), slot] = column
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + ROW_END)
+        for block in _row_blocks(rows, width):
+            fields = _float_fields(values[block])
+            parts = [_step_fields(lead + block.start, len(fields)) if isinstance(lead, int)
+                     else lead[block]]
+            for column, slot in zip(columns, slots):
+                if slot is None:
+                    parts += [b",", column[block].view(np.uint8) + ord("0")]
+                else:
+                    fields[max(0, len(column) - block.start):, slot] = 0
+                    parts += [b",", _csv_fields(fields[:, slot])]
+            fh.write(_join_rows(parts + [ROW_END]))
+
+
 def _write_step_table(
     path: Path, trace: Trace, estimates: ObserverRun, distances: list[float]
 ) -> None:
@@ -439,26 +478,10 @@ def _write_step_table(
         + [f"x_hat{i + 1}" for i in range(n)]
         + ["gamma", "y", "y_tau", "trace_P_hat", "gen_distance"]
     )
-    steps, estimated = len(trace.flags), len(estimates)
-    # Columns x, x_hat, y, y_tau, trace_P_hat, gen_distance; the estimate
-    # columns hold 1.0 past the last estimate and are emptied once formatted.
-    values = np.ones((steps, 2 * n + 4))
-    values[:, :n] = trace.states
-    values[:estimated, n:2 * n] = estimates.centers
-    values[:, 2 * n:2 * n + 2] = np.column_stack([trace.outputs, trace.references])
-    values[:estimated, 2 * n + 2] = np.trace(estimates.shapes, axis1=1, axis2=2)
-    values[:estimated, 2 * n + 3] = distances
-    empty = np.zeros(2 * n + 4, dtype=bool)
-    empty[n:2 * n] = empty[2 * n + 2:] = True
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode() + ROW_END)
-        for rows in _row_blocks(steps, 2 * n + 4):
-            fields = _float_fields(values[rows])
-            fields[max(0, estimated - rows.start):, empty] = 0
-            fh.write(_join_rows([
-                _step_fields(rows.start, len(fields)), b",", _csv_fields(fields[:, :2 * n]), b",",
-                _int_fields(trace.flags[rows]), b",", _csv_fields(fields[:, 2 * n:]), ROW_END,
-            ]))
+    _write_csv(path, header, 0, [
+        trace.states, estimates.centers, trace.flags, trace.outputs, trace.references,
+        np.trace(estimates.shapes, axis1=1, axis2=2), np.asarray(distances, dtype=float),
+    ])
 
 
 def _write_replay_table(path: Path, first_k: int, flags: np.ndarray, references: np.ndarray,
@@ -466,36 +489,14 @@ def _write_replay_table(path: Path, first_k: int, flags: np.ndarray, references:
     """One row per step of the log; estimate i belongs to step ``first_k + i``,
     as the run starts at the first step of the consecutive log."""
     header = ["k"] + [f"x_hat{i + 1}" for i in range(n)] + ["gamma", "y_tau", "trace_P_hat"]
-    steps, estimated = len(flags), len(estimates)
-    # Columns x_hat, y_tau, trace_P_hat; the estimate columns hold 1.0 past
-    # the last estimate and are emptied once formatted.
-    values = np.ones((steps, n + 2))
-    values[:estimated, :n] = estimates.centers
-    values[:, n] = references
-    values[:estimated, n + 1] = np.trace(estimates.shapes, axis1=1, axis2=2)
-    empty = np.ones(n + 2, dtype=bool)
-    empty[n] = False
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode() + ROW_END)
-        for rows in _row_blocks(steps, n + 2):
-            fields = _float_fields(values[rows])
-            fields[max(0, estimated - rows.start):, empty] = 0
-            fh.write(_join_rows([
-                _step_fields(first_k + rows.start, len(fields)), b",",
-                _csv_fields(fields[:, :n]), b",", _int_fields(flags[rows]), b",",
-                _csv_fields(fields[:, n:]), ROW_END,
-            ]))
+    _write_csv(path, header, first_k, [
+        estimates.centers, flags, references, np.trace(estimates.shapes, axis1=1, axis2=2),
+    ])
 
 
 def _write_log(path: Path, flags: np.ndarray, references: np.ndarray) -> None:
     """The channel log of steps 0, 1, ... from its flag and reference arrays."""
-    with open(path, "wb") as fh:
-        fh.write(b"k,gamma,y_tau" + ROW_END)
-        for rows in _row_blocks(len(flags), 1):
-            fh.write(_join_rows([
-                _step_fields(rows.start, len(flags[rows])), b",", _int_fields(flags[rows]), b",",
-                _float_fields(references[rows]), ROW_END,
-            ]))
+    _write_csv(path, ["k", "gamma", "y_tau"], 0, [flags, references])
 
 
 def _dict_row(header: list[str], row: list[str]) -> dict:
@@ -578,7 +579,7 @@ def _write_polylines(out_dir: Path, estimates: ObserverRun, n: int) -> list[str]
         for kind, ell in (("measurement", out.measurement_set), ("prior", out.prior_set),
                           ("posterior", out.posterior_set)):
             if ell is not None:
-                labels.append(f"{out.k},{kind},")
+                labels.append(f"{out.k},{kind}")
                 centers.append(ell.center)
                 shapes.append(ell.shape)
     pairs = list(combinations(range(n), 2))
@@ -599,12 +600,8 @@ def _write_polylines(out_dir: Path, estimates: ObserverRun, n: int) -> list[str]
     for (i, j), pair_centers, pair_roots in zip(pairs, block_centers, roots):
         name = "ellipsoids.csv" if n == 2 else f"ellipsoids_x{i + 1}x{j + 1}.csv"
         points = pair_centers[:, :, None] + pair_roots @ circle  # (set, coordinate, point)
-        points = points.swapaxes(1, 2).reshape(-1, 2)
-        with open(out_dir / name, "wb") as fh:
-            fh.write(b"step,set_kind,x1,x2" + ROW_END)
-            for rows in _row_blocks(len(points), 2):
-                fh.write(_join_rows([label_fields[rows], _csv_fields(_float_fields(points[rows])),
-                                     ROW_END]))
+        _write_csv(out_dir / name, ["step", "set_kind", "x1", "x2"], label_fields,
+                   [points.swapaxes(1, 2).reshape(-1, 2)])
         names.append(name)
     return names
 

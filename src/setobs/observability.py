@@ -161,12 +161,6 @@ def observability_matrix(model: SystemModel) -> np.ndarray:
     return np.vstack(rows)
 
 
-def is_full_rank(O: np.ndarray) -> bool:
-    """Rank test via singular values; determinants are scale-fragile."""
-    svals = np.linalg.svd(O, compute_uv=False)
-    return bool(svals[-1] > O.shape[0] * 1e-12 * svals[0])
-
-
 def epsilon_observability(
     model: SystemModel, trigger: TriggerConfig, a: WeightVector | None = None
 ) -> ObservabilityReport:
@@ -194,7 +188,7 @@ def epsilon_observability(
 
 
 class WindowSolver:
-    """The observability facts of one (model, trigger, weights) triple.
+    """The observability facts and levels of one (model, trigger, weights) triple.
 
     Caches the observability matrix O (validated full rank), the per-offset
     uncertainty table W[flag, i], the weights a and the diagonal of
@@ -203,6 +197,15 @@ class WindowSolver:
     cond(O)^2). Inverting a window then reduces to a diagonal scale and two
     linear solves, and the window-ellipsoid trace of an event pattern is
     Tr(O^-1 diag(W_i/a_i) O^-T) = sum_i (W_i/a_i) [(O O^T)^-1]_ii, an O(n) sum.
+
+    The levels that the bound and the observer read are computed here once:
+    ``cond`` = cond(O), from the rank test's singular values (the bits of
+    np.linalg.cond); ``norm_a`` = ||A||; and ``gain`` = sqrt(epsilon) +
+    sqrt(Tr Q), by which a step's sqrt-trace exceeds ||A|| times the last one
+    at most. ``bound`` is ``gain`` / (1 - ||A||). The observer's divergence
+    guard is a multiple of ``gain`` squared for every A, as a fused posterior
+    S_k of window set W_k and prior P_k has Tr S_k <= 2 Tr(W_k : P_k) <=
+    2 Tr W_k <= 2 epsilon (the parallel sum is concave), whatever A is.
 
     W_i bounds the output uncertainty at window offset i: the channel term
     (threshold without an event, transmit_error with one), the disturbance
@@ -227,8 +230,11 @@ class WindowSolver:
         O = observability_matrix(model)
         if not np.isfinite(O @ O.T).all():
             raise ValueError("the observability matrix O or O O^T overflows float64")
-        if not is_full_rank(O):
+        # Rank by singular values, as determinants are scale-fragile.
+        svals = np.linalg.svd(O, compute_uv=False)
+        if not svals[-1] > O.shape[0] * 1e-12 * svals[0]:
             raise NotObservableError("observability matrix is rank deficient")
+        self.cond = svals[0] / svals[-1]
         self.model = model
         self.n = model.n
         self.matrix = O
@@ -246,6 +252,8 @@ class WindowSolver:
         self.epsilon = self.pattern_trace([0] * self.n)
         if not np.isfinite(self.epsilon):
             raise ValueError(f"epsilon overflows float64: {self.epsilon}")
+        self.norm_a = spectral_norm(model.A)
+        self.gain = np.sqrt(self.epsilon) + float(np.sqrt(np.trace(model.Q)))
 
     @property
     def worst_pattern(self) -> str:
@@ -269,12 +277,14 @@ class WindowSolver:
         return float(traces) if flags.ndim == 1 else traces
 
     def bound(self) -> float:
-        """``convergence_bound`` of this solver's (model, trigger, weights).
+        """``convergence_bound`` of this solver's (model, trigger, weights):
+        ``gain`` / (1 - ``norm_a``), from the stored levels.
 
         Raises:
             UnstableSystemError: ||A|| >= 1 (trace growth is unbounded).
         """
-        return _sqrt_trace_level(self.model, self.epsilon, _stable_norm(self.model))
+        _require_stable(self.norm_a)
+        return self.gain / (1.0 - self.norm_a)
 
     def ellipsoid(self, flags: Sequence[int], references: Sequence[float]) -> Ellipsoid:
         """State set implied by one n-step window of set-valued measurements.
@@ -323,30 +333,22 @@ def convergence_bound(
     pattern. Finite only for a strictly stable A.
 
     Raises:
-        UnstableSystemError: ||A|| >= 1 (trace growth is unbounded).
+        UnstableSystemError: ||A|| >= 1 (trace growth is unbounded), before any other error.
         NotObservableError: the observability matrix is rank deficient.
     """
     a = a if a is not None else WeightVector.uniform(model.n)
-    norm_a = _stable_norm(model)  # an unstable plant is reported first, observable or not
-    return _sqrt_trace_level(model, WindowSolver(model, trigger, a).epsilon, norm_a)
+    try:
+        solver = WindowSolver(model, trigger, a)
+    except ValueError:
+        _require_stable(spectral_norm(model.A))  # an unstable plant is reported first
+        raise
+    return solver.bound()
 
 
-def _stable_norm(model: SystemModel) -> float:
-    """||A||; raises UnstableSystemError unless it is below one."""
-    norm_a = spectral_norm(model.A)
+def _require_stable(norm_a: float) -> None:
+    """Raise UnstableSystemError unless ||A|| is below one."""
     if norm_a >= 1.0:
         raise UnstableSystemError(f"spectral norm {norm_a:.6f} >= 1; bound is unbounded")
-    return norm_a
-
-
-def _sqrt_trace_level(model: SystemModel, epsilon: float, norm_a: float) -> float:
-    """(sqrt(epsilon) + sqrt(Tr Q)) / (1 - ||A||) if ||A|| < 1, else sqrt(epsilon) + sqrt(Tr Q).
-
-    The one formula behind ``WindowSolver.bound`` and the observer's
-    divergence guard (``observer.guard_threshold``).
-    """
-    gain = np.sqrt(epsilon) + float(np.sqrt(np.trace(model.Q)))
-    return gain / (1.0 - norm_a) if norm_a < 1.0 else gain
 
 
 def _squared_level(level: float) -> float:

@@ -36,13 +36,13 @@ from .observability import (
     TriggerConfig,
     WeightVector,
     WindowSolver,
-    spectral_norm,
-    _sqrt_trace_level,
     _squared_level,
 )
 
-# Abort when the posterior trace exceeds this multiple of the squared
-# asymptotic bound; only a mis-configured (unstable) model can get there.
+# Abort when a posterior trace exceeds this multiple of
+# (sqrt(epsilon) + sqrt(Tr Q))^2 (``WindowSolver.gain`` squared). A correct
+# fusion keeps every trace within 2 epsilon for any A, at least 5e5 times
+# below this guard, so only a numerical breakdown of the observer gets there.
 DIVERGENCE_FACTOR = 1e6
 # A posterior's smallest semi-axis must exceed this multiple of the rounding
 # error of its center (``_require_resolution``).
@@ -402,8 +402,8 @@ def _observe(
     shapes = np.empty((steps, runs, n, n))
     prior_centers = np.full((steps, runs, n), np.nan)
     prior_shapes = np.full((steps, runs, n, n), np.nan)
-    guard = DIVERGENCE_FACTOR * _squared_level(guard_threshold(model, solver.epsilon))
-    skip_level = _singularity_skip_level(model, window_shapes)
+    guard = DIVERGENCE_FACTOR * _squared_level(solver.gain)
+    skip_level = _singularity_skip_level(solver, window_shapes)
     settled = min(guard, skip_level)
     A, Q = model.A, model.Q
     A_T = A.T
@@ -425,7 +425,7 @@ def _observe(
             if trace > guard:
                 raise DivergenceError(
                     f"posterior trace {trace:.3e} at step {first_k + t} exceeds "
-                    f"divergence guard {guard:.3e}; the model is likely unstable"
+                    f"divergence guard {guard:.3e}; the observer has broken down numerically"
                 )
         return not all(trace <= skip_level for trace in traces)
 
@@ -481,9 +481,11 @@ def _distinct_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flags[first], inverse.reshape(-1)
 
 
-def _singularity_skip_level(model: SystemModel, window_shapes: np.ndarray) -> float:
+def _singularity_skip_level(solver: WindowSolver, window_shapes: np.ndarray) -> float:
     """A previous posterior trace at or below which ``_fuse_step``'s singularity
     test is sure to pass, so that it need not run; -inf when there is none.
+    ``window_shapes`` are the run's distinct window shapes, and ||A|| is the
+    solver's ``norm_a``.
 
     The test passes when the computed eigenvalues of T = W + P have
     l_min > n 1e-14 l_max. For the prior P = a A S A^T + b Q of a posterior S
@@ -500,10 +502,10 @@ def _singularity_skip_level(model: SystemModel, window_shapes: np.ndarray) -> fl
     Each step of that chain gives away a factor of 2 to cover its rounding.
     The window shapes have passed their PSD test, so they are finite.
     """
-    n = model.n
+    n = solver.n
     u = np.finfo(float).eps / 2.0
     error = 16 * n * u
-    Q = model.Q
+    Q = solver.model.Q
     q = np.linalg.eigvalsh(Q)
     w = np.linalg.eigvalsh(window_shapes)
     q_min = q[0] - error * q[-1]
@@ -515,7 +517,7 @@ def _singularity_skip_level(model: SystemModel, window_shapes: np.ndarray) -> fl
     mapped_room = prior_room / 2.0 / 2.0 - float(np.trace(Q))
     if not mapped_room > 0.0:
         return -math.inf
-    norm_a = spectral_norm(model.A)
+    norm_a = solver.norm_a
     return mapped_room / norm_a**2 / 2.0 if norm_a > 0.0 else math.inf
 
 
@@ -534,7 +536,8 @@ def _require_resolution(
     the trace stays bounded). The error of a center has two sources:
 
     - the window solve O c_w = Y: LU with partial pivoting is backward stable,
-      so its forward error is about n u cond(O) |c_w| (u the unit roundoff);
+      so its forward error is about n u cond(O) |c_w| (u the unit roundoff,
+      cond(O) the solver's ``cond``);
     - the recursion c = M c_w + (I - M) A c_prev: its n-term products and the
       final sum add about n u |c| at each step.
 
@@ -554,7 +557,7 @@ def _require_resolution(
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(centers, axis=1)
         error = n * unit_roundoff * (
-            np.linalg.cond(solver.matrix) * np.linalg.norm(window_centers.reshape(-1, n), axis=1)
+            solver.cond * np.linalg.norm(window_centers.reshape(-1, n), axis=1)
             + norms
         )
     # eigvalsh finds the smallest eigenvalue only to within about n u times the
@@ -572,15 +575,3 @@ def _require_resolution(
             f"has outgrown float64 resolution and containment is no longer guaranteed"
         )
 
-
-def guard_threshold(model: SystemModel, epsilon: float) -> float:
-    """Reference sqrt-trace level for the divergence guard, from the model's epsilon.
-
-    The asymptotic bound (sqrt(epsilon) + sqrt(Tr Q)) / (1 - ||A||) when A is
-    strictly stable; otherwise the undamped single-step gain
-    sqrt(epsilon) + sqrt(Tr Q), which every healthy posterior stays below
-    regardless of stability (the window information alone caps the fused
-    trace). The guard is pure defense in depth: it trips only on numeric
-    breakdown, never in a well-posed run.
-    """
-    return float(_sqrt_trace_level(model, epsilon, spectral_norm(model.A)))

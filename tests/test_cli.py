@@ -243,12 +243,13 @@ class TestCheck:
 
     @pytest.mark.parametrize("n, rows", [
         (1, None), (2, None), (3, None), (6, None), (8, None), (9, None), (11, None),
-        (6, 1), (6, 7), (6, 63), (6, 64),
+        (12, None), (13, None), (6, 1), (6, 7), (6, 63), (6, 64),
     ])
     def test_listing_equals_per_pattern_oracle(self, tmp_path, capsys, monkeypatch, n, rows):
-        # With the default block size the listing is one block up to n = 8, two
-        # blocks of 256 patterns at n = 9 and eight at n = 11. A budget of `rows`
-        # patterns at n = 6 makes blocks of 1 (no template flags), 4, 32 and 64.
+        # With the default block size the listing is one block up to n = 11,
+        # two blocks of 2048 patterns at n = 12 and four at n = 13. A budget of
+        # `rows` patterns at n = 6 makes blocks of 1 (no template flags), 4, 32
+        # and 64.
         if rows is not None:
             monkeypatch.setattr(cli, "PATTERN_BLOCK_BYTES", 8 * n * rows)
         path = plant_config(tmp_path, n, seed=n)
@@ -537,7 +538,8 @@ class TestOverflow:
 
     def test_guard_whose_square_overflows(self, tmp_path):
         # Finite epsilon and bound, but the bound squared, as the trace bound
-        # and the divergence guard take it, overflows: both saturate to inf.
+        # takes it, overflows and saturates to inf. The divergence guard,
+        # 1e6 (sqrt(epsilon) + sqrt(Tr Q))^2, stays finite and is not reached.
         path = write_config(tmp_path, A=[[0.9999999999999999]], C=[1.0], Q=[[1e290]], R=1.0,
                             Gamma=1e290, Gamma_e=1e289, a=None, x0=[0.0], N=20)
         sim, replay = tmp_path / "sim", tmp_path / "replay"

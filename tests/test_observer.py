@@ -25,9 +25,11 @@ from setobs import (
     predict_no_delay,
     prior_set,
     run_closed_loop,
+    run_seed_sweep,
     sample_point,
     spectral_norm,
 )
+import setobs.observability as observability_mod
 import setobs.observer as observer_mod
 from setobs.ellipsoid import (
     SingularShapeError,
@@ -308,30 +310,29 @@ class TestObserverRun:
                     assert np.sqrt(np.trace(out.posterior_set.shape)) <= bound + 1e-6
 
     def test_unstable_model_estimates_stay_bounded(self, bench_trigger):
-        # Window information alone caps the fused trace, so an unstable plant
-        # does not blow up the observer; the guard must stay silent.
-        from setobs.observer import guard_threshold
-
+        # The window set alone caps the fused trace at 2 epsilon, so an
+        # unstable plant does not blow up the observer; the guard stays silent.
         model = SystemModel(A=[[1.3, 0.1], [0.0, 1.2]], C=[1.0, 0.0], Q=np.eye(2), R=0.5)
         records = [MeasurementRecord(k, False, 0.0) for k in range(200)]
         outputs = observer_run(records, model, bench_trigger)
         epsilon = WindowSolver(model, bench_trigger, WeightVector.uniform(2)).epsilon
-        level = guard_threshold(model, epsilon)
         for out in outputs:
-            assert np.sqrt(np.trace(out.posterior_set.shape)) <= 2.0 * level
+            assert np.trace(out.posterior_set.shape) <= 2.0 * epsilon
 
-    def test_guard_threshold_levels(self, bench_model, bench_trigger):
-        from setobs.observer import guard_threshold
-
-        weights = WeightVector.uniform(2)
-        epsilon = WindowSolver(bench_model, bench_trigger, weights).epsilon
-        assert guard_threshold(bench_model, epsilon) == pytest.approx(
-            convergence_bound(bench_model, bench_trigger, weights)
-        )
-        unstable = SystemModel(A=[[1.3, 0.1], [0.0, 1.2]], C=[1.0, 0.0], Q=np.eye(2), R=0.5)
-        epsilon = WindowSolver(unstable, bench_trigger, weights).epsilon
-        expected = np.sqrt(epsilon) + np.sqrt(np.trace(unstable.Q))
-        assert guard_threshold(unstable, epsilon) == pytest.approx(expected)
+    def test_guard_threshold_levels(self, bench_trigger, monkeypatch):
+        # One guard for every A, stable or not: DIVERGENCE_FACTOR times
+        # (sqrt(epsilon) + sqrt(Tr Q))^2, read from the run's solver.
+        monkeypatch.setattr(observer_mod, "DIVERGENCE_FACTOR", 1e-12)
+        records = [MeasurementRecord(k, False, 0.0) for k in range(4)]
+        for A in ([[0.75, 0.2], [0.5, 0.3]], [[1.3, 0.1], [0.0, 1.2]]):
+            model = SystemModel(A=A, C=[1.0, 0.0], Q=5.0 * np.eye(2), R=0.5)
+            solver = WindowSolver(model, bench_trigger, WeightVector.uniform(2))
+            gain = np.sqrt(solver.epsilon) + np.sqrt(np.trace(model.Q))
+            assert solver.gain == gain
+            with pytest.raises(DivergenceError) as err:
+                observer_run(records, model, bench_trigger)
+            assert f"divergence guard {1e-12 * gain**2:.3e}; the observer has broken down " \
+                   "numerically" in str(err.value)
 
     def test_divergence_guard_abort_path(self, bench_model, bench_trigger, monkeypatch):
         import setobs.observer as observer_mod
@@ -889,7 +890,7 @@ class TestSingularityTestSkip:
     def test_bench_plant_skips_every_step(self, bench_model, bench_trigger):
         run = observer_run(closed_loop_records(bench_model, bench_trigger, 300, 5), bench_model,
                            bench_trigger)
-        level = observer_mod._singularity_skip_level(bench_model, run.window_shapes)
+        level = observer_mod._singularity_skip_level(run.solver, run.window_shapes)
         assert np.max(np.trace(run.shapes, axis1=1, axis2=2)) < level
 
     def test_solve_helper_gets_only_cleared_stacks(self, bench_trigger, monkeypatch):
@@ -923,7 +924,7 @@ class TestSingularityTestSkip:
         monkeypatch.setattr(observer_mod, "_fusion_matrix",
                             lambda *args: bumps.append(None) or original(*args))
         run = observer_run(records, model, bench_trigger)
-        assert observer_mod._singularity_skip_level(model, run.window_shapes) == -math.inf
+        assert observer_mod._singularity_skip_level(run.solver, run.window_shapes) == -math.inf
         assert len(bumps) > 30
         expected = reference_observer_run(records, model, bench_trigger, WeightVector.uniform(2))
         for out, (meas, prior, posterior) in zip(run, expected):
@@ -933,3 +934,54 @@ class TestSingularityTestSkip:
             for ell, (center, shape) in pairs:
                 assert same_bits(ell.center, center)
                 assert same_bits(ell.shape, shape)
+
+
+class TestLevelsComputedOnce:
+    """The levels of a (model, trigger, a) triple are computed by its
+    ``WindowSolver`` alone: one SVD of O and one of A (``spectral_norm``) per
+    solver, and no SVD, norm of A or cond(O) inside a run."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"solver": 0, "spectral_norm": 0, "svd": 0, "cond": 0}
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(WindowSolver, "__init__", counting("solver", WindowSolver.__init__))
+        monkeypatch.setattr(observability_mod, "spectral_norm",
+                            counting("spectral_norm", observability_mod.spectral_norm))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond))
+        return calls
+
+    def test_single_run(self, bench_model, bench_trigger, calls):
+        run_closed_loop(SimConfig(model=bench_model, trigger=bench_trigger, x0=[0.0, 0.0],
+                                  N=60, seed=1))
+        assert calls == {"solver": 1, "spectral_norm": 1, "svd": 2, "cond": 0}
+
+    def test_stacked_sweep(self, bench_model, bench_trigger, calls):
+        base = SimConfig(model=bench_model, trigger=bench_trigger, x0=[0.0, 0.0], N=60, seed=0)
+        assert len(run_seed_sweep(base, list(range(6)))) == 6
+        assert calls == {"solver": 1, "spectral_norm": 1, "svd": 2, "cond": 0}
+
+    def test_none_inside_observe(self, bench_model, bench_trigger, calls):
+        logs = [closed_loop_records(bench_model, bench_trigger, 40, seed) for seed in range(3)]
+        flags = np.array([[r.gamma for r in log] for log in logs])
+        references = np.array([[r.y_tau for r in log] for log in logs])
+        solver = WindowSolver(bench_model, bench_trigger, WeightVector.uniform(2))
+        calls.update(dict.fromkeys(calls, 0))
+        assert len(observer_mod._observe(flags, references, 0, solver)) == 3
+        assert calls == {"solver": 0, "spectral_norm": 0, "svd": 0, "cond": 0}
+
+    @pytest.mark.parametrize("model", [
+        SystemModel(A=[[0.75, 0.2], [0.5, 0.3]], C=[0.5, 0.5], Q=5.0 * np.eye(2), R=0.5),
+        SystemModel(A=np.diag([0.5, 0.5 + 1e-9]), C=[1.0, 1.0], Q=5.0 * np.eye(2), R=0.5),
+        orthogonal_plant(6, 3), orthogonal_plant(16, 7),
+    ], ids=["paper", "cond-2.5e9", "n6", "n16"])
+    def test_cond_has_the_bits_of_np_linalg_cond(self, bench_trigger, model):
+        solver = WindowSolver(model, bench_trigger, WeightVector.uniform(model.n))
+        assert same_bits(np.array(solver.cond), np.array(np.linalg.cond(solver.matrix)))

@@ -260,9 +260,8 @@ class TestSeedSweep:
                    for seed in seeds}
         # A guard between the seeds' largest traces stops some of them.
         level = float(np.median(list(largest.values())))
-        epsilon = WindowSolver(bench_model, bench_trigger, base.a).epsilon
-        threshold = observer_mod.guard_threshold(bench_model, epsilon)
-        monkeypatch.setattr(observer_mod, "DIVERGENCE_FACTOR", level / threshold**2)
+        gain = WindowSolver(bench_model, bench_trigger, base.a).gain
+        monkeypatch.setattr(observer_mod, "DIVERGENCE_FACTOR", level / gain**2)
         failing = [seed for seed in seeds if largest[seed] > level]
         assert 0 < len(failing) < len(seeds)
         with pytest.raises(DivergenceError, match="guard") as err:
@@ -474,10 +473,18 @@ def hard_plants(draw):
 def test_completed_runs_on_hard_plants_contain_the_state(config):
     """A run that completes contains the true state at every step; a run that
     stops raises one of the errors the CLI reports with exit 1 or 2. Non-normal
-    plants with ||A|| near 10 can stop at a failed PSD test (ValueError)."""
+    plants with ||A|| near 10 can stop at a failed PSD test (ValueError).
+
+    Every posterior trace is within twice its window set's, for any A (the
+    cap the divergence guard relies on): step 0 adopts the window set, and a
+    fused set has Tr S_k <= 2 Tr(W_k : P_k) <= 2 Tr W_k."""
     try:
-        _, _, metrics = run_closed_loop(config)
+        _, run, metrics = run_closed_loop(config)
     except (DivergenceError, NotObservableError, ValueError):
         return
     assert metrics.containment_violations == 0
     assert metrics.max_generalized_distance <= 1.0 + CONTAINMENT_TOL
+    traces = np.trace(run.shapes, axis1=1, axis2=2)
+    window_traces = np.trace(run.window_shapes[run.pattern], axis1=1, axis2=2)
+    assert traces[0] == window_traces[0]
+    assert np.all(traces[1:] <= 2.0 * window_traces[1:])
