@@ -10,7 +10,8 @@ Every number that ``check`` lists and the CSV writers write is the text that
 once: ``_float_fields`` and ``_int_fields`` turn an array into NUL-padded ASCII
 fields, and ``_join_rows`` lays fields and literal separators out row by row
 and drops the padding, so a block of lines becomes one bytes object without a
-Python string per number. Every CSV file is written by ``_write_csv``.
+Python string per number. Every CSV file is written by ``_write_csv``;
+``check`` lays its listing out in one table of lines that every block reuses.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ellipsoid import _require_psd_stack, _symmetrize, shape_sqrt
+from .ellipsoid import _require_psd_stack, _symmetrize, _traces, shape_sqrt
 from .observability import (
     NotObservableError,
     SystemModel,
@@ -34,6 +35,7 @@ from .observability import (
     UnstableSystemError,
     WeightVector,
     WindowSolver,
+    _pattern_bits,
     _squared_level,
     convergence_bound,
     observability_matrix,
@@ -50,10 +52,10 @@ PATTERN_LISTING_CAP = 20
 # check computes and writes its listing a block of patterns at a time; a
 # block is the largest power of two of patterns whose (patterns, n) table of
 # trace terms fits in this many bytes (2048 patterns at n = 16). Measured at
-# n = 16 in-process on 2 cores (numpy 2.4.6), a check took 57, 48, 38, 33 and
-# 34 ms with blocks of 512, 1024, 2048, 4096 and 8192 patterns, and the peak
-# traced allocation was 0.28, 0.38, 0.61, 1.17 and 2.28 MB; formatting the
-# listing line by line peaks at 0.18 MB and takes about 75 ms there.
+# n = 16 in-process on 2 cores (numpy 2.4.6), a check took 23, 18, 15, 14.5,
+# 15 and 18 ms with blocks of 512, 1024, 2048, 4096, 8192 and 16384 patterns,
+# and the peak traced allocation was 0.24, 0.43, 0.79, 1.55, 3.1 and 6.4 MB;
+# formatting the listing line by line peaks at 0.18 MB and takes about 75 ms.
 PATTERN_BLOCK_BYTES = 1 << 18
 # The CSV writers format and write this many numbers at a time, in whole rows.
 # Measured on a 1000-step simulate at n = 6, 2^11 keeps the peak traced
@@ -277,10 +279,15 @@ def _row_blocks(rows: int, fields_per_row: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
+# The JSON name of each Python type that json.load returns.
+_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number", bool: "boolean",
+               type(None): "null"}
+
+
 def load_config(path: str | Path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {path}") from err
     except OSError as err:
@@ -291,6 +298,9 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(
             f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config must be a JSON object, got {_JSON_TYPES[type(raw)]}")
+    return raw
 
 
 def _require(raw: dict, key: str):
@@ -399,17 +409,21 @@ def cmd_check(config_path: str) -> int:
     print(f"epsilon: {_fmt(solver.epsilon)}")
     print(f"worst_pattern: {solver.worst_pattern}")
     # The listing runs in sorted bit-string order, a block of 2^low patterns at
-    # a time: a block's patterns share their first n-low flags and run through
-    # every combination of the last low flags, so one flag table serves every
-    # block, and its flags as ASCII digits are the patterns' bit strings.
+    # a time (``WindowSolver.pattern_trace_blocks``). One table of lines serves
+    # every block: the text, the last low digits of each pattern and the line
+    # ends are written once, and a block writes its first n - low digits and
+    # its traces. Unused bytes of a trace's field are NUL and dropped.
     low = min(n, (PATTERN_BLOCK_BYTES // (8 * n)).bit_length() - 1)
-    flags = np.empty((2**low, n), dtype=bool)
-    flags[:, n - low:] = np.arange(2**low)[:, None] >> np.arange(low - 1, -1, -1) & 1
-    for code in range(2 ** (n - low)):
-        flags[:, :n - low] = code >> np.arange(n - low - 1, -1, -1) & 1
-        lines = _join_rows([b"pattern ", flags.view(np.uint8) + ord("0"), b": ",
-                            _float_fields(solver.pattern_trace(flags)), b"\n"])
-        print(lines.decode("ascii"), end="")
+    high, at = n - low, len(b"pattern ")
+    lines = np.zeros((2**low, at + n + 2 + FIELD_WIDTH + 1), np.uint8)
+    lines[:, :at] = np.frombuffer(b"pattern ", np.uint8)
+    lines[:, at + high:at + n] = _pattern_bits(np.arange(2**low), low) + ord("0")
+    lines[:, at + n:at + n + 2] = np.frombuffer(b": ", np.uint8)
+    lines[:, -1] = ord("\n")
+    for code, traces in enumerate(solver.pattern_trace_blocks(low)):
+        lines[:, at:at + high] = _pattern_bits(code, high) + ord("0")
+        lines[:, at + n + 2:-1] = _float_fields(traces)
+        print(lines[lines != 0].tobytes().decode("ascii"), end="")
     print("epsilon-observable: yes")
     return 0
 
@@ -480,7 +494,7 @@ def _write_step_table(
     )
     _write_csv(path, header, 0, [
         trace.states, estimates.centers, trace.flags, trace.outputs, trace.references,
-        np.trace(estimates.shapes, axis1=1, axis2=2), np.asarray(distances, dtype=float),
+        _traces(estimates.shapes), np.asarray(distances, dtype=float),
     ])
 
 
@@ -490,7 +504,7 @@ def _write_replay_table(path: Path, first_k: int, flags: np.ndarray, references:
     as the run starts at the first step of the consecutive log."""
     header = ["k"] + [f"x_hat{i + 1}" for i in range(n)] + ["gamma", "y_tau", "trace_P_hat"]
     _write_csv(path, header, first_k, [
-        estimates.centers, flags, references, np.trace(estimates.shapes, axis1=1, axis2=2),
+        estimates.centers, flags, references, _traces(estimates.shapes),
     ])
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,8 +33,9 @@ class SystemModel:
     """Discrete-time LTI plant x_k = A x_{k-1} + w_{k-1}, y_k = C x_k + v_k.
 
     Disturbance and noise are bounded: w in E(0, Q) with Q positive definite,
-    v in E(0, R) with scalar R > 0. Single-output only (C is one row). Every
-    entry must be finite. Q is stored symmetrized and read-only: it is
+    v in E(0, R) with scalar R > 0. Single-output only: C is one row, given
+    with shape (n,) or (1, n) and stored with shape (n,). Every entry must be
+    finite. Q is stored symmetrized and read-only: it is
     validated here once, and every prior shares it.
     """
 
@@ -45,7 +46,7 @@ class SystemModel:
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        C = np.asarray(self.C, dtype=float).ravel()
+        C = np.asarray(self.C, dtype=float)
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         R = float(self.R)
         for name, value in (("A", A), ("C", C), ("Q", Q), ("R", R)):
@@ -56,8 +57,9 @@ class SystemModel:
         n = A.shape[0]
         if n < 1:
             raise ValueError("state dimension must be at least 1")
-        if C.size != n:
-            raise ValueError(f"C has {C.size} entries, expected {n}")
+        if C.shape not in ((n,), (1, n)):
+            raise ValueError(f"C must have shape ({n},) or (1, {n}), got shape {C.shape}")
+        C = C.ravel()
         if Q.shape != (n, n):
             raise ValueError(f"Q must be {n}x{n}, got {Q.shape}")
         _require_symmetric(Q, "Q")
@@ -260,21 +262,32 @@ class WindowSolver:
         """The pattern whose window trace is ``epsilon``: no event at any offset."""
         return "0" * self.n
 
-    def pattern_trace(self, flags: Sequence[int] | np.ndarray) -> float | np.ndarray:
-        """Trace of the window ellipsoid for one pattern of event flags (a float),
-        or for each row of a (P, n) stack of patterns (an array of P traces).
-
-        A row's sum is numpy's pairwise sum along a contiguous last axis, which
-        has the bits of summing that row alone.
-        """
+    def pattern_trace(self, flags: Sequence[int] | np.ndarray) -> float:
+        """Trace of the window ellipsoid for one pattern of event flags."""
         flags = np.asarray(flags, dtype=bool)
-        if flags.ndim not in (1, 2):
-            raise ValueError(f"patterns must be a row or a stack of rows, got shape {flags.shape}")
-        if flags.shape[-1] != self.n:
-            raise ValueError(f"pattern has length {flags.shape[-1]}, expected {self.n}")
+        if flags.ndim != 1:
+            raise ValueError(f"pattern must be one row of flags, got shape {flags.shape}")
+        if flags.size != self.n:
+            raise ValueError(f"pattern has length {flags.size}, expected {self.n}")
         terms = self._trace_terms
-        traces = np.where(flags, terms[1], terms[0]).sum(axis=-1)
-        return float(traces) if flags.ndim == 1 else traces
+        return float(np.where(flags, terms[1], terms[0]).sum())
+
+    def pattern_trace_blocks(self, low: int) -> Iterator[np.ndarray]:
+        """The traces of all 2^n patterns in sorted bit-string order, in blocks
+        of 2^low (0 <= low <= n): block b holds the patterns whose first n - low
+        flags spell b in binary.
+
+        One (2^low, n) table of trace terms serves every block: its last low
+        columns are written once, and a block writes its first n - low. A row's
+        sum is numpy's pairwise sum along a contiguous last axis, which has the
+        bits of ``pattern_trace``.
+        """
+        high, terms = self.n - low, self._trace_terms
+        table = np.empty((2**low, self.n))
+        table[:, high:] = terms[_pattern_bits(np.arange(2**low), low), np.arange(high, self.n)]
+        for code in range(2**high):
+            table[:, :high] = terms[_pattern_bits(code, high), np.arange(high)]
+            yield table.sum(axis=-1)
 
     def bound(self) -> float:
         """``convergence_bound`` of this solver's (model, trigger, weights):
@@ -312,6 +325,12 @@ class WindowSolver:
         """
         stacked = np.broadcast_to(self.matrix, (len(references), self.n, self.n))
         return np.linalg.solve(stacked, references[..., None])[..., 0]
+
+
+def _pattern_bits(codes: int | np.ndarray, width: int) -> np.ndarray:
+    """The flags of the patterns whose ``width``-bit strings spell ``codes`` in
+    binary, first flag first: shape codes.shape + (width,), 0 or 1."""
+    return np.asarray(codes)[..., None] >> np.arange(width - 1, -1, -1) & 1
 
 
 def spectral_norm(A: np.ndarray) -> float:

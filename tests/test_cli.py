@@ -179,6 +179,40 @@ class TestConfigParsing:
         assert err == "config error: invalid config value: A must be a square matrix, " \
                       "got shape (2, 2, 2)\n"
 
+    @pytest.mark.parametrize("command", ["check", "bound", "simulate", "replay"])
+    @pytest.mark.parametrize("text, kind", [
+        ("3", "number"), ("null", "null"), ("true", "boolean"), ("[1, 2]", "array"),
+        ('"A Gamma"', "string"),
+    ])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, command, text, kind):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        extra = {
+            "simulate": ["--out", str(tmp_path / "out")],
+            "replay": ["--log", str(tmp_path / "log.csv"), "--out", str(tmp_path / "out")],
+        }.get(command, [])
+        code = main([command, "--config", str(path)] + extra)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"config error: {path}: config must be a JSON object, got {kind}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["check", "bound"])
+    def test_c_column_is_config_error(self, tmp_path, capsys, command):
+        # Read as the row, this column gave the paper plant's bound and exit 0.
+        path = write_config(tmp_path, C=[[0.5], [0.5]])
+        code = main([command, "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "config error: invalid config value: C must have shape (2,) or (1, 2), " \
+                      "got shape (2, 1)\n"
+
+    def test_c_as_one_row_matrix_is_accepted(self, tmp_path, bench_config_file, capsys):
+        assert main(["bound", "--config", str(bench_config_file)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["bound", "--config", str(write_config(tmp_path, C=[BENCH["C"]]))]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_integral_float_counts_accepted(self, tmp_path):
         config = build_sim_config(load_config(write_config(tmp_path, N=20.0, seed=3.0)))
         assert (config.N, config.seed) == (20, 3)

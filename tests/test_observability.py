@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -68,6 +69,20 @@ class TestSystemModelType:
     def test_rejects_inconsistent_dims(self):
         with pytest.raises(ValueError):
             SystemModel(A=np.eye(2), C=[1.0], Q=np.eye(2), R=1.0)
+
+    @pytest.mark.parametrize("C, shape", [
+        ([[0.5], [0.5]], (2, 1)), ([0.5], (1,)), ([0.5, 0.5, 0.5], (3,)),
+        ([[0.5, 0.5], [0.5, 0.5]], (2, 2)), ([[[0.5, 0.5]]], (1, 1, 2)), (0.5, ()),
+    ])
+    def test_c_of_any_other_shape_than_a_row_is_refused(self, C, shape):
+        # A column used to be raveled and read as the row.
+        with pytest.raises(ValueError, match=rf"C must have shape \(2,\) or \(1, 2\), "
+                                             rf"got shape {re.escape(str(shape))}"):
+            SystemModel(A=np.eye(2), C=C, Q=np.eye(2), R=1.0)
+
+    def test_c_as_one_row_matrix_is_the_row(self, bench_model):
+        model = SystemModel(A=bench_model.A, C=[bench_model.C.tolist()], Q=bench_model.Q, R=0.5)
+        assert model.C.shape == (2,) and model.C.tolist() == bench_model.C.tolist()
 
 
 class TestTriggerConfigType:
@@ -229,27 +244,33 @@ class TestEpsilonObservability:
         solver = WindowSolver(bench_model, bench_trigger, bench_weights)
         with pytest.raises(ValueError, match="pattern has length 3, expected 2"):
             solver.pattern_trace((0, 0, 0))
-        with pytest.raises(ValueError, match="pattern has length 3, expected 2"):
-            solver.pattern_trace(np.zeros((4, 3), dtype=int))
-        with pytest.raises(ValueError, match="pattern"):
+        with pytest.raises(ValueError, match=r"one row of flags, got shape \(4, 2\)"):
+            solver.pattern_trace(np.zeros((4, 2), dtype=int))
+        with pytest.raises(ValueError, match="one row of flags"):
             solver.pattern_trace(np.zeros((2, 2, 2), dtype=int))
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_stacked_traces_equal_single_pattern_sums(self, n):
-        # Weights spread over 10 decades, so the terms of one sum do too. Every
-        # pattern up to n = 12, a sample of 4096 beyond.
+        # Weights spread over 10 decades, so the terms of one sum do too. Up to
+        # n = 12, every pattern in blocks of one pattern (low = 0), of half the
+        # flags and of all of them (one block); beyond, a sample of 4096
+        # patterns from blocks of 2048.
         rng = np.random.default_rng(n)
         spread = 10.0 ** rng.uniform(-5.0, 5.0, n)
         trigger = TriggerConfig(threshold=0.6, transmit_error=1e-4)
         solver = WindowSolver(orthogonal_plant(n, seed=n), trigger,
                               WeightVector(spread / spread.sum()))
-        codes = np.arange(2**n) if n <= 12 else rng.integers(0, 2**n, 4096)
+        if n <= 12:
+            codes, lows = np.arange(2**n), sorted({0, n // 2, n})
+        else:
+            codes, lows = rng.integers(0, 2**n, 4096), [11]
         flags = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1
-        traces = solver.pattern_trace(flags)
-        assert isinstance(traces, np.ndarray) and traces.shape == (len(codes),)
         t0, t1 = solver._trace_terms
         expected = [float(np.sum(np.where(row.astype(bool), t1, t0))) for row in flags]
-        assert traces.tolist() == expected
+        for low in lows:
+            blocks = list(solver.pattern_trace_blocks(low))
+            assert [block.shape for block in blocks] == [(2**low,)] * 2 ** (n - low)
+            assert np.concatenate(blocks)[codes].tolist() == expected
         single = solver.pattern_trace(flags[-1])
         assert type(single) is float and single == expected[-1]
         assert type(solver.epsilon) is float
