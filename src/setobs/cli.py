@@ -588,20 +588,22 @@ def _write_polylines(out_dir: Path, estimates: ObserverRun, n: int) -> list[str]
     """
     if n < 2:
         return []
-    labels, centers, shapes = [], [], []
-    for out in estimates[:PLOT_STEPS]:
-        for kind, ell in (("measurement", out.measurement_set), ("prior", out.prior_set),
-                          ("posterior", out.posterior_set)):
-            if ell is not None:
-                labels.append(f"{out.k},{kind}")
-                centers.append(ell.center)
-                shapes.append(ell.shape)
+    # Each step's measurement, prior and posterior set; the first step has no prior.
+    steps = min(PLOT_STEPS, len(estimates))
+    labels = [f"{estimates.first_k + i},{kind}" for i in range(steps)
+              for kind in ("measurement", "prior", "posterior")]
+    del labels[1]
+    centers = np.stack((estimates.window_centers[:steps], estimates.prior_centers[:steps],
+                        estimates.centers[:steps]), axis=1).reshape(-1, n)
+    shapes = np.stack((estimates.window_shapes[estimates.pattern[:steps]],
+                       estimates.prior_shapes[:steps], estimates.shapes[:steps]), axis=1)
+    centers, shapes = np.delete(centers, 1, axis=0), np.delete(shapes.reshape(-1, n, n), 1, axis=0)
     pairs = list(combinations(range(n), 2))
     index = np.array(pairs)
     # Indexed (pair, set, ...). A 0/1 projector copies the entries exactly, and
     # its zero offset turns a -0.0 into 0.0.
-    block_centers = (np.array(centers)[:, index] + 0.0).swapaxes(0, 1)
-    blocks = np.array(shapes)[:, index[:, :, None], index[:, None, :]] + 0.0
+    block_centers = (centers[:, index] + 0.0).swapaxes(0, 1)
+    blocks = shapes[:, index[:, :, None], index[:, None, :]] + 0.0
     blocks = _symmetrize(blocks.swapaxes(0, 1))
     _require_psd_stack(blocks.reshape(-1, 2, 2))
     roots = shape_sqrt(blocks)
@@ -631,6 +633,12 @@ def _metrics_dict(metrics: Metrics) -> dict:
 
 def cmd_simulate(config_path: str, out_dir: str, seeds: int | None = None) -> int:
     config = build_sim_config(load_config(config_path))
+    # Run first, so that a run that fails leaves no output directory behind.
+    if seeds is None:
+        trace, estimates, metrics = run_closed_loop(config)
+    else:
+        seed_list = list(range(config.seed, config.seed + seeds))
+        results = run_seed_sweep(config, seed_list)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -639,8 +647,6 @@ def cmd_simulate(config_path: str, out_dir: str, seeds: int | None = None) -> in
         return 1
 
     if seeds is not None:
-        seed_list = list(range(config.seed, config.seed + seeds))
-        results = run_seed_sweep(config, seed_list)
         rates = [m.communication_rate for _, m in results]
         errors = [m.mean_estimation_error for _, m in results]
         sweep = {
@@ -667,7 +673,6 @@ def cmd_simulate(config_path: str, out_dir: str, seeds: int | None = None) -> in
         print(f"sweep of {len(seed_list)} seeds written to {out / 'sweep_summary.json'}")
         return 0
 
-    trace, estimates, metrics = run_closed_loop(config)
     _write_step_table(out / "steps.csv", trace, estimates, metrics.distances)
     _write_log(out / "log.csv", trace.flags, trace.references)
     polylines = _write_polylines(out, estimates, config.model.n)

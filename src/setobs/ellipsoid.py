@@ -209,9 +209,10 @@ def minkowski_sum_outer(e1: Ellipsoid, e2: Ellipsoid, p: float | None = None) ->
         raise ValueError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
     if p is not None and p <= 0.0:
         raise ValueError(f"sum parameter must be positive, got {p}")
-    S1, S2 = e1.shape[None], e2.shape[None]
-    shape = np.empty_like(S1)
-    _outer_sum_into(shape, S1, _traces(S1), S2, _traces(S2), None if p is None else np.array([p]))
+    operands = np.stack((e1.shape, e2.shape))[:, None]
+    shape = np.empty_like(operands[0])
+    _outer_sum_into(shape, operands, operands.diagonal(0, -2, -1), np.empty((2, 1, 1, 1)),
+                    np.empty_like(operands), None if p is None else np.array([p]))
     return Ellipsoid._trusted(e1.center + e2.center, _require_psd(shape[0]))
 
 
@@ -222,38 +223,40 @@ def _traces(shapes: np.ndarray) -> np.ndarray:
 
 
 def _outer_sum_into(
-    out: np.ndarray, X: np.ndarray, t_x: np.ndarray, Y: np.ndarray, t_y: np.ndarray,
-    p: np.ndarray | None = None,
+    out: np.ndarray, operands: np.ndarray, diagonals: np.ndarray, coefficients: np.ndarray,
+    products: np.ndarray, p: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Outer sums (1 + 1/p) X + (1 + p) Y of shapes X and Y with traces t_x and
-    t_y (Y a stack, or one shape for every member) into ``out``; returns p.
+    """Outer sums (1 + 1/p) X + (1 + p) Y of the pairs of a (2, S, n, n) stack
+    [X; Y] into ``out``; returns p.
 
-    p defaults to the trace-optimal sqrt(t_x / t_y), or 1 where the traces are
-    not both positive. Where an operand has zero trace (a point) the sum is the
-    other operand; only such members leave the stack. Not PSD-tested; the
+    The traces t_x and t_y are sums of the stack's ``diagonals`` view. p
+    defaults to the trace-optimal sqrt(t_x / t_y), or 1 where the traces are
+    not both positive. One product scales the stack by [1 + 1/p; 1 + p] (work
+    arrays ``coefficients``, (2, S, 1, 1), and ``products``) and one sum adds
+    its halves: the three roundings per entry of the formula. Where an operand
+    has zero trace (a point) the sum is the other operand. Not PSD-tested; the
     result is exactly symmetric, as (i, j) and (j, i) sum the same products.
     """
-    if min(t_x.tolist()) > 0.0 and min(t_y.tolist()) > 0.0:
-        degenerate = None
-        if p is None:
-            p = _sum_parameter(t_x, t_y)
-    else:
-        t_x, t_y = np.broadcast_arrays(t_x, t_y)
-        regular = (t_x > 0.0) & (t_y > 0.0)
-        degenerate = np.flatnonzero(~regular)
-        if p is None:
-            p = np.ones(t_x.shape)
-            p[regular] = _sum_parameter(t_x[regular], t_y[regular])
-    coefficient = p[:, None, None]
-    np.multiply(X, 1.0 + 1.0 / coefficient, out=out)
-    out += (1.0 + coefficient) * Y
-    if degenerate is not None:
-        Y = np.broadcast_to(Y, X.shape)
-        for s in degenerate:
-            if t_x[s] == 0.0:
-                out[s] = Y[s]
-            elif t_y[s] == 0.0:
-                out[s] = X[s]
+    traces = np.add.reduce(diagonals, -1)
+    t_x, t_y = traces.tolist()
+    if p is None and min(t_x) > 0.0 and min(t_y) > 0.0:
+        p = _sum_parameter(traces[0], traces[1])
+    elif p is None:
+        regular = (traces > 0.0).all(axis=0)
+        p = np.ones(len(t_x))
+        p[regular] = _sum_parameter(traces[0, regular], traces[1, regular])
+    pair = coefficients[:, :, 0, 0]
+    np.divide(1.0, p, out=pair[0])
+    pair[1] = p
+    np.add(pair, 1.0, out=pair)
+    np.multiply(operands, coefficients, out=products)
+    np.add(products[0], products[1], out=out)
+    if 0.0 in t_x or 0.0 in t_y:
+        for s, (x, y) in enumerate(zip(t_x, t_y)):
+            if x == 0.0:
+                out[s] = operands[1, s]
+            elif y == 0.0:
+                out[s] = operands[0, s]
     return p
 
 

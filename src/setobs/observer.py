@@ -48,9 +48,10 @@ DIVERGENCE_FACTOR = 1e6
 # error of its center (``_require_resolution``).
 RESOLUTION_MARGIN = 2.0**10
 # Steps per stacked PSD test (5 shapes per run and step), in at most
-# PSD_BLOCK_BYTES of buffer unless one step needs more. A 369 KB buffer (256
-# steps at n = 6) raised the peak memory of a 1000-step simulation by about
-# 1 MB; 92 KB did not.
+# PSD_BLOCK_BYTES of test stack unless one step needs more. A 369 KB buffer
+# (256 steps at n = 6) raised the peak memory of a 1000-step simulation by
+# about 1 MB; 92 KB did not, nor did a 74 KB block (4 shapes per step) with
+# the 92 KB stack its flush builds.
 PSD_BLOCK_STEPS = 64
 PSD_BLOCK_BYTES = 1 << 17
 
@@ -155,79 +156,98 @@ class ObserverRun(Sequence[ObserverOutput]):
 
 
 class _PsdBlock:
-    """``_require_psd`` deferred to ``_require_psd_stack`` per block of shapes.
+    """``_require_psd`` deferred to ``_require_psd_stack`` per block of steps.
 
-    Each step reserves a region, an array of shapes (..., n, n) of the given
-    ``region`` dimensions, and writes its shapes straight into it. A full
-    block is tested as one stack, in the order written, so the verdict and
-    the error raised for the first failing shape are those of testing each
-    shape when it is made.
+    A step makes five shapes per run: A P A^T, the prior, the two split shapes
+    and the posterior. The prior and the posterior are rows of the run arrays
+    ``priors`` and ``posteriors``; the step's slot in the block, (4, S, n, n)
+    [A P A^T; Q; S1; S2] with Q filled once, holds the rest. A flush tests the
+    pending steps' shapes as one stack in the order made, so the verdict and
+    the error raised are those of testing each shape when it is made.
     """
 
-    def __init__(self, region: tuple[int, ...]):
-        steps = max(1, min(PSD_BLOCK_STEPS, PSD_BLOCK_BYTES // (8 * math.prod(region))))
-        self._block = np.empty((steps, *region))
-        self._count = 0
+    def __init__(self, priors: np.ndarray, posteriors: np.ndarray, Q: np.ndarray):
+        stack = priors.shape[1:]  # (S, n, n), five of them per step
+        steps = max(1, min(PSD_BLOCK_STEPS, PSD_BLOCK_BYTES // (40 * math.prod(stack))))
+        self._block = np.empty((steps, 4, *stack))
+        self._block[:, 1] = Q
+        diagonals = self._block.diagonal(0, -2, -1)
+        self._slots = [(slot[:2], diagonal[:2], slot[2:], diagonal[2:])
+                       for slot, diagonal in zip(self._block, diagonals)]
+        self._priors, self._posteriors = priors, posteriors
+        self._first = self._count = 0
 
-    def reserve(self) -> np.ndarray:
-        """The next step's region, testing the block first if it is full."""
-        if self._count == len(self._block):
+    def reserve(self) -> tuple[np.ndarray, ...]:
+        """The next step's stacks [A P A^T; Q] and [S1; S2], each with its diagonal
+        view; the pending steps are tested first if the block is full."""
+        if self._count == len(self._slots):
             self.flush()
         self._count += 1
-        return self._block[self._count - 1]
+        return self._slots[self._count - 1]
 
-    def flush(self) -> None:
-        pending = self._block[: self._count]
-        self._count = 0
-        _require_psd_stack(pending.reshape(-1, *pending.shape[-2:]))
+    def flush(self, made: int = 5) -> None:
+        """Test the pending steps, of which the last has made its first ``made`` shapes."""
+        count, first = self._count, self._first
+        self._count, self._first = 0, first + count
+        block, rows = self._block[:count], slice(first, first + count)
+        shapes = np.stack((block[:, 0], self._priors[rows], block[:, 2], block[:, 3],
+                           self._posteriors[rows]), axis=1)
+        runs, n = shapes.shape[2:4]
+        _require_psd_stack(shapes.reshape(-1, n, n)[: (5 * count - 5 + made) * runs])
 
 
 class _FusionBuffers:
-    """Work arrays of ``_fuse_step`` for stacks of ``runs`` n x n shapes, made
-    once per run: ``operands`` for the caller to fill with [W; P], the sum
-    W + P, the solve result X = M^T, ``factors`` [M; K], the half products
-    [M W; K P] and the unsymmetrized split shapes; ``eye`` is the n x n
-    identity."""
+    """Work arrays of one observer step for stacks of ``runs`` n x n shapes and
+    the views it reads, made once per run: ``operands`` [W; P] for the caller to
+    fill, W + P, the solve result X and M = X^T, ``factors`` [M; K] and their
+    transposes, the half products [M W; K P], whose array the outer sums reuse,
+    the unsymmetrized split shapes and the outer sums' coefficient pairs; ``eye``
+    is the n x n identity."""
 
     def __init__(self, runs: int, n: int):
         self.eye = np.eye(n)
         self.operands = np.empty((2, runs, n, n))
+        self.window, self.prior = self.operands
         self.total = np.empty((runs, n, n))
         self.solution = np.empty((runs, n, n))
+        self.fusion = self.solution.swapaxes(1, 2)
         self.factors = np.empty((2, runs, n, n))
+        self.transposes = self.factors.swapaxes(2, 3)
         self.halves = np.empty((2, runs, n, n))
         self.products = np.empty((2, runs, n, n))
+        self.coefficients = np.empty((2, runs, 1, 1))
 
 
 def _prior_step(
-    P: np.ndarray, c: np.ndarray, A: np.ndarray, A_T: np.ndarray, Q: np.ndarray,
-    trace_q: np.ndarray, out: np.ndarray,
+    P: np.ndarray, c: np.ndarray, A: np.ndarray, A_T: np.ndarray, stack: np.ndarray,
+    diagonals: np.ndarray, buffers: _FusionBuffers, shape: np.ndarray, center: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Prior sets E(A c, f+(A P A^T, Q)) of a stack of posteriors.
+    """Prior sets E(A c, f+(A P A^T, Q)) of a stack of posteriors, written into
+    ``center`` and ``shape``, which it returns.
 
-    ``P`` is (S, n, n), ``c`` holds the centers as (S, n, 1) columns, ``A_T``
-    is A.T and ``trace_q`` is Tr Q as a one-element array. ``out`` (2, S, n, n)
-    receives A P A^T and the prior shapes, for the caller to PSD-test in that
-    order. Returns the prior centers and ``out[1]``.
+    ``P`` is (S, n, n), ``c`` and ``center`` hold the centers as (S, n, 1)
+    columns, and ``A_T`` is A.T. ``stack`` (2, S, n, n) holds Q in its second
+    half and receives A P A^T in its first, for the caller to PSD-test before
+    the prior; ``diagonals`` is its diagonal view.
     """
-    mapped, prior = out[0], out[1]
-    _symmetrize(A @ P @ A_T, out=mapped)
-    _outer_sum_into(prior, mapped, _traces(mapped), Q, trace_q)
+    _symmetrize(A @ P @ A_T, out=stack[0])
+    _outer_sum_into(shape, stack, diagonals, buffers.coefficients, buffers.halves)
     # The + 0.0 turns a -0.0 entry into 0.0, as adding a zero offset does.
-    return A @ c + 0.0, prior
+    return np.add(A @ c, 0.0, out=center), shape
 
 
 def _fuse_step(
-    operands: np.ndarray, c_meas: np.ndarray, c_prior: np.ndarray, buffers: _FusionBuffers,
-    out: np.ndarray, test_singular: bool = True,
+    c_meas: np.ndarray, c_prior: np.ndarray, buffers: _FusionBuffers, split: np.ndarray,
+    diagonals: np.ndarray, shape: np.ndarray, center: np.ndarray, test_singular: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Trace-optimal outer approximations of E(c_meas, W) ^ E(c_prior, P), stacked.
+    """Trace-optimal outer approximations of E(c_meas, W) ^ E(c_prior, P), stacked,
+    written into ``center`` and ``shape``.
 
-    ``operands`` (2, S, n, n) holds the shapes [W; P] and the centers are
-    (S, n, 1) columns; ``buffers`` are the step's work arrays for S runs.
-    ``out`` (3, S, n, n) receives the two split shapes M W M^T and
-    (I - M) P (I - M)^T and the posterior shapes, for the caller to PSD-test
-    in that order. Returns the posterior centers, ``out[2]``, the fusion
+    ``buffers`` are the step's work arrays for S runs, with the shapes [W; P]
+    in ``buffers.operands``; the centers are (S, n, 1) columns. ``split``
+    (2, S, n, n) receives the two split shapes M W M^T and (I - M) P (I - M)^T,
+    for the caller to PSD-test before the posterior, and ``diagonals`` is its
+    diagonal view. Returns the posterior centers and shapes, the fusion
     matrices M and the sum parameters p; M is a view of ``buffers``.
 
     M^T = X solves (W + P) X = P. The split shapes are one product pair,
@@ -245,7 +265,7 @@ def _fuse_step(
     member is singular, and the eigenvalue test is skipped. A stack known to be
     regular either way is solved by ``_solve_regular``.
     """
-    W, P = operands[0], operands[1]
+    W, P = buffers.window, buffers.prior
     total = np.add(W, P, out=buffers.total)
     X = buffers.solution
     if test_singular:
@@ -260,18 +280,17 @@ def _fuse_step(
     else:
         # M (W + P) = P  =>  (W + P) M^T = P by symmetry.
         _solve_regular(total, P, out=X)
-    M = X.swapaxes(1, 2)
-    factors = buffers.factors
+    M, factors = buffers.fusion, buffers.factors
     factors[0] = M
     K = np.subtract(buffers.eye, M, out=factors[1])
-    products = np.matmul(np.matmul(factors, operands, out=buffers.halves),
-                         factors.swapaxes(2, 3), out=buffers.products)
-    split = _symmetrize(products, out=out[:2])
-    traces = _traces(split)
-    p = _outer_sum_into(out[2], split[0], traces[0], split[1], traces[1])
+    np.matmul(np.matmul(factors, buffers.operands, out=buffers.halves), buffers.transposes,
+              out=buffers.products)
+    _symmetrize(buffers.products, out=split)
+    p = _outer_sum_into(shape, split, diagonals, buffers.coefficients, buffers.halves)
     # The + 0.0 turns a -0.0 entry into 0.0; on a sum it has the bits of adding
     # 0.0 to each term first.
-    return (M @ c_meas + K @ c_prior) + 0.0, out[2], M, p
+    np.add(M @ c_meas, K @ c_prior, out=center)
+    return np.add(center, 0.0, out=center), shape, M, p
 
 
 def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
@@ -285,12 +304,12 @@ def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
     n = model.n
     if previous.dim != n:
         raise ValueError(f"matrix has {n} columns, ellipsoid has dimension {previous.dim}")
-    shapes = np.empty((2, 1, n, n))
+    stack = np.stack((np.empty((n, n)), model.Q))[:, None]
     center, shape = _prior_step(
-        previous.shape[None], previous.center[None, :, None], model.A, model.A.T, model.Q,
-        np.array([np.trace(model.Q)]), shapes,
+        previous.shape[None], previous.center[None, :, None], model.A, model.A.T, stack,
+        stack.diagonal(0, -2, -1), _FusionBuffers(1, n), np.empty((1, n, n)), np.empty((1, n, 1)),
     )
-    _require_psd_stack(shapes[:, 0])
+    _require_psd_stack(np.concatenate((stack[0], shape)))
     return Ellipsoid._trusted(center[0, :, 0], shape[0])
 
 
@@ -307,12 +326,14 @@ def fuse(measurement: Ellipsoid, prior: Ellipsoid) -> tuple[Ellipsoid, np.ndarra
     if measurement.dim != prior.dim:
         raise ValueError(f"dimension mismatch: {measurement.dim} vs {prior.dim}")
     n = measurement.dim
-    shapes = np.empty((3, 1, n, n))
+    buffers = _FusionBuffers(1, n)
+    buffers.operands[:, 0] = measurement.shape, prior.shape
+    split = np.empty((2, 1, n, n))
     center, shape, M, p = _fuse_step(
-        np.stack((measurement.shape, prior.shape))[:, None], measurement.center[None, :, None],
-        prior.center[None, :, None], _FusionBuffers(1, n), shapes,
+        measurement.center[None, :, None], prior.center[None, :, None], buffers, split,
+        split.diagonal(0, -2, -1), np.empty((1, n, n)), np.empty((1, n, 1)),
     )
-    _require_psd_stack(shapes[:, 0])
+    _require_psd_stack(np.concatenate((split[:, 0], shape)))
     return Ellipsoid._trusted(center[0, :, 0], shape[0]), M[0], float(p[0])
 
 
@@ -379,8 +400,8 @@ def _observe(
     alone, so each distinct one is PSD-tested once, before any step: a window
     that fails raises before every step's failure. Every shape a step makes
     is PSD-tested, in blocks (``_PsdBlock``); an exception leaving the loop
-    first runs the tests still pending, so among the steps the error of the
-    earliest failing one is raised. With S > 1 the run that raises may not be
+    first runs the tests still pending, of the shapes made so far, so among
+    the steps the error of the earliest failing one is raised. With S > 1 the run that raises may not be
     the first in order; a caller that needs the error of one run alone runs
     it alone.
     """
@@ -407,17 +428,16 @@ def _observe(
     settled = min(guard, skip_level)
     A, Q = model.A, model.Q
     A_T = A.T
-    trace_q = np.array([np.trace(Q)])
     buffers = _FusionBuffers(runs, n)
-    operands = buffers.operands
     # The steps take and give centers as (S, n, 1) columns.
     center_columns, prior_columns = centers[..., None], prior_centers[..., None]
     window_columns = window_centers[..., None]
+    posterior_diagonals = shapes.diagonal(0, -2, -1)
 
     def singular_test_needed(t: int) -> bool:
         """Apply the divergence guard to step t's posteriors, and tell whether
         the fusion of step t + 1 must run its singularity test."""
-        traces = _traces(shapes[t]).tolist()
+        traces = np.add.reduce(posterior_diagonals[t], -1).tolist()
         # Usually every trace is below both levels, and one pass shows it.
         if all(trace <= settled for trace in traces):
             return False
@@ -429,30 +449,29 @@ def _observe(
                 )
         return not all(trace <= skip_level for trace in traces)
 
-    # Per step: A P A^T, the prior, the two split shapes and the posterior.
-    block = _PsdBlock((5, runs, n, n))
+    block = _PsdBlock(prior_shapes[1:], shapes[1:], Q)
+    made = 5  # how many of its five PSD-tested shapes the latest step has made
     try:
         centers[0] = window_centers[0]
-        window_shapes.take(pattern[0], axis=0, out=shapes[0], mode="clip")
+        shape = window_shapes.take(pattern[0], axis=0, out=shapes[0], mode="clip")
+        center = center_columns[0]
         test_singular = singular_test_needed(0)
         for t in range(1, steps):
-            region = block.reserve()
-            c_prior, prior = _prior_step(
-                shapes[t - 1], center_columns[t - 1], A, A_T, Q, trace_q, region[:2]
-            )
+            made = 0
+            stack, stack_diagonals, split, split_diagonals = block.reserve()
+            c_prior, prior = _prior_step(shape, center, A, A_T, stack, stack_diagonals, buffers,
+                                         prior_shapes[t], prior_columns[t])
+            made = 2
             # The fusion's operands [W; P]; pattern indices are always in range.
-            window_shapes.take(pattern[t], axis=0, out=operands[0], mode="clip")
-            operands[1] = prior
-            center, shape, _, _ = _fuse_step(
-                operands, window_columns[t], c_prior, buffers, region[2:], test_singular
-            )
-            prior_columns[t] = c_prior
-            prior_shapes[t] = prior
-            center_columns[t] = center
-            shapes[t] = shape
+            window_shapes.take(pattern[t], axis=0, out=buffers.window, mode="clip")
+            buffers.prior[...] = prior
+            center, shape, _, _ = _fuse_step(window_columns[t], c_prior, buffers, split,
+                                             split_diagonals, shapes[t], center_columns[t],
+                                             test_singular)
+            made = 5
             test_singular = singular_test_needed(t)
     except Exception:
-        block.flush()  # an earlier failing PSD test would have stopped the run first
+        block.flush(made)  # an earlier failing PSD test would have stopped the run first
         raise
     block.flush()
     _require_resolution(centers, shapes, window_centers, solver, first_k)

@@ -415,14 +415,17 @@ class TestSimulate:
         # The plant history is refused at once and nothing is committed, whether
         # the allocation raises MemoryError (10^15) or numpy refuses the size
         # outright (10^18 and 2^63 raise ValueError).
-        for N in (1e15, 10**18, 2**63):
+        # A run that fails leaves no output directory, alone or in a sweep.
+        for N, sweep in ((1e15, []), (1e15, ["--seeds", "3"]), (10**18, []), (2**63, [])):
             path = write_config(tmp_path, N=N)
-            code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+            code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+                         *sweep])
             err = capsys.readouterr().err
             assert code == 1
             assert err.startswith(f"error: N = {int(N)} steps need ")
             assert err.endswith(" bytes of plant history, more than can be allocated\n")
             assert len(err.splitlines()) == 1
+            assert not (tmp_path / "out").exists()
 
     def test_summary_echo_round_trip(self, bench_config_file, tmp_path):
         out_dir = tmp_path / "run"
@@ -493,6 +496,7 @@ class TestSimulate:
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "observable" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_nonpositive_seed_count_rejected(self, bench_config_file, tmp_path, capsys, count):
@@ -624,6 +628,7 @@ class TestOverflowingPlant:
             env=child_env(), capture_output=True, text=True,
         )
         assert (done.returncode, done.stdout, done.stderr) == (1, "", stderr)
+        assert not (tmp_path / "out").exists()
 
 
 class TestResolutionLoss:
@@ -636,6 +641,7 @@ class TestResolutionLoss:
         assert code == 1
         assert err.startswith("error: ") and "resolution" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_replay_of_its_log_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, **UNSTABLE_PLANT)

@@ -505,6 +505,24 @@ class TestBlockedPsdTests:
             observer_run(records, bench_model, bench_trigger)
         assert str(err.value) == expected[0]
 
+    def test_shape_made_before_an_exception_in_its_step_wins(self, records, bench_model,
+                                                              bench_trigger, monkeypatch):
+        # Step 100's prior is made, then its fusion raises: the prior's test comes first.
+        expected = self.plant(monkeypatch, bad_call=self.call(100),
+                              raise_call=self.call(100, posterior=True))
+        with pytest.raises(ValueError) as err:
+            observer_run(records, bench_model, bench_trigger)
+        assert str(err.value) == expected[0]
+
+    @pytest.mark.parametrize("posterior", [False, True])
+    def test_shapes_a_step_did_not_make_are_not_tested(self, records, bench_model,
+                                                        bench_trigger, monkeypatch, posterior):
+        # Step 5 raises in the first block, whose slots hold whatever np.empty
+        # gave: only the shapes made so far are tested, so the exception leaves.
+        self.plant(monkeypatch, raise_call=self.call(5, posterior))
+        with pytest.raises(ZeroDivisionError, match="planted"):
+            observer_run(records, bench_model, bench_trigger)
+
     def test_earlier_exception_wins(self, records, bench_model, bench_trigger, monkeypatch):
         self.plant(monkeypatch, bad_call=self.call(110), raise_call=self.call(100))
         with pytest.raises(ZeroDivisionError, match="planted"):
@@ -762,8 +780,10 @@ def test_stacked_calls_equal_per_matrix_calls(n):
     # read from the kernel's own buffers, in the layouts it computes them in.
     assert same_bits(_solve_regular(W + P, P, out=np.empty_like(P)), X)
     buffers = observer_mod._FusionBuffers(runs, n)
-    observer_mod._fuse_step(np.stack((W, P)), c, c, buffers, np.empty((3, runs, n, n)),
-                            test_singular=False)
+    buffers.operands[:] = W, P
+    split = np.empty((2, runs, n, n))
+    observer_mod._fuse_step(c, c, buffers, split, split.diagonal(0, -2, -1),
+                            np.empty((runs, n, n)), np.empty((runs, n, 1)), test_singular=False)
     assert same_bits(buffers.solution, X)
     assert same_bits(buffers.products, single[1:3])  # M W M^T and K P K^T
     # (S + S^T) / 2 into a buffer, as the steps run it, and in place.
@@ -771,19 +791,31 @@ def test_stacked_calls_equal_per_matrix_calls(n):
     plain = np.array([(s + s.T) / 2.0 for s in S])
     assert same_bits(_symmetrize(S, out=np.empty_like(S)), plain)
     assert same_bits(_symmetrize(S[None], out=S[None]), plain[None])
-    # (1 + 1/p) X + (1 + p) Y with the trace-optimal p, with given p, and with
-    # one Y for every member (the prior step's Q).
+    # (1 + 1/p) X + (1 + p) Y as the steps lay it out, a (2, S, n, n) stack
+    # [X; Y] with its diagonal view: with the trace-optimal p, with a given p,
+    # and with one Q for every member, in a slot of a PSD block as the prior
+    # step reads it. Each result goes into a fresh array and into a row of a
+    # (K, S, n, n) run array.
     given = rng.uniform(0.5, 2.0, runs)
-    for Y, p in ((P, None), (P, given), (P[0], None)):
-        out = np.empty_like(W)
-        got = _outer_sum_into(out, W, _traces(W), Y, np.atleast_1d(_traces(Y)), p)
+    Q = rand_spd(rng, n)
+    block = np.empty((2, 4, runs, n, n))
+    block[:, 1] = Q
+    block[1, 0] = W
+    slot, slot_diagonals = block[1, :2], block.diagonal(0, -2, -1)[1, :2]
+    pair = np.stack((W, P))
+    run = np.empty((3, runs, n, n))
+    coefficients, products = np.empty((2, runs, 1, 1)), np.empty((2, runs, n, n))
+    for stack, diagonals, p in ((pair, pair.diagonal(0, -2, -1), None),
+                                (pair, pair.diagonal(0, -2, -1), given),
+                                (slot, slot_diagonals, None)):
         expected_p, expected = [], []
-        for s, w in enumerate(W):
-            y = Y if Y.ndim == 2 else Y[s]
+        for s, (w, y) in enumerate(zip(*stack)):
             q = float(np.sqrt(w.trace() / y.trace())) if p is None else float(p[s])
             expected_p.append(q)
             expected.append((1.0 + 1.0 / q) * w + (1.0 + q) * y)
-        assert same_bits(got, expected_p) and same_bits(out, expected)
+        for out in (np.empty_like(W), run[1]):
+            got = _outer_sum_into(out, stack, diagonals, coefficients, products, p)
+            assert same_bits(got, expected_p) and same_bits(out, expected)
     d = rng.standard_normal((rows, n))
     norms = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
     assert same_bits(norms, [np.linalg.norm(row) for row in d])
@@ -794,19 +826,22 @@ class TestStackedSteps:
 
     @staticmethod
     def prior(P, c, model):
-        Q = model.Q
-        out = np.empty((2, *P.shape))
-        center, _ = observer_mod._prior_step(P, c, model.A, model.A.T, Q,
-                                             np.array([np.trace(Q)]), out)
-        return out, center
+        stack = np.empty((2, *P.shape))
+        stack[1] = model.Q
+        shape, center = np.empty_like(P), np.empty_like(c)
+        observer_mod._prior_step(P, c, model.A, model.A.T, stack, stack.diagonal(0, -2, -1),
+                                 observer_mod._FusionBuffers(*P.shape[:2]), shape, center)
+        return np.stack((stack[0], shape)), center
 
     @staticmethod
     def fuse(W, c_meas, P, c_prior):
-        out = np.empty((3, *W.shape))
         buffers = observer_mod._FusionBuffers(*W.shape[:2])
-        center, _, M, p = observer_mod._fuse_step(np.stack((W, P)), c_meas, c_prior, buffers,
-                                                  out)
-        return out, center, M, p
+        buffers.operands[:] = W, P
+        split = np.empty((2, *W.shape))
+        shape, center = np.empty_like(W), np.empty_like(c_meas)
+        _, _, M, p = observer_mod._fuse_step(c_meas, c_prior, buffers, split,
+                                             split.diagonal(0, -2, -1), shape, center)
+        return np.concatenate((split, shape[None])), center, M, p
 
     @staticmethod
     def assert_members_alone(step, *stacks):
