@@ -11,8 +11,11 @@ exactly symmetric shapes is exactly symmetric already). Every tolerance
 is relative to the scale of the matrix it tests, so a result means the same
 in any units.
 
-Each set operation is written once, here, for one shape or an (S, n, n)
-stack: the observer runs it on stacks, the public functions on a stack of one.
+Each set operation is written here for one shape or an (S, n, n) stack. The
+public functions (``affine_transform``, ``minkowski_sum_outer``, the fusion
+matrix) are the specification of the observer's run kernel
+(``observer._observe``), which makes the same IEEE operations inline on its
+stack, and leaves the rare members of an outer sum to ``_outer_sum_into``.
 """
 
 from __future__ import annotations
@@ -190,9 +193,10 @@ def optimal_sum_parameter(Q1: np.ndarray, Q2: np.ndarray) -> float:
 
 def _sum_parameter(t1, t2):
     """p = sqrt(t1 / t2) from two positive traces, or elementwise from two stacks
-    of them: the one formula behind ``optimal_sum_parameter`` and
-    ``_outer_sum_into``. np.sqrt is correctly rounded, so a stack's members
-    equal the scalar results bit for bit."""
+    of them: the one formula behind ``optimal_sum_parameter``,
+    ``_outer_sum_into`` and ``observer.fuse``, which the observer's loop writes
+    inline. np.sqrt is correctly rounded, so a stack's members equal the scalar
+    results bit for bit."""
     return np.sqrt(t1 / t2)
 
 
@@ -202,8 +206,8 @@ def minkowski_sum_outer(e1: Ellipsoid, e2: Ellipsoid, p: float | None = None) ->
     Shape is (1 + 1/p) S1 + (1 + p) S2, which contains the exact sum for any
     p > 0 and is trace-minimal at p = sqrt(Tr S1 / Tr S2). If ``p`` is None
     the trace-optimal parameter is used. An operand whose shape has zero trace
-    is a point, and the sum is exact. This is the observer's outer sum
-    (``_outer_sum_into``) on a stack of one.
+    is a point, and the sum is exact. It runs ``_outer_sum_into`` on a stack
+    of one, and the observer's loop gives every sum these bits.
     """
     if e1.dim != e2.dim:
         raise ValueError(f"dimension mismatch: {e1.dim} vs {e2.dim}")
@@ -239,9 +243,7 @@ def _outer_sum_into(
     """
     traces = np.add.reduce(diagonals, -1)
     t_x, t_y = traces.tolist()
-    if p is None and min(t_x) > 0.0 and min(t_y) > 0.0:
-        p = _sum_parameter(traces[0], traces[1])
-    elif p is None:
+    if p is None:
         regular = (traces > 0.0).all(axis=0)
         p = np.ones(len(t_x))
         p[regular] = _sum_parameter(traces[0, regular], traces[1, regular])
@@ -296,10 +298,12 @@ def _solve_regular(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     which cost three times the solve itself on a stack of one 2 x 2 member.
     The wrapper is also what turns an exactly singular member into
     LinAlgError; here that member comes back NaN with the invalid flag raised
-    (a RuntimeWarning under numpy's default error state). So the caller must
-    know every member is regular: cleared by ``_singular``, or proven so for
-    the whole run (``observer._singularity_skip_level``). Any other solve goes
-    through np.linalg.solve.
+    (a RuntimeWarning under numpy's default error state; the observer's loop
+    runs it with that warning silenced, so there a singular member would show
+    only as the non-finite shapes it leads to). So the caller must know every
+    member is regular: cleared by ``_singular``, or proven so for the whole
+    run (``observer._singularity_skip_level``). Any other solve goes through
+    np.linalg.solve.
     """
     return _umath_linalg.solve(a, b, out=out)
 

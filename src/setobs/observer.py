@@ -8,6 +8,12 @@ n records is needed, the estimate of step k is only available at step k+n-1;
 ``predict_no_delay`` bridges the gap on demand, from any finalized posterior.
 A run is one recursion over the log's flag and reference arrays, and its
 result (``ObserverRun``) is arrays too.
+
+``_observe`` is the one run kernel: its loop body makes a whole step on the
+(S, n, n) stack, in place, and calls no helper in the common case. The public
+steps ``prior_set`` and ``fuse`` are the public calculus (``affine_transform``,
+the fusion matrix, ``minkowski_sum_outer``) and the loop's bit-for-bit
+specification: every prior and posterior of a run equals theirs.
 """
 
 from __future__ import annotations
@@ -23,13 +29,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .ellipsoid import (
     PSD_TOL,
     Ellipsoid,
+    SingularShapeError,
     _fusion_matrix,
     _outer_sum_into,
     _require_psd_stack,
     _singular,
     _solve_regular,
-    _symmetrize,
+    _sum_parameter,
     _traces,
+    affine_transform,
+    minkowski_sum_outer,
 )
 from .observability import (
     SystemModel,
@@ -172,14 +181,15 @@ class _PsdBlock:
         self._block = np.empty((steps, 4, *stack))
         self._block[:, 1] = Q
         diagonals = self._block.diagonal(0, -2, -1)
-        self._slots = [(slot[:2], diagonal[:2], slot[2:], diagonal[2:])
+        self._slots = [(slot[:2], slot[0], diagonal[0], slot[2:], diagonal[2:])
                        for slot, diagonal in zip(self._block, diagonals)]
         self._priors, self._posteriors = priors, posteriors
         self._first = self._count = 0
 
     def reserve(self) -> tuple[np.ndarray, ...]:
-        """The next step's stacks [A P A^T; Q] and [S1; S2], each with its diagonal
-        view; the pending steps are tested first if the block is full."""
+        """The next step's stack [A P A^T; Q], its A P A^T with that one's diagonal
+        view, and its stack [S1; S2] with its diagonal view; the pending steps are
+        tested first if the block is full."""
         if self._count == len(self._slots):
             self.flush()
         self._count += 1
@@ -196,145 +206,53 @@ class _PsdBlock:
         _require_psd_stack(shapes.reshape(-1, n, n)[: (5 * count - 5 + made) * runs])
 
 
-class _FusionBuffers:
-    """Work arrays of one observer step for stacks of ``runs`` n x n shapes and
-    the views it reads, made once per run: ``operands`` [W; P] for the caller to
-    fill, W + P, the solve result X and M = X^T, ``factors`` [M; K] and their
-    transposes, the half products [M W; K P], whose array the outer sums reuse,
-    the unsymmetrized split shapes and the outer sums' coefficient pairs; ``eye``
-    is the n x n identity."""
-
-    def __init__(self, runs: int, n: int):
-        self.eye = np.eye(n)
-        self.operands = np.empty((2, runs, n, n))
-        self.window, self.prior = self.operands
-        self.total = np.empty((runs, n, n))
-        self.solution = np.empty((runs, n, n))
-        self.fusion = self.solution.swapaxes(1, 2)
-        self.factors = np.empty((2, runs, n, n))
-        self.transposes = self.factors.swapaxes(2, 3)
-        self.halves = np.empty((2, runs, n, n))
-        self.products = np.empty((2, runs, n, n))
-        self.coefficients = np.empty((2, runs, 1, 1))
-
-
-def _prior_step(
-    P: np.ndarray, c: np.ndarray, A: np.ndarray, A_T: np.ndarray, stack: np.ndarray,
-    diagonals: np.ndarray, buffers: _FusionBuffers, shape: np.ndarray, center: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Prior sets E(A c, f+(A P A^T, Q)) of a stack of posteriors, written into
-    ``center`` and ``shape``, which it returns.
-
-    ``P`` is (S, n, n), ``c`` and ``center`` hold the centers as (S, n, 1)
-    columns, and ``A_T`` is A.T. ``stack`` (2, S, n, n) holds Q in its second
-    half and receives A P A^T in its first, for the caller to PSD-test before
-    the prior; ``diagonals`` is its diagonal view.
-    """
-    _symmetrize(A @ P @ A_T, out=stack[0])
-    _outer_sum_into(shape, stack, diagonals, buffers.coefficients, buffers.halves)
-    # The + 0.0 turns a -0.0 entry into 0.0, as adding a zero offset does.
-    return np.add(A @ c, 0.0, out=center), shape
-
-
-def _fuse_step(
-    c_meas: np.ndarray, c_prior: np.ndarray, buffers: _FusionBuffers, split: np.ndarray,
-    diagonals: np.ndarray, shape: np.ndarray, center: np.ndarray, test_singular: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Trace-optimal outer approximations of E(c_meas, W) ^ E(c_prior, P), stacked,
-    written into ``center`` and ``shape``.
-
-    ``buffers`` are the step's work arrays for S runs, with the shapes [W; P]
-    in ``buffers.operands``; the centers are (S, n, 1) columns. ``split``
-    (2, S, n, n) receives the two split shapes M W M^T and (I - M) P (I - M)^T,
-    for the caller to PSD-test before the posterior, and ``diagonals`` is its
-    diagonal view. Returns the posterior centers and shapes, the fusion
-    matrices M and the sum parameters p; M is a view of ``buffers``.
-
-    M^T = X solves (W + P) X = P. The split shapes are one product pair,
-    ([M; K] @ [W; P]) @ [X; K^T] with K = I - M, where [M; K] is a copy and
-    [X; K^T] its transposed view: two matmuls for the four products. Each
-    member gets the bits of m @ w @ m.T and k @ p @ k.T with m the transposed
-    view of its own solve result, the layout the centers' products use; that
-    needs BLAS to give a transposed operand the bits of its copy, which
-    ``test_stacked_calls_equal_per_matrix_calls`` checks.
-
-    A member that ``_singular`` finds singular gets b = max(1e-12/n, n 1e-14) Tr
-    (1e-12 Tr/n up to n = 10) on each operand's diagonal, which lifts a PSD sum
-    to twice the rule's floor at any n; that stack's regular members go through
-    np.linalg.solve. With ``test_singular`` false the caller has proven that no
-    member is singular, and the eigenvalue test is skipped. A stack known to be
-    regular either way is solved by ``_solve_regular``.
-    """
-    W, P = buffers.window, buffers.prior
-    total = np.add(W, P, out=buffers.total)
-    X = buffers.solution
-    if test_singular:
-        singular = _singular(np.linalg.eigvalsh(total))
-    if test_singular and singular.any():
-        regular = ~singular
-        X[regular] = np.linalg.solve(total[regular], P[regular])
-        n = buffers.eye.shape[0]
-        for s in np.flatnonzero(singular):
-            bump = 1e-12 * float(np.trace(total[s])) / n * max(1.0, n * n / 100.0) * buffers.eye
-            X[s] = _fusion_matrix(W[s] + bump, P[s] + bump).T
-    else:
-        # M (W + P) = P  =>  (W + P) M^T = P by symmetry.
-        _solve_regular(total, P, out=X)
-    M, factors = buffers.fusion, buffers.factors
-    factors[0] = M
-    K = np.subtract(buffers.eye, M, out=factors[1])
-    np.matmul(np.matmul(factors, buffers.operands, out=buffers.halves), buffers.transposes,
-              out=buffers.products)
-    _symmetrize(buffers.products, out=split)
-    p = _outer_sum_into(shape, split, diagonals, buffers.coefficients, buffers.halves)
-    # The + 0.0 turns a -0.0 entry into 0.0; on a sum it has the bits of adding
-    # 0.0 to each term first.
-    np.add(M @ c_meas, K @ c_prior, out=center)
-    return np.add(center, 0.0, out=center), shape, M, p
-
-
 def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
     """Propagate a posterior one step: E(A x, P) -> E(A x, f+(A P A^T, Q)).
 
     The shape is the trace-optimal outer sum of the mapped posterior and the
     disturbance set, so sqrt(Tr) of the result is exactly
-    sqrt(Tr(A P A^T)) + sqrt(Tr(Q)). This is the observer's own step, on a
-    stack of one.
+    sqrt(Tr(A P A^T)) + sqrt(Tr(Q)). The observer's loop computes the prior
+    of every step with these bits.
     """
-    n = model.n
-    if previous.dim != n:
-        raise ValueError(f"matrix has {n} columns, ellipsoid has dimension {previous.dim}")
-    stack = np.stack((np.empty((n, n)), model.Q))[:, None]
-    center, shape = _prior_step(
-        previous.shape[None], previous.center[None, :, None], model.A, model.A.T, stack,
-        stack.diagonal(0, -2, -1), _FusionBuffers(1, n), np.empty((1, n, n)), np.empty((1, n, 1)),
-    )
-    _require_psd_stack(np.concatenate((stack[0], shape)))
-    return Ellipsoid._trusted(center[0, :, 0], shape[0])
+    return minkowski_sum_outer(affine_transform(previous, model.A),
+                               Ellipsoid._trusted(np.zeros(model.n), model.Q))
 
 
 def fuse(measurement: Ellipsoid, prior: Ellipsoid) -> tuple[Ellipsoid, np.ndarray, float]:
     """Trace-optimal outer approximation of measurement ^ prior.
 
     Returns (posterior, M, p): the fused ellipsoid, the fusion matrix weighting
-    the measurement center, and the Minkowski parameter used for the outer sum.
-    A singular shape sum is regularized on the diagonal (``_fuse_step``: 1e-12
-    Tr/n, or n 1e-14 Tr from n = 11 on) so the iteration stays total at every
-    n; the perturbation is below all test tolerances.
-    This is the observer's own step, on a stack of one.
+    the measurement center, and the Minkowski parameter used for the outer sum:
+    the outer sum of E(M c_meas, M W M^T) and E(K c_prior, K P K^T), K = I - M,
+    with p = sqrt of their trace ratio, or 1 unless both traces are positive.
+    A singular shape sum is regularized on the diagonal (``_bumped_fusion_matrix``)
+    so the iteration stays total at every n; the perturbation is below all
+    test tolerances. The observer's loop computes the posterior of every step
+    with these bits.
     """
     if measurement.dim != prior.dim:
         raise ValueError(f"dimension mismatch: {measurement.dim} vs {prior.dim}")
-    n = measurement.dim
-    buffers = _FusionBuffers(1, n)
-    buffers.operands[:, 0] = measurement.shape, prior.shape
-    split = np.empty((2, 1, n, n))
-    center, shape, M, p = _fuse_step(
-        measurement.center[None, :, None], prior.center[None, :, None], buffers, split,
-        split.diagonal(0, -2, -1), np.empty((1, n, n)), np.empty((1, n, 1)),
-    )
-    _require_psd_stack(np.concatenate((split[:, 0], shape)))
-    return Ellipsoid._trusted(center[0, :, 0], shape[0]), M[0], float(p[0])
+    try:
+        M = _fusion_matrix(measurement.shape, prior.shape)
+    except SingularShapeError:
+        M = _bumped_fusion_matrix(measurement.shape, prior.shape)
+    parts = affine_transform(measurement, M), affine_transform(prior, np.eye(len(M)) - M)
+    t1, t2 = (float(np.trace(part.shape)) for part in parts)
+    p = float(_sum_parameter(t1, t2)) if t1 > 0.0 and t2 > 0.0 else 1.0
+    return minkowski_sum_outer(*parts, p), M, p
+
+
+def _bumped_fusion_matrix(W: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """``_fusion_matrix`` of W + b I and P + b I, for n x n shapes whose sum
+    ``_singular`` finds singular.
+
+    b = max(1e-12/n, n 1e-14) Tr(W + P) (1e-12 Tr/n up to n = 10), which lifts
+    a PSD sum to twice the rule's floor at any n. A sum of zero trace stays
+    singular, and ``_fusion_matrix`` raises SingularShapeError.
+    """
+    n = len(W)
+    bump = 1e-12 * float(np.trace(W + P)) / n * max(1.0, n * n / 100.0) * np.eye(n)
+    return _fusion_matrix(W + bump, P + bump)
 
 
 def predict_no_delay(
@@ -394,16 +312,22 @@ def _observe(
     and reference arrays; returns one run per log.
 
     Every step advances all S runs at once, as (S, n, n) shapes and (S, n, 1)
-    centers, and each run gets the bits it would get alone. The run arrays are
+    centers, and each run gets the bits it would get alone. The loop body is
+    the whole step: the prior of ``prior_set`` and the posterior of ``fuse``,
+    with their IEEE operations, written into work arrays and run-array rows
+    made before the loop; a member whose outer sum has an operand of trace
+    <= 0 goes through ``_outer_sum_into``. At small n a step costs numpy's
+    per-call overhead more than its arithmetic, so it makes no Python call but
+    ``_PsdBlock.reserve`` and ``_solve_regular`` in the common case. The run arrays are
     laid out step by step, (K, S, ...), and each ``ObserverRun`` holds views
     of its run's column. The window shapes depend on the event patterns
     alone, so each distinct one is PSD-tested once, before any step: a window
     that fails raises before every step's failure. Every shape a step makes
     is PSD-tested, in blocks (``_PsdBlock``); an exception leaving the loop
     first runs the tests still pending, of the shapes made so far, so among
-    the steps the error of the earliest failing one is raised. With S > 1 the run that raises may not be
-    the first in order; a caller that needs the error of one run alone runs
-    it alone.
+    the steps the error of the earliest failing one is raised. With S > 1 the
+    run that raises may not be the first in order; a caller that needs the
+    error of one run alone runs it alone.
     """
     model = solver.model
     n = model.n
@@ -427,20 +351,30 @@ def _observe(
     skip_level = _singularity_skip_level(solver, window_shapes)
     settled = min(guard, skip_level)
     A, Q = model.A, model.Q
-    A_T = A.T
-    buffers = _FusionBuffers(runs, n)
-    # The steps take and give centers as (S, n, 1) columns.
+    A_T, eye = A.T, np.eye(n)
+    q_trace = float(_traces(Q))
+    # Centers are (S, n, 1) columns; M c and K c are taken in that layout.
     center_columns, prior_columns = centers[..., None], prior_centers[..., None]
     window_columns = window_centers[..., None]
     posterior_diagonals = shapes.diagonal(0, -2, -1)
+    # The fusion's operands [W; P], W + P, the solve result X and M = X^T (a
+    # view), [M; K] and its transposed view, and the product pairs.
+    operands, sums, factors, halves, products = np.empty((5, 2, runs, n, n))
+    x_half, y_half = halves
+    W, P = operands
+    total, X = sums
+    M, K = X.swapaxes(1, 2), factors[1]
+    transposes = factors.swapaxes(2, 3)
+    # An outer sum's pair [1 + 1/p; 1 + p] is [1; p] / [p; 1] + 1, from the
+    # rows [1; p; 1].
+    rows = np.ones((3, runs, 1, 1))
+    p, numerators, denominators = rows[1, :, 0, 0], rows[:2], rows[1:]
+    coefficients = np.empty((2, runs, 1, 1))
 
-    def singular_test_needed(t: int) -> bool:
-        """Apply the divergence guard to step t's posteriors, and tell whether
-        the fusion of step t + 1 must run its singularity test."""
-        traces = np.add.reduce(posterior_diagonals[t], -1).tolist()
-        # Usually every trace is below both levels, and one pass shows it.
-        if all(trace <= settled for trace in traces):
-            return False
+    def needs_singular_test(t: int, traces: list[float]) -> bool:
+        """The divergence guard on step t's posterior traces, one of which is
+        above ``settled``; tells whether the fusion of step t + 1 must run its
+        singularity test."""
         for trace in traces:
             if trace > guard:
                 raise DivergenceError(
@@ -451,29 +385,85 @@ def _observe(
 
     block = _PsdBlock(prior_shapes[1:], shapes[1:], Q)
     made = 5  # how many of its five PSD-tested shapes the latest step has made
-    try:
-        centers[0] = window_centers[0]
-        shape = window_shapes.take(pattern[0], axis=0, out=shapes[0], mode="clip")
-        center = center_columns[0]
-        test_singular = singular_test_needed(0)
-        for t in range(1, steps):
-            made = 0
-            stack, stack_diagonals, split, split_diagonals = block.reserve()
-            c_prior, prior = _prior_step(shape, center, A, A_T, stack, stack_diagonals, buffers,
-                                         prior_shapes[t], prior_columns[t])
-            made = 2
-            # The fusion's operands [W; P]; pattern indices are always in range.
-            window_shapes.take(pattern[t], axis=0, out=buffers.window, mode="clip")
-            buffers.prior[...] = prior
-            center, shape, _, _ = _fuse_step(window_columns[t], c_prior, buffers, split,
-                                             split_diagonals, shapes[t], center_columns[t],
-                                             test_singular)
-            made = 5
-            test_singular = singular_test_needed(t)
-    except Exception:
-        block.flush(made)  # an earlier failing PSD test would have stopped the run first
-        raise
-    block.flush()
+    # A center or shape that overflows or turns NaN (as would a singular
+    # member of ``_solve_regular``) fails the PSD or the resolution test,
+    # which say so; the float warnings would only repeat it.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            centers[0] = window_centers[0]
+            shape = window_shapes.take(pattern[0], axis=0, out=shapes[0], mode="clip")
+            center = center_columns[0]
+            traces = np.add.reduce(posterior_diagonals[0], -1).tolist()
+            # Usually every trace is below both levels, and one pass shows it
+            # (settled >= trace is trace <= settled, False for a NaN).
+            test_singular = not all(map(settled.__ge__, traces)) and needs_singular_test(0, traces)
+            for t in range(1, steps):
+                made = 0
+                stack, mapped, mapped_diagonals, split, split_diagonals = block.reserve()
+                # The prior E(A c, f+(A S A^T, Q)), with A S A^T in the block's
+                # [A S A^T; Q] for its PSD test.
+                product = A @ shape @ A_T
+                np.divide(np.add(product, product.swapaxes(1, 2), out=mapped), 2.0, out=mapped)
+                prior = prior_shapes[t]
+                traces = np.add.reduce(mapped_diagonals, -1)
+                if min(traces.tolist()) > 0.0 and q_trace > 0.0:
+                    np.sqrt(np.divide(traces, q_trace), out=p)
+                    np.add(np.divide(numerators, denominators, out=coefficients), 1.0,
+                           out=coefficients)
+                    np.multiply(stack, coefficients, out=halves)
+                    np.add(x_half, y_half, out=prior)
+                else:  # a point among the mapped posteriors, or a Q of zero trace
+                    _outer_sum_into(prior, stack, stack.diagonal(0, -2, -1), coefficients, halves)
+                # The + 0.0 turns a -0.0 entry into 0.0, as adding a zero offset does.
+                c_prior = np.add(A @ center, 0.0, out=prior_columns[t])
+                made = 2
+                # The fusion's operands; pattern indices are always in range.
+                window_shapes.take(pattern[t], axis=0, out=W, mode="clip")
+                P[...] = prior
+                np.add(W, P, out=total)
+                # M (W + P) = P  =>  (W + P) M^T = P by symmetry: X = M^T.
+                if test_singular:
+                    singular = _singular(np.linalg.eigvalsh(total))
+                if test_singular and singular.any():
+                    regular = ~singular
+                    X[regular] = np.linalg.solve(total[regular], P[regular])
+                    for s in np.flatnonzero(singular):
+                        X[s] = _bumped_fusion_matrix(W[s], P[s]).T
+                else:
+                    _solve_regular(total, prior, out=X)
+                # The split shapes M W M^T and K P K^T, K = I - M, as one product
+                # pair, ([M; K] @ [W; P]) @ [X; K^T] with [M; K] a copy. Each
+                # member gets the bits of m @ w @ m.T with m the transposed view
+                # of its solve result, as the centers use it, if BLAS gives a
+                # transposed operand the bits of its copy, which
+                # test_stacked_calls_equal_per_matrix_calls checks.
+                factors[0] = M
+                np.subtract(eye, M, out=K)
+                np.matmul(np.matmul(factors, operands, out=halves), transposes, out=products)
+                np.divide(np.add(products, products.swapaxes(2, 3), out=split), 2.0, out=split)
+                shape = shapes[t]
+                traces = np.add.reduce(split_diagonals, -1)
+                t_x, t_y = traces.tolist()
+                if min(t_x) > 0.0 and min(t_y) > 0.0:
+                    np.sqrt(np.divide(traces[0], traces[1]), out=p)
+                    np.add(np.divide(numerators, denominators, out=coefficients), 1.0,
+                           out=coefficients)
+                    np.multiply(split, coefficients, out=halves)
+                    np.add(x_half, y_half, out=shape)
+                else:  # a point, or a trace below zero within the PSD floor
+                    _outer_sum_into(shape, split, split_diagonals, coefficients, halves)
+                # The + 0.0 turns a -0.0 entry into 0.0; on a sum it has the bits
+                # of adding 0.0 to each term first.
+                center = center_columns[t]
+                np.add(np.add(M @ window_columns[t], K @ c_prior, out=center), 0.0, out=center)
+                made = 5
+                traces = np.add.reduce(posterior_diagonals[t], -1).tolist()
+                test_singular = (not all(map(settled.__ge__, traces))
+                                 and needs_singular_test(t, traces))
+        except Exception:
+            block.flush(made)  # an earlier failing PSD test would have stopped the run first
+            raise
+        block.flush()
     _require_resolution(centers, shapes, window_centers, solver, first_k)
     arrays = (centers, shapes, prior_centers, prior_shapes, window_centers, pattern)
     for array in (*arrays, window_shapes):
@@ -501,7 +491,7 @@ def _distinct_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _singularity_skip_level(solver: WindowSolver, window_shapes: np.ndarray) -> float:
-    """A previous posterior trace at or below which ``_fuse_step``'s singularity
+    """A previous posterior trace at or below which the fusion's singularity
     test is sure to pass, so that it need not run; -inf when there is none.
     ``window_shapes`` are the run's distinct window shapes, and ||A|| is the
     solver's ``norm_a``.
@@ -522,14 +512,16 @@ def _singularity_skip_level(solver: WindowSolver, window_shapes: np.ndarray) -> 
     The window shapes have passed their PSD test, so they are finite.
     """
     n = solver.n
-    u = np.finfo(float).eps / 2.0
+    u = float(np.finfo(float).eps) / 2.0
     error = 16 * n * u
     Q = solver.model.Q
     q = np.linalg.eigvalsh(Q)
     w = np.linalg.eigvalsh(window_shapes)
-    q_min = q[0] - error * q[-1]
+    q_min = float(q[0] - error * q[-1])
     if q_min <= 0.0:  # b l_min(Q) >= l_min(Q) needs l_min(Q) >= 0
         return -math.inf
+    # Python floats from here on: a room that overflows is inf, without a
+    # warning, and so is the level, which every finite trace is below.
     smallest = q_min + float(np.min(w[:, 0] - error * w[:, -1]))
     rate = PSD_TOL / n + n * 1e-14 + (n + 4) * u + error
     prior_room = smallest / (2.0 * rate) / 2.0 - float(np.max(_traces(window_shapes)))
@@ -537,7 +529,7 @@ def _singularity_skip_level(solver: WindowSolver, window_shapes: np.ndarray) -> 
     if not mapped_room > 0.0:
         return -math.inf
     norm_a = solver.norm_a
-    return mapped_room / norm_a**2 / 2.0 if norm_a > 0.0 else math.inf
+    return mapped_room / norm_a / norm_a / 2.0 if norm_a > 0.0 else math.inf
 
 
 def _require_resolution(
@@ -584,7 +576,8 @@ def _require_resolution(
     # fires only on sets known to be too thin.
     eigs = np.linalg.eigvalsh(shapes.reshape(-1, n, n))
     semi_axis = np.sqrt(np.clip(eigs[:, 0], 0.0, None) + n * unit_roundoff * eigs[:, -1])
-    unresolved = np.flatnonzero(semi_axis < RESOLUTION_MARGIN * error)
+    # A NaN center has a NaN error, and no set resolves it either.
+    unresolved = np.flatnonzero(~(semi_axis >= RESOLUTION_MARGIN * error))
     if unresolved.size:
         i = int(unresolved[0])
         raise DivergenceError(

@@ -630,6 +630,21 @@ class TestOverflowingPlant:
         assert (done.returncode, done.stdout, done.stderr) == (1, "", stderr)
         assert not (tmp_path / "out").exists()
 
+    def test_replay_of_overflowing_references(self, bench_config_file, tmp_path):
+        # References of +-1.7e308 give window centers whose products overflow
+        # to inf and NaN in every step; the run's one error is that its first
+        # center is not resolved.
+        log = tmp_path / "log.csv"
+        log.write_text("k,gamma,y_tau\n" + "".join(f"{k},1,{(-1) ** k * 1.7e308!r}\n"
+                                                    for k in range(6)))
+        done = subprocess.run(
+            [sys.executable, "-m", "setobs.cli", "replay", "--config", str(bench_config_file),
+             "--log", str(log), "--out", str(tmp_path / "out")],
+            env=child_env(), capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", self.CASES["center"][1])
+        assert not (tmp_path / "out").exists()
+
 
 class TestResolutionLoss:
     """An unstable plant outgrows float64 resolution: exit 1 with a message."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -428,6 +429,31 @@ def test_distinct_rows_equal_unique_rows(n):
         assert same_bits(pattern, inverse.reshape(-1).astype(pattern.dtype))
 
 
+class MappingHook(np.ndarray):
+    """A dynamics matrix A that calls its ``hook`` before each product A @ S with
+    a stack S of n x n shapes: in an observer run, the first operation of each
+    step t >= 1, before the step has made a shape. Every result is that of A."""
+
+    hook = None
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        other = inputs[-1]
+        if (ufunc is np.matmul and inputs[0] is self and other.ndim == 3
+                and other.shape[-1] == len(self)):
+            self.hook()
+        plain = (x.view(np.ndarray) if isinstance(x, MappingHook) else x for x in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def hooked_model(model: SystemModel, hook) -> SystemModel:
+    """``model`` with an A that calls ``hook`` as the observer starts each step."""
+    A = model.A.view(MappingHook)
+    A.hook = hook
+    hooked = SystemModel(A=model.A, C=model.C, Q=model.Q, R=model.R)
+    object.__setattr__(hooked, "A", A)
+    return hooked
+
+
 class TestBlockedPsdTests:
     """PSD tests run stacked per block, yet raise what a test per shape raises."""
 
@@ -439,94 +465,147 @@ class TestBlockedPsdTests:
         return closed_loop_records(bench_model, bench_trigger, self.N, 3)
 
     @staticmethod
-    def call(step: int, posterior: bool = False) -> int:
-        """Number of the step call that makes a step's prior (or posterior) shape."""
-        return 2 * step - (0 if posterior else 1)
+    def plant(monkeypatch, model, bad_step=None, raise_step=None, in_fusion=False,
+              diverge_step=None, spoil=np.negative, posterior=False):
+        """The loop's seams at each step t >= 1: the model's A, whose product with
+        the posteriors starts the step before it has made a shape, and
+        ``_solve_regular``, which gets the step's prior after the step has made
+        A S A^T and the prior. Spoil (by default negate) the prior of step
+        ``bad_step`` as the solve gets it, raise ZeroDivisionError at step
+        ``raise_step`` (as A maps its posteriors, or in its solve ``in_fusion``),
+        and scale the fusion matrix of step ``diverge_step`` by 1e6, which sends
+        its posterior trace past the divergence guard. With ``posterior``, spoil
+        the posterior of ``bad_step`` instead: its fusion matrix is zeroed, so
+        M W M^T is a point and the fusion's outer sum goes through
+        ``_outer_sum_into``, whose result is spoiled. Returns the model to run
+        and the error _require_psd gives the spoiled shape."""
+        expected, starts, solves = [], [], []
+        helper, outer_sum = observer_mod._solve_regular, observer_mod._outer_sum_into
 
-    @staticmethod
-    def plant(monkeypatch, bad_call=None, raise_call=None, spoil=np.negative):
-        """Spoil (by default negate) the shape made by step call ``bad_call`` (the
-        prior of ``_prior_step``, the posterior of ``_fuse_step``) and raise
-        ZeroDivisionError at ``raise_call``; returns the error _require_psd gives
-        the spoiled shape."""
-        calls = []
-        expected = []
+        def spoiled_sum(out, *args):
+            p = outer_sum(out, *args)
+            out[...] = spoil(out)  # the run's posterior row
+            with pytest.raises(ValueError) as err:
+                _require_psd(out[0].copy())
+            expected.append(str(err.value))
+            monkeypatch.setattr(observer_mod, "_outer_sum_into", outer_sum)
+            return p
 
-        def planted(original):
-            def step(*args, **kwargs):
-                calls.append(None)
-                if len(calls) == raise_call:
-                    raise ZeroDivisionError("planted")
-                result = original(*args, **kwargs)
-                if len(calls) == bad_call:
-                    shape = result[1]  # a stack of one, in the block the loop tests
-                    shape[...] = spoil(shape)
-                    with pytest.raises(ValueError) as err:
-                        _require_psd(shape[0].copy())
-                    expected.append(str(err.value))
-                return result
-            return step
+        def start():
+            starts.append(None)
+            if len(starts) == raise_step and not in_fusion:
+                raise ZeroDivisionError("planted")
 
-        for name in ("_prior_step", "_fuse_step"):
-            monkeypatch.setattr(observer_mod, name, planted(getattr(observer_mod, name)))
-        return expected
+        def solve(a, b, out):
+            solves.append(None)
+            step = len(solves)
+            if step == bad_step and posterior:
+                helper(a, b, out=out)
+                out[...] = 0.0
+                monkeypatch.setattr(observer_mod, "_outer_sum_into", spoiled_sum)
+                return out
+            if step == bad_step:
+                b[...] = spoil(b)  # the run's prior row
+                with pytest.raises(ValueError) as err:
+                    _require_psd(b[0].copy())
+                expected.append(str(err.value))
+            if step == raise_step and in_fusion:
+                raise ZeroDivisionError("planted")
+            helper(a, b, out=out)
+            if step == diverge_step:
+                out *= 1e6
+            return out
+
+        monkeypatch.setattr(observer_mod, "_solve_regular", solve)
+        return hooked_model(model, start), expected
 
     @pytest.mark.parametrize("bad_step", [100, 690])  # in a full block, in the last partial one
     def test_indefinite_shape_raises_the_per_shape_error(self, records, bench_model,
                                                          bench_trigger, monkeypatch, bad_step):
         full_blocks = self.N // observer_mod.PSD_BLOCK_STEPS
         assert (bad_step > full_blocks * observer_mod.PSD_BLOCK_STEPS) == (bad_step == 690)
-        expected = self.plant(monkeypatch, bad_call=self.call(bad_step))
+        model, expected = self.plant(monkeypatch, bench_model, bad_step=bad_step)
         with pytest.raises(ValueError) as err:
-            observer_run(records, bench_model, bench_trigger)
+            observer_run(records, model, bench_trigger)
         assert str(err.value) == expected[0]
         assert "eigenvalue" in expected[0]
 
     def test_non_finite_shape_raises_the_per_shape_error(self, records, bench_model,
                                                          bench_trigger, monkeypatch):
         # A NaN shape factorizes without error, so only the finiteness test catches it.
-        expected = self.plant(monkeypatch, bad_call=self.call(100),
-                              spoil=lambda shape: shape * np.nan)
+        model, expected = self.plant(monkeypatch, bench_model, bad_step=100,
+                                     spoil=lambda shape: shape * np.nan)
         with pytest.raises(ValueError) as err:
-            observer_run(records, bench_model, bench_trigger)
+            observer_run(records, model, bench_trigger)
         assert str(err.value) == expected[0]
         assert "non-finite" in expected[0]
 
     def test_failing_last_shape_is_raised_at_the_end(self, records, bench_model,
                                                      bench_trigger, monkeypatch):
-        expected = self.plant(monkeypatch, bad_call=self.call(self.N - 1, posterior=True))
+        # The last step (N - 1) tests its shapes in the final flush, after the loop.
+        model, expected = self.plant(monkeypatch, bench_model, bad_step=self.N - 1)
         with pytest.raises(ValueError) as err:
-            observer_run(records, bench_model, bench_trigger)
+            observer_run(records, model, bench_trigger)
         assert str(err.value) == expected[0]
 
-    def test_earliest_failing_step_wins(self, records, bench_model, bench_trigger, monkeypatch):
-        expected = self.plant(monkeypatch, bad_call=self.call(100), raise_call=self.call(110))
+    @pytest.mark.parametrize("bad_step", [100, N - 1])  # in a full block, in the final flush
+    def test_indefinite_posterior_raises_the_per_shape_error(self, records, bench_model,
+                                                             bench_trigger, monkeypatch,
+                                                             bad_step):
+        # The posteriors are read from their own run array, not from the block.
+        model, expected = self.plant(monkeypatch, bench_model, bad_step=bad_step,
+                                     posterior=True)
         with pytest.raises(ValueError) as err:
-            observer_run(records, bench_model, bench_trigger)
+            observer_run(records, model, bench_trigger)
+        assert str(err.value) == expected[0]
+        assert "eigenvalue" in expected[0]
+
+    def test_earliest_failing_step_wins(self, records, bench_model, bench_trigger, monkeypatch):
+        model, expected = self.plant(monkeypatch, bench_model, bad_step=100, raise_step=110)
+        with pytest.raises(ValueError) as err:
+            observer_run(records, model, bench_trigger)
         assert str(err.value) == expected[0]
 
     def test_shape_made_before_an_exception_in_its_step_wins(self, records, bench_model,
                                                               bench_trigger, monkeypatch):
         # Step 100's prior is made, then its fusion raises: the prior's test comes first.
-        expected = self.plant(monkeypatch, bad_call=self.call(100),
-                              raise_call=self.call(100, posterior=True))
+        model, expected = self.plant(monkeypatch, bench_model, bad_step=100, raise_step=100,
+                                     in_fusion=True)
         with pytest.raises(ValueError) as err:
-            observer_run(records, bench_model, bench_trigger)
+            observer_run(records, model, bench_trigger)
         assert str(err.value) == expected[0]
 
     @pytest.mark.parametrize("posterior", [False, True])
     def test_shapes_a_step_did_not_make_are_not_tested(self, records, bench_model,
                                                         bench_trigger, monkeypatch, posterior):
         # Step 5 raises in the first block, whose slots hold whatever np.empty
-        # gave: only the shapes made so far are tested, so the exception leaves.
-        self.plant(monkeypatch, raise_call=self.call(5, posterior))
+        # gave, here NaN: only the shapes made so far are tested, so the
+        # exception leaves.
+        numpy = dict(vars(np), empty=lambda shape: np.full(shape, np.nan))
+        monkeypatch.setattr(observer_mod, "np", SimpleNamespace(**numpy))
+        model, _ = self.plant(monkeypatch, bench_model, raise_step=5, in_fusion=posterior)
         with pytest.raises(ZeroDivisionError, match="planted"):
-            observer_run(records, bench_model, bench_trigger)
+            observer_run(records, model, bench_trigger)
+
+    @pytest.mark.parametrize("bad_step", [None, 100])
+    def test_divergence_raises_after_its_step_is_tested(self, records, bench_model,
+                                                        bench_trigger, monkeypatch, bad_step):
+        # The guard raises once step 100 has made all five shapes; they are
+        # tested, and a failing one is raised instead.
+        model, expected = self.plant(monkeypatch, bench_model, bad_step=bad_step,
+                                     diverge_step=100)
+        if bad_step is None:
+            with pytest.raises(DivergenceError, match="at step 100 exceeds divergence guard"):
+                observer_run(records, model, bench_trigger)
+        else:
+            with pytest.raises(ValueError) as err:
+                observer_run(records, model, bench_trigger)
+            assert str(err.value) == expected[0]
 
     def test_earlier_exception_wins(self, records, bench_model, bench_trigger, monkeypatch):
-        self.plant(monkeypatch, bad_call=self.call(110), raise_call=self.call(100))
+        model, _ = self.plant(monkeypatch, bench_model, bad_step=110, raise_step=100)
         with pytest.raises(ZeroDivisionError, match="planted"):
-            observer_run(records, bench_model, bench_trigger)
+            observer_run(records, model, bench_trigger)
 
     def test_failing_window_shape_wins_over_every_step(self, records, bench_model,
                                                        bench_trigger, monkeypatch):
@@ -539,9 +618,9 @@ class TestBlockedPsdTests:
         with pytest.raises(ValueError) as err:
             _require_psd(solver.window_shape(patterns[0]))
         assert "eigenvalue" in str(err.value)
-        self.plant(monkeypatch, bad_call=self.call(5))
+        model, _ = self.plant(monkeypatch, bench_model, bad_step=5)
         with pytest.raises(ValueError) as raised:
-            observer_run(records, bench_model, bench_trigger, bad)
+            observer_run(records, model, bench_trigger, bad)
         assert str(raised.value) == str(err.value)
 
     @pytest.mark.parametrize("n", [2, 6])
@@ -603,7 +682,7 @@ class TestUnitScale:
             trace, outputs, _ = run_closed_loop(paper_plant_in_units(1.0, seed))
             distances = [contains(out.posterior_set, trace.states[out.k])[1] for out in outputs]
             size = max(np.linalg.norm(out.posterior_set.center) for out in outputs)
-            for s in (1e-9, 1e-7, 1e-6, 1e-3, 1e3, 1e8):
+            for s in (1e-9, 1e-7, 1e-6, 1e-3, 1e3, 1e8, 1e150):
                 trace_s, outputs_s, metrics = run_closed_loop(paper_plant_in_units(s, seed))
                 assert metrics.containment_violations == 0, (seed, s)
                 assert [r.gamma for r in trace_s.records] == [r.gamma for r in trace.records]
@@ -753,7 +832,7 @@ def test_stacked_calls_equal_per_matrix_calls(n):
     """The premise of the stacked kernel: each numpy call it makes on a stack
     gives every member the bits of the same call on that member alone, in the
     operand layouts the kernel uses (M a transposed view of a solve result, and
-    the fusion's product pair as ``_fuse_step`` leaves it in its buffers)."""
+    the fusion's product pair in the work arrays of ``_observe``)."""
     rng = np.random.default_rng(n)
     runs, rows = 7, 5000
     A = rng.standard_normal((n, n))
@@ -777,20 +856,28 @@ def test_stacked_calls_equal_per_matrix_calls(n):
         assert same_bits(got, expected), name
     assert same_bits(P.trace(axis1=1, axis2=2), _traces(P))
     # The solve without np.linalg.solve's wrapper, and the fusion's product pair
-    # read from the kernel's own buffers, in the layouts it computes them in.
-    assert same_bits(_solve_regular(W + P, P, out=np.empty_like(P)), X)
-    buffers = observer_mod._FusionBuffers(runs, n)
-    buffers.operands[:] = W, P
-    split = np.empty((2, runs, n, n))
-    observer_mod._fuse_step(c, c, buffers, split, split.diagonal(0, -2, -1),
-                            np.empty((runs, n, n)), np.empty((runs, n, 1)), test_singular=False)
-    assert same_bits(buffers.solution, X)
-    assert same_bits(buffers.products, single[1:3])  # M W M^T and K P K^T
+    # in the layouts ``_observe`` computes them in: X in a row of a work array,
+    # [M; K] a copy of M = X^T and of I - M, and [X; K^T] its transposed view.
+    operands, sums, factors, halves, products = np.empty((5, 2, runs, n, n))
+    operands[:] = W, P
+    total, solution = sums
+    assert same_bits(_solve_regular(np.add(W, P, out=total), P, out=solution), X)
+    factors[0] = solution.swapaxes(1, 2)
+    np.subtract(np.eye(n), solution.swapaxes(1, 2), out=factors[1])
+    np.matmul(np.matmul(factors, operands, out=halves), factors.swapaxes(2, 3), out=products)
+    assert same_bits(products, single[1:3])  # M W M^T and K P K^T
     # (S + S^T) / 2 into a buffer, as the steps run it, and in place.
     S = A @ P
     plain = np.array([(s + s.T) / 2.0 for s in S])
     assert same_bits(_symmetrize(S, out=np.empty_like(S)), plain)
     assert same_bits(_symmetrize(S[None], out=S[None]), plain[None])
+    # The outer sums' pair [1 + 1/p; 1 + p] as the loop takes it, from the
+    # rows [1; p; 1]: their first two rows over their last two are [1/p; p].
+    parameters = np.sqrt(rng.uniform(0.1, 10.0, runs))
+    ones = np.ones((3, runs, 1, 1))
+    ones[1, :, 0, 0] = parameters
+    pair = np.add(np.divide(ones[:2], ones[1:]), 1.0)[:, :, 0, 0]
+    assert same_bits(pair, [[1.0 + 1.0 / q for q in parameters], [1.0 + q for q in parameters]])
     # (1 + 1/p) X + (1 + p) Y as the steps lay it out, a (2, S, n, n) stack
     # [X; Y] with its diagonal view: with the trace-optimal p, with a given p,
     # and with one Q for every member, in a slot of a PSD block as the prior
@@ -821,78 +908,141 @@ def test_stacked_calls_equal_per_matrix_calls(n):
     assert same_bits(norms, [np.linalg.norm(row) for row in d])
 
 
+RUN_ARRAYS = ("centers", "shapes", "prior_centers", "prior_shapes", "window_centers")
+
+
+def assert_public_steps_equal(run, model: SystemModel) -> None:
+    """Every prior and posterior of a run has the bits of ``prior_set`` and ``fuse``."""
+    for prev, cur in zip(run, run[1:]):
+        for got, expected in ((prior_set(prev.posterior_set, model), cur.prior_set),
+                              (fuse(cur.measurement_set, cur.prior_set)[0], cur.posterior_set)):
+            assert same_bits(got.center, expected.center) and same_bits(got.shape, expected.shape)
+
+
+# A plant whose window and prior shapes nearly share a null direction: O is
+# nearly singular and Q tiny, so the fusion's shape sum is singular within
+# tolerance at many steps, and its singularity test runs at every step.
+BUMP_PLANT = {"A": [[0.5, 1e-7], [0.0, 0.5]], "C": [1.0, 0.0], "Q": 1e-12 * np.eye(2), "R": 0.5}
+
+
 class TestStackedSteps:
-    """A member of a stack that takes a rare branch leaves the others' bits alone."""
+    """A member of a stack of runs that takes a rare branch leaves the others'
+    bits alone, and on it the loop still equals the public steps. The rare
+    members come through the loop's seams: the all-event window of the paper
+    plant made a point (or a shape of negative trace within the PSD floor),
+    a Q that skipped validation to be zero, and a plant with singular shape
+    sums. Run 1 is the rare one; its references are zero, so that its point
+    sets resolve their centers."""
+
+    STEPS = 12
+    QUIET = ([k in (0, 2, 5, 7, 10) for k in range(STEPS)],  # no two events in a row
+             [k in (0, 3, 5, 8, 10) for k in range(STEPS)])
+
+    @classmethod
+    def case(cls, name, monkeypatch, bench_model) -> tuple[SystemModel, np.ndarray, np.ndarray]:
+        """The model, flags and references of a stack of three runs with a rare member."""
+        if name == "bump":
+            flags = [[k % 2 == 0 for k in range(cls.STEPS)], [True] * cls.STEPS,
+                     [k % 3 == 0 for k in range(cls.STEPS)]]
+            return SystemModel(**BUMP_PLANT), np.array(flags), np.zeros((3, cls.STEPS))
+        rare = [True] * cls.STEPS  # every window of run 1 is the all-event one
+        if name in ("point posterior", "point prior"):
+            rare = [k in (0, 1, 3, 6, 8, 11) for k in range(cls.STEPS)]  # only its first
+        # A Q that is not a multiple of I: a prior of a point is not, and the
+        # fusion with a window of negative trace keeps a prior part.
+        model = SystemModel(A=bench_model.A, C=bench_model.C, Q=[[5.0, 1.0], [1.0, 3.0]],
+                            R=bench_model.R)
+        if name in ("point prior", "zero sum"):
+            object.__setattr__(model, "Q", np.zeros((2, 2)))
+        window = [[-1e-318, 0.0], [0.0, 0.0]] if name == "negative trace" else np.zeros((2, 2))
+        original = WindowSolver.window_shape
+        monkeypatch.setattr(WindowSolver, "window_shape", lambda self, pattern: (
+            np.array(window) if all(pattern) else original(self, pattern)))
+        references = np.random.default_rng(7).standard_normal((3, cls.STEPS))
+        references[1] = 0.0
+        return model, np.array([cls.QUIET[0], rare, cls.QUIET[1]]), references
 
     @staticmethod
-    def prior(P, c, model):
-        stack = np.empty((2, *P.shape))
-        stack[1] = model.Q
-        shape, center = np.empty_like(P), np.empty_like(c)
-        observer_mod._prior_step(P, c, model.A, model.A.T, stack, stack.diagonal(0, -2, -1),
-                                 observer_mod._FusionBuffers(*P.shape[:2]), shape, center)
-        return np.stack((stack[0], shape)), center
-
-    @staticmethod
-    def fuse(W, c_meas, P, c_prior):
-        buffers = observer_mod._FusionBuffers(*W.shape[:2])
-        buffers.operands[:] = W, P
-        split = np.empty((2, *W.shape))
-        shape, center = np.empty_like(W), np.empty_like(c_meas)
-        _, _, M, p = observer_mod._fuse_step(c_meas, c_prior, buffers, split,
-                                             split.diagonal(0, -2, -1), shape, center)
-        return np.concatenate((split, shape[None])), center, M, p
-
-    @staticmethod
-    def assert_members_alone(step, *stacks):
-        """Each member's results in the stack equal the step on that member alone."""
-        together = step(*stacks)
-        for s in range(len(stacks[0])):
-            alone = step(*(stack[s : s + 1] for stack in stacks))
-            for got, expected in zip(together, alone):
-                member = got[:, s] if got.ndim == 4 else got[s]
-                assert same_bits(member, expected[:, 0] if got.ndim == 4 else expected[0])
+    def observe(model, flags, references, trigger):
+        """The runs of a stack of logs through ``_observe``, each equal to its log
+        run alone and to the public steps."""
+        solver = WindowSolver(model, trigger, WeightVector.uniform(model.n))
+        together = observer_mod._observe(flags, references, 0, solver)
+        for s, run in enumerate(together):
+            [alone] = observer_mod._observe(flags[s : s + 1], references[s : s + 1], 0, solver)
+            for name in RUN_ARRAYS:
+                assert same_bits(getattr(run, name), getattr(alone, name)), (s, name)
+            assert_public_steps_equal(run, model)
         return together
 
-    def test_point_posterior_in_a_stack(self, bench_model):
-        rng = np.random.default_rng(3)
-        P = np.array([rand_spd(rng, 2), np.zeros((2, 2)), rand_spd(rng, 2)])
-        out, _ = self.assert_members_alone(lambda P, c: self.prior(P, c, bench_model), P,
-                                           rng.standard_normal((3, 2, 1)))
-        assert same_bits(out[1, 1], bench_model.Q)  # the sum with a point is Q itself
+    @staticmethod
+    def general_sums(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The operand traces and the p of each outer sum the loop leaves to
+        ``_outer_sum_into``."""
+        sums = []
+        original = observer_mod._outer_sum_into
+
+        def spy(out, operands, diagonals, *args):
+            sums.append((_traces(operands), original(out, operands, diagonals, *args)))
+            return sums[-1][1]
+
+        monkeypatch.setattr(observer_mod, "_outer_sum_into", spy)
+        return sums
+
+    @staticmethod
+    def assert_rare_sum(sums, rare) -> None:
+        """Some general outer sum finds ``rare`` true of the traces of run 1's
+        operands and sets its p to 1, and the trace-optimal p of the others."""
+        assert any(rare(*traces[:, 1]) and p[1] == 1.0 and p[0] != 1.0 and p[2] != 1.0
+                   for traces, p in sums)
+
+    def test_point_posterior_in_a_stack(self, bench_model, bench_trigger, monkeypatch):
+        model, flags, references = self.case("point posterior", monkeypatch, bench_model)
+        sums = self.general_sums(monkeypatch)
+        runs = self.observe(model, flags, references, bench_trigger)
+        assert not runs[1].shapes[0].any()
+        assert same_bits(runs[1].prior_shapes[1], model.Q)  # the sum with a point is Q itself
+        self.assert_rare_sum(sums, lambda t_x, t_y: t_x == 0.0 < t_y)
 
     @pytest.mark.parametrize("case", ["bump", "point prior", "negative trace"])
-    def test_rare_member_in_a_stack(self, case, monkeypatch):
-        rng = np.random.default_rng(4)
-        W = np.array([rand_spd(rng, 2) for _ in range(3)])
-        P = np.array([rand_spd(rng, 2) for _ in range(3)])
+    def test_rare_member_in_a_stack(self, case, bench_model, bench_trigger, monkeypatch):
+        model, flags, references = self.case(case, monkeypatch, bench_model)
         if case == "bump":
-            W[1] = P[1] = np.diag([1.0, 0.0])  # W + P is singular
-        elif case == "point prior":
-            P[1] = 0.0
-        else:
-            W[1] = -1e-300 * np.eye(2)  # within the PSD floor, with a negative trace
-        bumps = []
-        original = observer_mod._fusion_matrix
-        monkeypatch.setattr(observer_mod, "_fusion_matrix",
-                            lambda *args: bumps.append(None) or original(*args))
-        out, _, _, p = self.assert_members_alone(
-            self.fuse, W, rng.standard_normal((3, 2, 1)), P, rng.standard_normal((3, 2, 1)))
-        assert len(bumps) == 2 * (case == "bump")  # once in the stack, once alone
-        if case != "bump":
-            assert p[1] == 1.0 and p[0] != 1.0 and p[2] != 1.0
+            # Each run alone bumps at its own steps, so in the stack a step
+            # bumps some members and solves the others.
+            steps, bumps = [], []
+            hooked = hooked_model(model, lambda: steps.append(None))
+            solver = WindowSolver(hooked, bench_trigger, WeightVector.uniform(2))
+            fusion_matrix = observer_mod._fusion_matrix
+            monkeypatch.setattr(observer_mod, "_fusion_matrix",
+                                lambda *args: bumps.append(len(steps)) or fusion_matrix(*args))
+            bumped = []
+            for s in range(3):
+                steps.clear()
+                bumps.clear()
+                observer_mod._observe(flags[s : s + 1], references[s : s + 1], 0, solver)
+                bumped.append(set(bumps))
+            assert all(bumped) and len({frozenset(b) for b in bumped}) == 3
+            self.observe(model, flags, references, bench_trigger)
+            return
+        sums = self.general_sums(monkeypatch)
+        runs = self.observe(model, flags, references, bench_trigger)
         if case == "point prior":
-            assert not out[:, 1].any()  # the posterior is the prior's point
+            # Every prior of run 1 is a point, and so is every posterior.
+            assert not runs[1].prior_shapes[1:].any() and not runs[1].shapes.any()
+            self.assert_rare_sum(sums, lambda t_x, t_y: t_x == t_y == 0.0)
+        else:  # run 1's first posterior is its window, of negative trace
+            assert np.trace(runs[1].shapes[0]) < 0.0
+            self.assert_rare_sum(sums, lambda t_x, t_y: t_x < 0.0 < t_y)
 
     @pytest.mark.parametrize("case", ["bump", "zero sum"])
-    def test_solve_helper_never_sees_a_singular_member(self, case, monkeypatch):
+    def test_solve_helper_never_sees_a_singular_member(self, case, bench_model, bench_trigger,
+                                                      monkeypatch):
         """``_solve_regular`` gets only stacks that ``_singular`` has cleared, and
-        every result and error is that of solving with np.linalg.solve."""
-        rng = np.random.default_rng(5)
-        W = np.array([rand_spd(rng, 2) for _ in range(3)])
-        P = np.array([rand_spd(rng, 2) for _ in range(3)])
-        W[1] = P[1] = np.diag([1.0, 0.0]) if case == "bump" else 0.0  # W + P is singular
-        c_meas, c_prior = rng.standard_normal((2, 3, 2, 1))
+        every result and error is that of solving with np.linalg.solve. In the
+        zero sum, W + P = 0 stays singular after the bump, and the fusion raises."""
+        model, flags, references = self.case(case, monkeypatch, bench_model)
+        solver = WindowSolver(model, bench_trigger, WeightVector.uniform(2))
         received = []
         helper = observer_mod._solve_regular
 
@@ -906,19 +1056,20 @@ class TestStackedSteps:
             outcomes[solve] = []
             for members in ([0, 1, 2], [0], [1], [2]):  # the stack, then each member alone
                 try:
-                    result = self.fuse(W[members], c_meas[members], P[members], c_prior[members])
+                    runs = observer_mod._observe(flags[members], references[members], 0, solver)
+                    result = [getattr(run, name) for run in runs for name in RUN_ARRAYS]
                 except SingularShapeError as err:
                     result = str(err)
                 outcomes[solve].append(result)
-        assert len(received) == 2  # members 0 and 2, alone
-        assert not _singular(np.linalg.eigvalsh(np.array(received))).any()
-        assert not any(same_bits(a, W[1] + P[1]) for a in received)
+        assert received and not _singular(np.linalg.eigvalsh(np.array(received))).any()
         for got, expected in zip(*outcomes.values()):
             if isinstance(expected, str):
                 assert got == expected and "singular" in expected and case == "zero sum"
             else:
                 assert all(same_bits(g, e) for g, e in zip(got, expected))
-        assert isinstance(outcomes[spy][2], str) == (case == "zero sum")
+        # The stack raises the error of its zero-sum member alone.
+        assert [isinstance(result, str) for result in outcomes[spy]] == \
+            [case == "zero sum", False, case == "zero sum", False]
 
 
 class TestSingularityTestSkip:
@@ -969,6 +1120,27 @@ class TestSingularityTestSkip:
             for ell, (center, shape) in pairs:
                 assert same_bits(ell.center, center)
                 assert same_bits(ell.shape, shape)
+
+
+class TestSkipLevelOverflow:
+    """A skip level whose chain overflows float64 is computed without a warning."""
+
+    def test_room_that_overflows_gives_an_infinite_level(self):
+        # In units of 1e-150 the room for the sum's trace is beyond float64:
+        # every finite trace is below the level.
+        config = paper_plant_in_units(1e150, 1)
+        solver = WindowSolver(config.model, config.trigger, WeightVector.uniform(2))
+        windows = np.array([solver.window_shape(p) for p in ((0, 0), (0, 1), (1, 0), (1, 1))])
+        assert observer_mod._singularity_skip_level(solver, windows) == math.inf
+
+    def test_norm_whose_square_overflows_gives_a_zero_level(self, bench_trigger):
+        model = SystemModel(A=[[1e200]], C=[1.0], Q=[[1.0]], R=0.5)
+        solver = WindowSolver(model, bench_trigger, WeightVector.uniform(1))
+        assert observer_mod._singularity_skip_level(solver, solver.window_shape([1])[None]) == 0.0
+        # Its first prior overflows, which the PSD test reports.
+        records = [MeasurementRecord(k, True, 0.0) for k in range(5)]
+        with pytest.raises(ValueError, match="non-finite"):
+            observer_run(records, model, bench_trigger)
 
 
 class TestLevelsComputedOnce:
