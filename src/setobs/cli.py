@@ -10,18 +10,22 @@ Every number that ``check`` lists and the CSV writers write is the text that
 once: ``_float_fields`` and ``_int_fields`` turn an array into NUL-padded ASCII
 fields, and ``_join_rows`` lays fields and literal separators out row by row
 and drops the padding, so a block of lines becomes one bytes object without a
-Python string per number. Every CSV file is written by ``_write_csv``;
-``check`` lays its listing out in one table of lines that every block reuses.
+Python string per number. The step tables and the log are written by
+``_write_csv``. ``check`` lays its listing out in one table of lines that
+every block reuses, and ``_write_polylines`` lays out one that serves all of
+its files.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
+from contextlib import ExitStack
 from itertools import combinations
 from pathlib import Path
 
@@ -62,6 +66,9 @@ PATTERN_BLOCK_BYTES = 1 << 18
 # allocation of the command at that of writers that format line by line
 # (1.4 MB); 2^13 took about 30% less time in the writers and added 1.5 MB.
 TABLE_BLOCK_FIELDS = 1 << 11
+# The polyline writer keeps this many of its files (one per coordinate pair)
+# open at once, to write each block of lines to all of them.
+POLYLINE_FILES_OPEN = 64
 
 
 class ConfigError(ValueError):
@@ -440,16 +447,15 @@ def cmd_bound(config_path: str) -> int:
     return 0
 
 
-def _write_csv(path: Path, header: list[str], lead: int | np.ndarray,
-               columns: list[np.ndarray]) -> None:
+def _write_csv(path: Path, header: list[str], first: int, columns: list[np.ndarray]) -> None:
     """A CSV file: the ``header`` line, then one row per row of the columns.
 
-    ``lead`` opens each row: an int numbers the rows from that step on, and an
-    array gives each row's leading fields. A column is a 1-D or (rows, c)
-    array, written as '%.17g' if it holds floats and as 0 or 1 if it holds
-    flags (bools). A float column shorter than the file leaves its fields
-    empty after its last row. The rows go out ``_row_blocks`` at a time, and a
-    block's floats are formatted in one ``_float_fields`` call.
+    Each row opens with its step number, counted from ``first``. A column is
+    a 1-D or (rows, c) array, written as '%.17g' if it holds floats and as 0
+    or 1 if it holds flags (bools). A float column shorter than the file
+    leaves its fields empty after its last row. The rows go out
+    ``_row_blocks`` at a time, and a block's floats are formatted in one
+    ``_float_fields`` call.
     """
     columns = [column[:, None] if column.ndim == 1 else column for column in columns]
     rows = max(map(len, columns))
@@ -468,8 +474,7 @@ def _write_csv(path: Path, header: list[str], lead: int | np.ndarray,
         fh.write(",".join(header).encode() + ROW_END)
         for block in _row_blocks(rows, width):
             fields = _float_fields(values[block])
-            parts = [_step_fields(lead + block.start, len(fields)) if isinstance(lead, int)
-                     else lead[block]]
+            parts = [_step_fields(first + block.start, len(fields))]
             for column, slot in zip(columns, slots):
                 if slot is None:
                     parts += [b",", column[block].view(np.uint8) + ord("0")]
@@ -609,16 +614,36 @@ def _write_polylines(out_dir: Path, estimates: ObserverRun, n: int) -> list[str]
     roots = shape_sqrt(blocks)
     angles = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_POINTS, endpoint=False)
     circle = np.vstack([np.cos(angles), np.sin(angles)])
-    # Each row is a set's step and kind, then a point.
-    label_fields = np.repeat(_text_fields([label.encode() for label in labels]),
-                             BOUNDARY_POINTS, axis=0)
-    names = []
-    for (i, j), pair_centers, pair_roots in zip(pairs, block_centers, roots):
-        name = "ellipsoids.csv" if n == 2 else f"ellipsoids_x{i + 1}x{j + 1}.csv"
-        points = pair_centers[:, :, None] + pair_roots @ circle  # (set, coordinate, point)
-        _write_csv(out_dir / name, ["step", "set_kind", "x1", "x2"], label_fields,
-                   [points.swapaxes(1, 2).reshape(-1, 2)])
-        names.append(name)
+    names = (["ellipsoids.csv"] if n == 2
+             else [f"ellipsoids_x{i + 1}x{j + 1}.csv" for i, j in pairs])
+    # Each row is a set's step and kind, then a point. One table of lines
+    # serves every file: a block of whole sets writes its labels once, each
+    # file its points' coordinate fields, each in a cell after its comma, and
+    # the NUL bytes of the fields are dropped. A block holds at most
+    # TABLE_BLOCK_FIELDS coordinates, unless one set alone has more.
+    label_fields = _text_fields([label.encode() for label in labels])
+    width, cell = label_fields.shape[1], FIELD_WIDTH + 1
+    per_block = max(1, TABLE_BLOCK_FIELDS // (2 * BOUNDARY_POINTS))
+    table = np.empty((per_block * BOUNDARY_POINTS, width + 2 * cell + len(ROW_END)), np.uint8)
+    cells = table[:, width:width + 2 * cell].reshape(-1, 2, cell)
+    cells[:, :, 0] = ord(",")
+    table[:, -len(ROW_END):] = np.frombuffer(ROW_END, np.uint8)
+    for first in range(0, len(names), POLYLINE_FILES_OPEN):
+        group = slice(first, first + POLYLINE_FILES_OPEN)
+        with ExitStack() as stack:
+            files = [stack.enter_context(open(out_dir / name, "wb")) for name in names[group]]
+            for fh in files:
+                fh.write(b"step,set_kind,x1,x2" + ROW_END)
+            for start in range(0, len(labels), per_block):
+                sets = slice(start, start + per_block)
+                rows = len(label_fields[sets]) * BOUNDARY_POINTS
+                lines = table[:rows]
+                lines[:, :width] = np.repeat(label_fields[sets], BOUNDARY_POINTS, axis=0)
+                for fh, pair_centers, pair_roots in zip(files, block_centers[group], roots[group]):
+                    # (set, coordinate, point), written point by point
+                    points = pair_centers[sets, :, None] + pair_roots[sets] @ circle
+                    cells[:rows, :, 1:] = _float_fields(points.swapaxes(1, 2)).reshape(rows, 2, -1)
+                    fh.write(lines[lines != 0].tobytes())
     return names
 
 
@@ -723,7 +748,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``main``'s argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="setobs",
         description="Set-membership state estimation over send-on-delta channels",
@@ -746,8 +773,11 @@ def main(argv: list[str] | None = None) -> int:
     p_replay.add_argument("--config", required=True)
     p_replay.add_argument("--log", required=True)
     p_replay.add_argument("--out", required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "check":
             code = cmd_check(args.config)

@@ -313,9 +313,26 @@ class WindowSolver:
 
     def window_shape(self, pattern: Sequence[bool]) -> np.ndarray:
         """Shape O^-1 diag(W_i/a_i) O^-T of one event pattern, not yet PSD-tested."""
-        w = np.where(pattern, self.uncertainty[1], self.uncertainty[0])
-        half = np.linalg.solve(self.matrix, np.diag(w / self.weights))
-        return _symmetrize(np.linalg.solve(self.matrix, half.T).T)
+        return self.window_shapes(np.asarray(pattern, dtype=bool)[None])[0]
+
+    def window_shapes(self, patterns: Sequence[Sequence[bool]] | np.ndarray) -> np.ndarray:
+        """``window_shape`` of each row of a (count, n) array of event patterns.
+
+        The pair of solves against O runs once on the stack: each member of a
+        stacked solve is the solve of that member alone, so every shape has
+        the bits of its pattern's two solves.
+        """
+        patterns = np.asarray(patterns, dtype=bool)
+        if patterns.ndim != 2:
+            raise ValueError(f"pattern must be one row of flags, got shape {patterns.shape[1:]}")
+        if patterns.shape[1] != self.n:
+            raise ValueError(f"pattern has length {patterns.shape[1]}, expected {self.n}")
+        w = np.where(patterns, self.uncertainty[1], self.uncertainty[0]) / self.weights
+        scales = np.zeros((len(patterns), self.n, self.n))
+        scales[:, np.arange(self.n), np.arange(self.n)] = w
+        stacked = np.broadcast_to(self.matrix, scales.shape)
+        half = np.linalg.solve(stacked, scales)
+        return _symmetrize(np.linalg.solve(stacked, half.swapaxes(1, 2)).swapaxes(1, 2))
 
     def window_centers(self, references: np.ndarray) -> np.ndarray:
         """Centers O^-1 Y for a (K, n) stack of windows of reference outputs.

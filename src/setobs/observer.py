@@ -337,7 +337,7 @@ def _observe(
     windows = sliding_window_view(flags, n, axis=1).swapaxes(0, 1).reshape(-1, n)
     patterns, pattern = _distinct_rows(windows)
     pattern = pattern.reshape(steps, runs)
-    window_shapes = np.array([solver.window_shape(p) for p in patterns])
+    window_shapes = solver.window_shapes(patterns)
     _require_psd_stack(window_shapes)  # every window of the run is one of these
     window_centers = solver.window_centers(
         sliding_window_view(references, n, axis=1).swapaxes(0, 1).reshape(-1, n)
@@ -571,13 +571,27 @@ def _require_resolution(
             solver.cond * np.linalg.norm(window_centers.reshape(-1, n), axis=1)
             + norms
         )
+    shapes = shapes.reshape(-1, n, n)
+    limits = RESOLUTION_MARGIN * error
+    # The screen: every width tested below is at least sqrt(n u l_max) >=
+    # sqrt(u Tr S), as l_max >= Tr S / n for any symmetric S and eigvalsh
+    # finds l_max to within about n u of itself; rounding is monotone, so the
+    # factor 4 covers both. A set of finite entries and finite trace with
+    # sqrt(u/4 Tr S) >= its limit thus passes whatever eigvalsh returns (a
+    # NaN or infinite limit, or a negative trace, passes no screen), and the
+    # eigenvalues are computed only when some set is not cleared this way.
+    traces = _traces(shapes)
+    with np.errstate(invalid="ignore"):
+        screen = np.sqrt(unit_roundoff / 4.0 * traces)
+    if np.isfinite(shapes).all() and np.isfinite(traces).all() and (screen >= limits).all():
+        return
     # eigvalsh finds the smallest eigenvalue only to within about n u times the
     # largest, so the width tested is the largest the set can have: the check
     # fires only on sets known to be too thin.
-    eigs = np.linalg.eigvalsh(shapes.reshape(-1, n, n))
+    eigs = np.linalg.eigvalsh(shapes)
     semi_axis = np.sqrt(np.clip(eigs[:, 0], 0.0, None) + n * unit_roundoff * eigs[:, -1])
     # A NaN center has a NaN error, and no set resolves it either.
-    unresolved = np.flatnonzero(~(semi_axis >= RESOLUTION_MARGIN * error))
+    unresolved = np.flatnonzero(~(semi_axis >= limits))
     if unresolved.size:
         i = int(unresolved[0])
         raise DivergenceError(

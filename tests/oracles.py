@@ -8,7 +8,10 @@ outer sum written out in numpy rather than taken from the library. The
 per-set polyline writer is what the CLI's stacked writer must reproduce byte
 for byte, the scipy-wrapped generalized distance is what the metrics' stacked
 numpy distances must reproduce to rounding, and the per-pattern listing is what
-``check``'s blocked listing must print. The per-step plant, trigger and noise
+``check``'s blocked listing must print. Each pattern's own pair of solves is
+what the stacked window shapes must reproduce bit for bit, and the
+eigenvalues of every posterior decide what the screened resolution check must
+raise. The per-step plant, trigger and noise
 draws are what the simulation's batched plant must reproduce bit for bit. The
 ``csv.DictReader`` log reader is what ``read_log`` must match, in its results
 and in its messages.
@@ -33,7 +36,7 @@ from setobs import (
 )
 from setobs.cli import BOUNDARY_POINTS, PLOT_STEPS, ConfigError
 from setobs.ellipsoid import _draw, shape_sqrt
-from setobs.observer import _require_record
+from setobs.observer import RESOLUTION_MARGIN, _require_record
 from setobs.observability import SystemModel, TriggerConfig, WindowSolver
 from setobs.simulation import _noise_roots
 
@@ -196,6 +199,39 @@ def list_patterns(model, trigger, weights) -> str:
         lines.append(f"pattern {''.join(map(str, bits))}: {trace:.17g}")
     lines.append("epsilon-observable: yes")
     return "\n".join(lines) + "\n"
+
+
+def window_shape_two_solves(solver: WindowSolver, pattern) -> np.ndarray:
+    """The window shape O^-1 diag(W_i/a_i) O^-T of one event pattern, from
+    its own pair of solves against O."""
+    w = np.where(pattern, solver.uncertainty[1], solver.uncertainty[0])
+    half = np.linalg.solve(solver.matrix, np.diag(w / solver.weights))
+    return _symmetrize(np.linalg.solve(solver.matrix, half.T).T)
+
+
+def resolution_failure(centers, shapes, window_centers, solver: WindowSolver,
+                       first_k: int) -> str | None:
+    """The message of the first posterior too thin for its center's rounding,
+    from the eigenvalues of every posterior, or None if each resolves its
+    center: the check of ``_require_resolution`` without its trace screen.
+    The arrays are laid out (K, S, ...) as in ``_observe``."""
+    n = solver.n
+    runs = centers.shape[1]
+    centers = centers.reshape(-1, n)
+    u = np.finfo(float).eps / 2.0
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(centers, axis=1)
+        error = n * u * (solver.cond * np.linalg.norm(window_centers.reshape(-1, n), axis=1)
+                         + norms)
+    eigs = np.linalg.eigvalsh(shapes.reshape(-1, n, n))
+    semi_axis = np.sqrt(np.clip(eigs[:, 0], 0.0, None) + n * u * eigs[:, -1])
+    for i in range(len(centers)):
+        if not semi_axis[i] >= RESOLUTION_MARGIN * error[i]:
+            return (f"posterior at step {first_k + i // runs} has smallest semi-axis "
+                    f"{semi_axis[i]:.3e}, below {RESOLUTION_MARGIN:.0f} times the rounding "
+                    f"error {error[i]:.3e} of its center (norm {norms[i]:.3e}); the state "
+                    f"has outgrown float64 resolution and containment is no longer guaranteed")
+    return None
 
 
 def step_plant(x: np.ndarray, w: np.ndarray, model: SystemModel) -> np.ndarray:

@@ -226,6 +226,46 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()
 
 
+class TestParser:
+    """``main`` builds its parser once per process, and the reused parser
+    parses every command line, and refuses every bad one, as a fresh one does."""
+
+    ARGVS = [
+        ["check", "--config", "c.json"],
+        ["bound", "--config", "c.json"],
+        ["simulate", "--config", "c.json", "--out", "out", "--seeds", "3"],
+        ["simulate", "--out", "out", "--config", "c.json"],
+        ["replay", "--config", "c.json", "--log", "log.csv", "--out", "out"],
+        [], ["nope"], ["check"], ["bound", "--config", "c.json", "--extra"],
+        ["simulate", "--config", "c.json", "--out", "out", "--seeds", "0"],
+        ["simulate", "--config", "c.json", "--out", "out", "--seeds", "x"],
+        ["--help"], ["replay", "--help"],
+    ]
+
+    @staticmethod
+    def parse(parser, argv, capsys):
+        """The namespace or the exit code of one parse, with what it printed."""
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exit:
+            result = exit.code
+        return result, capsys.readouterr()
+
+    def test_reused_parses_equal_fresh_ones(self, capsys):
+        assert cli._parser() is cli._parser()
+        for _ in range(2):
+            for argv in self.ARGVS:
+                assert (self.parse(cli._parser(), argv, capsys)
+                        == self.parse(cli._parser.__wrapped__(), argv, capsys))
+
+    def test_error_exit_leaves_the_parser_reusable(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit:
+            main(["simulate", "--config", "c.json"])
+        assert exit.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert main(["bound", "--config", str(write_config(tmp_path))]) == 0
+
+
 class TestCheck:
     def test_bench_output(self, bench_config_file, capsys):
         code = main(["check", "--config", str(bench_config_file)])
@@ -483,6 +523,23 @@ class TestSimulate:
         assert sorted(p.name for p in cli.glob("ellipsoids*.csv")) == sorted(names)
         for name in names:
             assert (cli / name).read_bytes() == (oracle / name).read_bytes()
+
+    @pytest.mark.parametrize("block_fields, files_open", [(3 * 128, 4), (64, 1)])
+    def test_polylines_in_small_blocks_and_file_groups(self, tmp_path, monkeypatch,
+                                                       block_fields, files_open):
+        # Blocks of 3 sets and of one set (which alone exceeds 64 fields), with
+        # the 15 files of n = 6 written 4 and 1 at a time.
+        monkeypatch.setattr(cli, "TABLE_BLOCK_FIELDS", block_fields)
+        monkeypatch.setattr(cli, "POLYLINE_FILES_OPEN", files_open)
+        model = orthogonal_plant(6, 95)
+        path = write_config(tmp_path, A=model.A.tolist(), C=model.C.tolist(), Q=model.Q.tolist(),
+                            a=None, x0=[0.0] * 6, N=40)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
+        _, estimates, _ = run_closed_loop(build_sim_config(load_config(path)))
+        oracle = tmp_path / "oracle"
+        oracle.mkdir()
+        for name in write_polylines(oracle, estimates, 6):
+            assert (tmp_path / "cli" / name).read_bytes() == (oracle / name).read_bytes()
 
     def test_scalar_plant_writes_no_polylines(self, tmp_path):
         path = write_config(tmp_path, A=[[0.5]], C=[1.0], Q=[[1.0]], a=None, x0=[0.0])

@@ -24,7 +24,8 @@ from setobs import (
 import setobs.observability as observability_mod
 from setobs.observability import WindowSolver
 
-from conftest import orthogonal_plant, scalar_chain
+from conftest import orthogonal_plant, same_bits, scalar_chain
+from oracles import window_shape_two_solves
 
 
 def bench_window_trace(flags, threshold=0.6, transmit_error=1e-4) -> float:
@@ -358,6 +359,34 @@ class TestWindowShapeCache:
         for _ in range(2):
             with pytest.raises(ValueError, match="eigenvalue"):
                 solver.ellipsoid([0, 0], [0.1, 0.2])
+
+
+class TestWindowShapes:
+    """``window_shapes`` makes every pattern's shape in one stacked pair of
+    solves, with the bits of that pattern's own pair."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_window_shapes_equal_per_pattern_solves(self, n):
+        model, trigger, a, _ = TestWindowShapeCache.random_system(n, 70 + n)
+        solver = WindowSolver(model, trigger, a)
+        patterns = np.array(list(product((0, 1), repeat=n)), dtype=bool)
+        shapes = solver.window_shapes(patterns)
+        assert same_bits(shapes, [window_shape_two_solves(solver, p) for p in patterns])
+        assert all(same_bits(solver.window_shape(p), shape) for p, shape in zip(patterns, shapes))
+
+    @pytest.mark.parametrize("pattern, message", [
+        ([1], "pattern has length 1, expected 2"),
+        ([1, 0, 1], "pattern has length 3, expected 2"),
+        ([[1, 0], [0, 1]], "pattern must be one row of flags, got shape (2, 2)"),
+    ])
+    def test_malformed_pattern_is_refused(self, bench_model, bench_trigger, bench_weights,
+                                          pattern, message):
+        solver = WindowSolver(bench_model, bench_trigger, bench_weights)
+        for call in (solver.pattern_trace, solver.window_shape,
+                     lambda p: solver.window_shapes([p])):
+            with pytest.raises(ValueError) as err:
+                call(pattern)
+            assert str(err.value) == message
 
 
 class TestSpectralNorm:

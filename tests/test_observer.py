@@ -51,7 +51,7 @@ from conftest import (
     same_bits,
     scalar_chain,
 )
-from oracles import intersection_outer
+from oracles import intersection_outer, resolution_failure
 
 
 @pytest.fixture
@@ -664,6 +664,107 @@ class TestResolutionLoss:
         assert len(observer_run(records[:60], model, trigger)) == 59
 
 
+class TestResolutionScreen:
+    """``_require_resolution`` computes eigenvalues only when its trace screen
+    leaves a posterior uncleared, and raises what the eigenvalues of every
+    posterior decide (``resolution_failure``)."""
+
+    @staticmethod
+    def verdict(centers, shapes, window_centers, solver) -> str | None:
+        try:
+            observer_mod._require_resolution(centers, shapes, window_centers, solver, 3)
+        except DivergenceError as err:
+            return str(err)
+        return None
+
+    @staticmethod
+    def eigvalsh_calls(monkeypatch) -> list[tuple[int, ...]]:
+        """The shapes of the arrays that numpy's eigvalsh is called on."""
+        calls = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args: calls.append(np.shape(a)) or original(a, *args))
+        return calls
+
+    @staticmethod
+    def rows(kind: str, rng: np.random.Generator, n: int):
+        """One posterior of a hard kind: its center, shape and window center."""
+        center, window_center = rng.standard_normal(n), rng.standard_normal(n)
+        G = rng.standard_normal((n, n))
+        shape = G @ G.T
+        if kind == "thin":  # rank one, its width across it at most rounding
+            v = rng.standard_normal(n)
+            shape = np.outer(v, v) * 10.0 ** rng.uniform(-40, 5)
+        elif kind == "ill-conditioned":
+            Q = np.linalg.qr(G)[0]
+            shape = _symmetrize(Q @ np.diag(10.0 ** rng.uniform(-30, 0, n)) @ Q.T)
+        elif kind == "huge center":
+            center *= 10.0 ** rng.uniform(150, 308)
+            shape *= 10.0 ** rng.uniform(-5, 300)
+        elif kind == "overflowing trace":  # finite entries whose trace overflows
+            shape = np.diag(rng.uniform(0.9, 1.0, n) * np.finfo(float).max)
+            center *= 10.0 ** rng.uniform(100, 250)
+        elif kind == "tiny":
+            shape *= 10.0 ** rng.uniform(-320, -250)
+            center *= 10.0 ** rng.uniform(-200, -100)
+            window_center *= 0.0
+        elif kind == "nan":
+            where = rng.integers(3)
+            if where == 0:
+                shape[rng.integers(n), rng.integers(n)] = math.nan
+            elif where == 1:
+                center[rng.integers(n)] = math.nan
+            else:
+                shape[0, 0] = math.inf
+        elif kind == "boundary":  # sqrt(Tr S) within a factor of 2^3 of the limit
+            error = n * np.finfo(float).eps / 2.0 * (np.linalg.norm(center)
+                                                     + np.linalg.norm(window_center))
+            limit = observer_mod.RESOLUTION_MARGIN * error
+            shape *= limit**2 / np.trace(shape) * 4.0 ** rng.uniform(-3, 3)
+        return center, shape, window_center
+
+    @pytest.mark.parametrize("kind", ["thin", "ill-conditioned", "huge center",
+                                      "overflowing trace", "tiny", "nan", "boundary"])
+    def test_screen_never_clears_a_flagged_posterior(self, kind, bench_model, bench_trigger):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        solver = WindowSolver(bench_model, bench_trigger, WeightVector.uniform(2))
+        flagged = 0
+        for _ in range(300):
+            # A flagged posterior among well-resolved ones, in a (K, S) layout.
+            centers = rng.standard_normal((4, 3, 2))
+            window_centers = rng.standard_normal((4, 3, 2))
+            shapes = np.broadcast_to(np.eye(2), (4, 3, 2, 2)).copy()
+            t, s = rng.integers(4), rng.integers(3)
+            centers[t, s], shapes[t, s], window_centers[t, s] = self.rows(kind, rng, 2)
+            with np.errstate(all="ignore"):
+                expected = resolution_failure(centers, shapes, window_centers, solver, 3)
+                assert self.verdict(centers, shapes, window_centers, solver) == expected
+            flagged += expected is not None
+        assert flagged > 0
+
+    @pytest.mark.parametrize("model", ["paper", "n6"])
+    def test_resolved_runs_compute_no_eigenvalues_of_posteriors(self, model, bench_model,
+                                                                bench_trigger, monkeypatch):
+        model = bench_model if model == "paper" else orthogonal_plant(6, 95)
+        records = closed_loop_records(model, bench_trigger, 300, 5)
+        calls = self.eigvalsh_calls(monkeypatch)
+        run = observer_run(records, model, bench_trigger)
+        assert calls and all(len(shape) < len(run) for shape in calls)
+
+    def test_unstable_plant_message_equals_eigenvalue_oracle(self, monkeypatch):
+        raw = UNSTABLE_PLANT
+        model = SystemModel(A=raw["A"], C=raw["C"], Q=raw["Q"], R=raw["R"])
+        trigger = TriggerConfig(raw["Gamma"], raw["Gamma_e"])
+        checked = []
+        original = observer_mod._require_resolution
+        monkeypatch.setattr(observer_mod, "_require_resolution",
+                            lambda *args: checked.append(args) or original(*args))
+        with pytest.raises(DivergenceError, match="resolution") as err:
+            observer_run(channel_log(model, trigger, [0.0, 0.0], 200, 1), model, trigger)
+        [args] = checked
+        assert str(err.value) == resolution_failure(*args)
+
+
 def paper_plant_in_units(s: float, seed: int) -> SimConfig:
     """The benchmark plant with its state measured in units 1/s: Q, R and both
     channel shapes scale by s^2, so every set scales by s and the run is the same."""
@@ -955,9 +1056,14 @@ class TestStackedSteps:
         if name in ("point prior", "zero sum"):
             object.__setattr__(model, "Q", np.zeros((2, 2)))
         window = [[-1e-318, 0.0], [0.0, 0.0]] if name == "negative trace" else np.zeros((2, 2))
-        original = WindowSolver.window_shape
-        monkeypatch.setattr(WindowSolver, "window_shape", lambda self, pattern: (
-            np.array(window) if all(pattern) else original(self, pattern)))
+        original = WindowSolver.window_shapes
+
+        def window_shapes(self, patterns):
+            shapes = original(self, patterns)
+            shapes[np.asarray(patterns).all(axis=1)] = window
+            return shapes
+
+        monkeypatch.setattr(WindowSolver, "window_shapes", window_shapes)
         references = np.random.default_rng(7).standard_normal((3, cls.STEPS))
         references[1] = 0.0
         return model, np.array([cls.QUIET[0], rare, cls.QUIET[1]]), references
