@@ -382,9 +382,12 @@ def convergence_bound(
 
 
 def _require_stable(norm_a: float) -> None:
-    """Raise UnstableSystemError unless ||A|| is below one."""
+    """Raise UnstableSystemError unless ||A|| is below one.
+
+    The message gives the norm to seven significant digits, so its width is
+    bounded: six decimals below 10, as before, and an exponent from 1e7 on."""
     if norm_a >= 1.0:
-        raise UnstableSystemError(f"spectral norm {norm_a:.6f} >= 1; bound is unbounded")
+        raise UnstableSystemError(f"spectral norm {norm_a:#.7g} >= 1; bound is unbounded")
 
 
 def _squared_level(level: float) -> float:

@@ -318,7 +318,12 @@ def _observe(
     made before the loop; a member whose outer sum has an operand of trace
     <= 0 goes through ``_outer_sum_into``. At small n a step costs numpy's
     per-call overhead more than its arithmetic, so it makes no Python call but
-    ``_PsdBlock.reserve`` and ``_solve_regular`` in the common case. The run arrays are
+    ``_PsdBlock.reserve`` and ``_solve_regular`` in the common case, and each
+    numpy call in its cheapest form: constant operands are arrays made once
+    per run, every product goes into a buffer or a run-array row, and ``out``
+    is positional. The -0.0 entries of the centers and prior centers after
+    row 0 are turned into 0.0 by one pass after the loop, not per step; row 0
+    keeps the window center's bits. The run arrays are
     laid out step by step, (K, S, ...), and each ``ObserverRun`` holds views
     of its run's column. The window shapes depend on the event patterns
     alone, so each distinct one is PSD-tested once, before any step: a window
@@ -358,18 +363,30 @@ def _observe(
     window_columns = window_centers[..., None]
     posterior_diagonals = shapes.diagonal(0, -2, -1)
     # The fusion's operands [W; P], W + P, the solve result X and M = X^T (a
-    # view), [M; K] and its transposed view, and the product pairs.
+    # view), [M; K] and its transposed view, and the product pairs with theirs.
     operands, sums, factors, halves, products = np.empty((5, 2, runs, n, n))
     x_half, y_half = halves
     W, P = operands
     total, X = sums
     M, K = X.swapaxes(1, 2), factors[1]
-    transposes = factors.swapaxes(2, 3)
+    transposes, products_T = factors.swapaxes(2, 3), products.swapaxes(2, 3)
+    # A S and A S A^T, with the latter's transposed view, and M w and K c_prior:
+    # every product of a step is written into a buffer made here.
+    left, product = np.empty((2, runs, n, n))
+    product_T = product.swapaxes(1, 2)
+    window_parts, prior_parts = np.empty((2, runs, n, 1))
+    # The constant operands as arrays: a Python float takes numpy's scalar
+    # conversion on every call. At these sizes full-shape arrays are fastest.
+    twos = np.full((2, runs, n, n), 2.0)
+    two, ones, q_traces = twos[0], np.ones((2, runs, 1, 1)), np.full(runs, q_trace)
     # An outer sum's pair [1 + 1/p; 1 + p] is [1; p] / [p; 1] + 1, from the
     # rows [1; p; 1].
     rows = np.ones((3, runs, 1, 1))
     p, numerators, denominators = rows[1, :, 0, 0], rows[:2], rows[1:]
     coefficients = np.empty((2, runs, 1, 1))
+    # The ufuncs as locals; every call in the loop passes ``out`` positionally.
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    sqrt, matmul, add_reduce = np.sqrt, np.matmul, np.add.reduce
 
     def needs_singular_test(t: int, traces: list[float]) -> bool:
         """The divergence guard on step t's posterior traces, one of which is
@@ -391,9 +408,9 @@ def _observe(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         try:
             centers[0] = window_centers[0]
-            shape = window_shapes.take(pattern[0], axis=0, out=shapes[0], mode="clip")
+            shape = window_shapes.take(pattern[0], 0, shapes[0], "clip")
             center = center_columns[0]
-            traces = np.add.reduce(posterior_diagonals[0], -1).tolist()
+            traces = add_reduce(posterior_diagonals[0], -1).tolist()
             # Usually every trace is below both levels, and one pass shows it
             # (settled >= trace is trace <= settled, False for a NaN).
             test_singular = not all(map(settled.__ge__, traces)) and needs_singular_test(0, traces)
@@ -402,25 +419,23 @@ def _observe(
                 stack, mapped, mapped_diagonals, split, split_diagonals = block.reserve()
                 # The prior E(A c, f+(A S A^T, Q)), with A S A^T in the block's
                 # [A S A^T; Q] for its PSD test.
-                product = A @ shape @ A_T
-                np.divide(np.add(product, product.swapaxes(1, 2), out=mapped), 2.0, out=mapped)
+                matmul(matmul(A, shape, left), A_T, product)
+                divide(add(product, product_T, mapped), two, mapped)
                 prior = prior_shapes[t]
-                traces = np.add.reduce(mapped_diagonals, -1)
+                traces = add_reduce(mapped_diagonals, -1)
                 if min(traces.tolist()) > 0.0 and q_trace > 0.0:
-                    np.sqrt(np.divide(traces, q_trace), out=p)
-                    np.add(np.divide(numerators, denominators, out=coefficients), 1.0,
-                           out=coefficients)
-                    np.multiply(stack, coefficients, out=halves)
-                    np.add(x_half, y_half, out=prior)
+                    sqrt(divide(traces, q_traces, p), p)
+                    add(divide(numerators, denominators, coefficients), ones, coefficients)
+                    multiply(stack, coefficients, halves)
+                    add(x_half, y_half, prior)
                 else:  # a point among the mapped posteriors, or a Q of zero trace
                     _outer_sum_into(prior, stack, stack.diagonal(0, -2, -1), coefficients, halves)
-                # The + 0.0 turns a -0.0 entry into 0.0, as adding a zero offset does.
-                c_prior = np.add(A @ center, 0.0, out=prior_columns[t])
+                c_prior = matmul(A, center, prior_columns[t])
                 made = 2
                 # The fusion's operands; pattern indices are always in range.
-                window_shapes.take(pattern[t], axis=0, out=W, mode="clip")
+                window_shapes.take(pattern[t], 0, W, "clip")
                 P[...] = prior
-                np.add(W, P, out=total)
+                add(W, P, total)
                 # M (W + P) = P  =>  (W + P) M^T = P by symmetry: X = M^T.
                 if test_singular:
                     singular = _singular(np.linalg.eigvalsh(total))
@@ -430,7 +445,7 @@ def _observe(
                     for s in np.flatnonzero(singular):
                         X[s] = _bumped_fusion_matrix(W[s], P[s]).T
                 else:
-                    _solve_regular(total, prior, out=X)
+                    _solve_regular(total, prior, X)
                 # The split shapes M W M^T and K P K^T, K = I - M, as one product
                 # pair, ([M; K] @ [W; P]) @ [X; K^T] with [M; K] a copy. Each
                 # member gets the bits of m @ w @ m.T with m the transposed view
@@ -438,32 +453,40 @@ def _observe(
                 # transposed operand the bits of its copy, which
                 # test_stacked_calls_equal_per_matrix_calls checks.
                 factors[0] = M
-                np.subtract(eye, M, out=K)
-                np.matmul(np.matmul(factors, operands, out=halves), transposes, out=products)
-                np.divide(np.add(products, products.swapaxes(2, 3), out=split), 2.0, out=split)
+                subtract(eye, M, K)
+                matmul(matmul(factors, operands, halves), transposes, products)
+                divide(add(products, products_T, split), twos, split)
                 shape = shapes[t]
-                traces = np.add.reduce(split_diagonals, -1)
+                traces = add_reduce(split_diagonals, -1)
                 t_x, t_y = traces.tolist()
                 if min(t_x) > 0.0 and min(t_y) > 0.0:
-                    np.sqrt(np.divide(traces[0], traces[1]), out=p)
-                    np.add(np.divide(numerators, denominators, out=coefficients), 1.0,
-                           out=coefficients)
-                    np.multiply(split, coefficients, out=halves)
-                    np.add(x_half, y_half, out=shape)
+                    sqrt(divide(traces[0], traces[1], p), p)
+                    add(divide(numerators, denominators, coefficients), ones, coefficients)
+                    multiply(split, coefficients, halves)
+                    add(x_half, y_half, shape)
                 else:  # a point, or a trace below zero within the PSD floor
                     _outer_sum_into(shape, split, split_diagonals, coefficients, halves)
-                # The + 0.0 turns a -0.0 entry into 0.0; on a sum it has the bits
-                # of adding 0.0 to each term first.
                 center = center_columns[t]
-                np.add(np.add(M @ window_columns[t], K @ c_prior, out=center), 0.0, out=center)
+                add(matmul(M, window_columns[t], window_parts),
+                    matmul(K, c_prior, prior_parts), center)
                 made = 5
-                traces = np.add.reduce(posterior_diagonals[t], -1).tolist()
+                traces = add_reduce(posterior_diagonals[t], -1).tolist()
                 test_singular = (not all(map(settled.__ge__, traces))
                                  and needs_singular_test(t, traces))
         except Exception:
             block.flush(made)  # an earlier failing PSD test would have stopped the run first
             raise
         block.flush()
+    # Signed zeros, fixed once per run: adding 0.0 turns -0.0 into 0.0 and
+    # keeps every other value, NaN included. In the loop a center feeds only
+    # the products A c and K c_prior and the sum M w + K c_prior, and a zero
+    # operand's sign changes no nonzero result of a product or a sum (an exact
+    # result that is not zero rounds the same; an exact zero comes out as a
+    # zero of either sign). So a + 0.0 per step would move only the signs of
+    # zeros, and this pass fixes those. Row 0 keeps the window center's bits:
+    # a log of -0.0 references has -0.0 at k = 0.
+    for array in (centers[1:], prior_centers[1:]):
+        add(array, 0.0, array)
     _require_resolution(centers, shapes, window_centers, solver, first_k)
     arrays = (centers, shapes, prior_centers, prior_shapes, window_centers, pattern)
     for array in (*arrays, window_shapes):

@@ -167,9 +167,13 @@ def _simulate(configs: list[SimConfig], roots: tuple[np.ndarray, np.ndarray]) ->
         process_noise[:] = _ball_noise(roots[0], process_noise, w_radii)
         measurement_noise[:] = _ball_noise(roots[1], measurement_noise[..., None], v_radii)[..., 0]
         states[:, 0] = configs[0].x0
+        # Row by row, the bits of A @ x + w, on step-major (S, n, 1) column views.
+        columns = states.swapaxes(0, 1)[..., None]
+        noise_columns = process_noise.swapaxes(0, 1)[..., None]
+        mapped = np.empty((runs, n, 1))
+        A, add, matmul = model.A, np.add, np.matmul
         for k in range(N):
-            # Row by row, the bits of A @ x + w.
-            states[:, k + 1] = (model.A @ states[:, k, :, None])[..., 0] + process_noise[:, k]
+            add(matmul(A, columns[k], mapped), noise_columns[k], columns[k + 1])
         # Row by row, the bits of C @ x.
         outputs = (states[..., None, :] @ model.C[:, None])[..., 0, 0] + measurement_noise
 

@@ -621,6 +621,14 @@ class TestOverflow:
         assert code == 1 and err == ""
         assert out.startswith("bound undefined: spectral norm ")
 
+    def test_huge_spectral_norm_prints_in_bounded_width(self, tmp_path, capsys):
+        # Fixed-point notation would print the norm's 201 integer digits.
+        path = write_config(tmp_path, A=[[1e200, 0.0], [0.0, 1.0]])
+        code = main(["bound", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert out == "bound undefined: spectral norm 1.000000e+200 >= 1; bound is unbounded\n"
+
     @pytest.mark.parametrize("command", ["check", "bound", "simulate"])
     def test_epsilon_that_overflows(self, tmp_path, capsys, command):
         # Q and O are finite, but the window uncertainties W_i are not.
