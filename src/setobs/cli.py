@@ -8,12 +8,13 @@ byte for byte.
 Every number that ``check`` lists and the CSV writers write is the text that
 ``'%.17g' % v`` (for an integer, ``'%d' % k``) gives, made for a whole array at
 once: ``_float_fields`` and ``_int_fields`` turn an array into NUL-padded ASCII
-fields, and ``_join_rows`` lays fields and literal separators out row by row
-and drops the padding, so a block of lines becomes one bytes object without a
-Python string per number. The step tables and the log are written by
-``_write_csv``. ``check`` lays its listing out in one table of lines that
-every block reuses, and ``_write_polylines`` lays out one that serves all of
-its files.
+fields. A float's decimal exponent comes from its binary exponent and one
+comparison, its 17 digits from one exact product with no second scaling, four
+to a group by int64 floor division. ``_join_rows`` lays fields and separators
+out row by row and drops the padding, so a block of lines becomes one bytes
+object without a Python string per number. ``check`` lays its listing out in
+one table of lines that every block reuses, and ``_write_polylines`` one that
+serves all of its files.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class ConfigError(ValueError):
     """Configuration file is malformed; message carries line/key context."""
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 # The widest '%.17g' of a double, as in '-1.2345678901234567e-308'.
 FIELD_WIDTH = 24
 # Dekker's splitting constant 2^27 + 1: a double a is hi + lo with hi = the
@@ -86,16 +83,30 @@ FIELD_WIDTH = 24
 _SPLIT = 134217729.0
 
 
-def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's split of each element into two halves that sum to it exactly."""
-    t = _SPLIT * a
-    hi = t - (t - a)
-    return hi, a - hi
+def _decade_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Row j = k + 21 s of a double v in [1e-4, 1e17), s its sign and k = 16 - X,
+    X its decimal exponent. The first table maps ``v.view(int64) >> 52`` (sign
+    and biased exponent, negative for s = 1) to the row of the exponent's lower
+    decade; where |v| reaches that row's edge, X is one more and the row one
+    less. The second holds per row its edge, the least double >= 10^(X + 1),
+    10^k and the halves of 10^k.
+    """
+    rows = np.zeros(4096, np.int8)
+    for e in range(-14, 57):  # 2^-14 < 1e-4 and 1e17 < 2^57
+        # floor(log10(2^e)), with 2^e = 5^-e 10^e for e < 0, at least -4
+        k = 16 - max(-4, len(str(2**e if e >= 0 else 5**-e)) - 1 + min(e, 0))
+        rows[1023 + e], rows[1023 + e - 2048] = k, k + 21
+    edges = [float(10**p) for p in range(17, -1, -1)]  # exact
+    for p in range(1, 4):
+        num, den = (edge := 1 / 10**p).as_integer_ratio()
+        edges.append(edge if num * 10**p >= den else math.nextafter(edge, math.inf))
+    scales = np.array([float(10**k) for k in range(21)])
+    t = _SPLIT * scales
+    halves = t - (t - scales)
+    return rows, np.tile([edges, scales, halves, scales - halves], 2)
 
 
-# 10^k for k = 0 .. 20, all exact doubles, and their halves.
-_SCALES = np.array([float(10**k) for k in range(21)])
-_SCALE_HALVES = _halves(_SCALES)
+_DECADE_ROWS, _DECADES = _decade_tables()
 
 
 def _group_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -114,21 +125,21 @@ _GROUP_DIGITS, _GROUP_TRAILING_ZEROS = _group_tables()
 
 
 def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fixed-form layout of a field, one row per (sign, X, K).
+    """The fixed-form layout of a field, one row per (sign, k = 16 - X, t).
 
-    X in [-4, 16] is the decimal exponent of the value and K in [0, 16] the
-    index of its last digit kept after the trailing zeros are cut. Byte 0 of a
-    field is the sign, bytes 1 to 5 the "0.000" of X < 0 and bytes 6 to 23 the
-    digits with the point after digit X. The digits d_0 .. d_16 are read from a
-    buffer that holds d_j at byte 7 + j of the field (``aligned``) and from the
-    same buffer one byte on (``shifted``, d_j at byte 6 + j): digits up to X
-    come from the second and the ones after the point from the first. A field
-    is (aligned & ALIGNED) | (shifted & SHIFTED) | CHARS; padding is NUL.
+    X is the decimal exponent, t the trailing zero digits of the 17 and d_K,
+    K = max(X, 16 - t), the last digit kept. Byte 0 of a field is the sign,
+    bytes 1 to 5 the "0.000" of X < 0 and bytes 6 to 23 the digits with the
+    point after digit X. The digits d_0 .. d_16 are read from a buffer that
+    holds d_j at byte 7 + j of the field (``aligned``) and from the same buffer
+    one byte on (``shifted``, d_j at byte 6 + j): digits up to X come from the
+    second, the others from the first. A field is
+    (aligned & ALIGNED) | (shifted & SHIFTED) | CHARS; padding is NUL.
     """
-    x = np.arange(-4, 17, dtype=np.int8)[:, None, None]
-    last = np.arange(17, dtype=np.int8)[:, None]
+    x = 16 - np.arange(21, dtype=np.int8)[:, None, None]
+    last = np.maximum(x, 16 - np.arange(17, dtype=np.int8)[:, None])
     at = np.arange(FIELD_WIDTH, dtype=np.int8)
-    shifted = (at >= 6) & (at - 6 <= np.where(x >= 0, np.minimum(x, last), last))
+    shifted = (at >= 6) & (at - 6 <= np.where(x >= 0, x, last))
     aligned = (x >= 0) & (at - 7 > x) & (at - 7 <= last)
     zero = (x < 0) & ((at == 1) | ((at >= 3) & (at < 2 - x)))
     point = ((x < 0) & (at == 2)) | ((x >= 0) & (x < last) & (at == 7 + x))
@@ -143,59 +154,68 @@ def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _ALIGNED, _SHIFTED, _CHARS = _layout_tables()
 
 
-def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a * 10^(16 - x) as the exact pair hi + lo (Dekker's product)."""
-    k = 16 - x
-    hi = a * _SCALES[k]
-    a_hi, a_lo = _halves(a)
-    s_hi, s_lo = _SCALE_HALVES[0][k], _SCALE_HALVES[1][k]
-    return hi, ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
-
-
 def _exact_float_fields(values: np.ndarray) -> np.ndarray:
     """``_float_fields`` of a 1-D array whose magnitudes all lie in [1e-4, 1e17).
 
-    There '%.17g' prints the 17-digit integer D = round-half-even(|v| 10^(16-X))
-    in fixed form, X being the decimal exponent of |v|. With 10^(16-X) exact
-    for X >= -4, the product is exact as a pair hi + lo; on [1e16, 1e17] hi is
-    an even integer, so D = hi + rint(lo) rounds half to even. D never rounds
-    up to 10^17: the largest double below each power of ten from 1e-3 to 1e17
-    scales to at least 8 below 10^17.
+    There '%.17g' prints the 17 digits D = round-half-even(|v| 10^k) in fixed
+    form, k = 16 - X, X the decimal exponent of |v|, which the binary exponent
+    and one comparison give. 10^k is exact for X >= -4, so Dekker's product
+    gives |v| 10^k exactly as hi + lo; on [1e16, 1e17] hi is an even integer,
+    so D = hi + rint(lo) rounds half to even. D never rounds up to 10^17: the
+    largest double below each power of ten from 1e-3 to 1e17 scales to at
+    least 8 below 10^17. D's groups of four digits come by floor division.
     """
-    a = np.abs(values)
-    x = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
-    hi, lo = _scaled(a, x)
-    # log10 may put a value next to a power of ten one decade off.
-    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    if below.any() or above.any():
-        x += above
-        x -= below
-        hi, lo = _scaled(a, x)
-    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    top, bottom = np.divmod(digits, 10**8)
-    lead, top = np.divmod(top.astype(np.uint32), np.uint32(10**8))
-    groups = (*np.divmod(top, np.uint32(10000)), *np.divmod(bottom.astype(np.uint32),
-                                                             np.uint32(10000)))
     m = values.size
+    row = _DECADE_ROWS.take(values.view(np.int64) >> 52).astype(np.intp)
+    a = np.abs(values)
+    row -= a >= _DECADES[0].take(row)
+    scale, s_hi, s_lo = _DECADES[1:].take(row, 1)
+    # lo = ((a_hi s_hi - hi) + a_hi s_lo + a_lo s_hi) + a_lo s_lo, in place
+    hi = a * scale
+    t = _SPLIT * a
+    a_hi = t - a
+    np.subtract(t, a_hi, a_hi)
+    a_lo = np.subtract(a, a_hi, a)
+    lo = a_hi * s_hi
+    lo -= hi
+    lo += np.multiply(a_hi, s_lo, t)
+    lo += np.multiply(a_lo, s_hi, t)
+    lo += np.multiply(a_lo, s_lo, t)
+    digits = hi.astype(np.int64)
+    digits += np.rint(lo, lo).astype(np.int64)
+    # D = lead 10^16 + g0 10^12 + g1 10^8 + g2 10^4 + g3: halves[:, 1] holds
+    # D's top and bottom 8 digits, then halves[i] their two groups.
+    top = digits // 10**8
+    lead = top // 10**8
+    groups = np.empty((4, m), np.intp)
+    halves = groups.reshape(2, 2, m)
+    np.subtract(top, lead * 10**8, halves[0, 1])
+    np.subtract(digits, top * 10**8, halves[1, 1])
+    np.floor_divide(halves[:, 1], 10**4, halves[:, 0])
+    halves[:, 1] -= halves[:, 0] * 10**4
+    del a, a_lo, a_hi, t, hi, lo, scale, s_hi, s_lo, digits, top  # freed before the byte arrays
     # One field per row, plus a byte so that the shifted view has a last row.
     aligned = np.zeros(m * FIELD_WIDTH + 1, np.uint8)
     words = aligned[:-1].view(np.uint32).reshape(m, FIELD_WIDTH // 4)
-    for column, group in enumerate(groups, start=2):
-        words[:, column] = _GROUP_DIGITS[group]
+    for column, group in enumerate(_GROUP_DIGITS.take(groups), start=2):
+        words[:, column] = group
     aligned[7:-1:FIELD_WIDTH] = lead + ord("0")
-    # D's trailing zero digits, group by group: an all-zero group adds four,
-    # any other group has only its own (D's leading digit is never zero).
-    trailing = _GROUP_TRAILING_ZEROS[groups[0]]
-    for group in groups[1:]:
-        trailing = np.where(group == 0, trailing + 4, _GROUP_TRAILING_ZEROS[group])
-    layout = (np.signbit(values) * 21 + x + 4) * 17 + np.maximum(x, 16 - trailing)
-    fields = np.take(_ALIGNED, layout, axis=0).ravel()
+    # Where the last group is 0, each zero group adds four trailing zeros to
+    # those of the group before it (D's leading digit is never zero).
+    trailing = _GROUP_TRAILING_ZEROS.take(groups[3])
+    if not groups[3].all():
+        rows = np.flatnonzero(groups[3] == 0)
+        zeros = _GROUP_TRAILING_ZEROS[groups[0, rows]]
+        for group in groups[1:3, rows]:
+            zeros = np.where(group == 0, zeros + 4, _GROUP_TRAILING_ZEROS[group])
+        trailing[rows] = zeros + 4
+    layout = row * 17 + trailing
+    fields = _ALIGNED.take(layout, 0).ravel()
     fields &= aligned[:-1]
-    part = np.take(_SHIFTED, layout, axis=0).ravel()
+    part = _SHIFTED.take(layout, 0).ravel()
     part &= aligned[1:]
     fields |= part
-    fields |= np.take(_CHARS, layout, axis=0).ravel()
+    fields |= _CHARS.take(layout, 0).ravel()
     return fields.reshape(m, FIELD_WIDTH)
 
 
@@ -218,10 +238,6 @@ def _float_fields(values) -> np.ndarray:
         fields[~exact] = _text_fields([b"%.17g" % v for v in flat[~exact].tolist()],
                                       FIELD_WIDTH)
     return fields.reshape(values.shape + (FIELD_WIDTH,))
-
-
-# An integer field holds at most four groups of digits.
-_INT_LIMIT = 10**16
 
 
 def _int_fields(values) -> np.ndarray:
@@ -249,7 +265,7 @@ def _text_fields(texts: list[bytes], width: int | None = None) -> np.ndarray:
 
 def _step_fields(first: int, count: int) -> np.ndarray:
     """Fields of the step numbers first, first + 1, ..., first + count - 1."""
-    if first + count <= _INT_LIMIT:
+    if first + count <= 10**16:  # an integer field holds at most four groups of digits
         return _int_fields(np.arange(first, first + count))
     return _text_fields([b"%d" % k for k in range(first, first + count)])
 
@@ -302,9 +318,10 @@ def load_config(path: str | Path) -> dict:
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: cannot decode text: {err}") from err
     except json.JSONDecodeError as err:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
-        ) from err
+        raise ConfigError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: "
+                          f"{err.msg}") from err
+    except RecursionError as err:
+        raise ConfigError(f"{path}: invalid JSON: arrays or objects nested too deeply") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object, got {_JSON_TYPES[type(raw)]}")
     return raw
@@ -317,11 +334,16 @@ def _require(raw: dict, key: str):
 
 
 def _holds_numbers(value) -> bool:
-    """Whether a JSON value is a number or nested lists of numbers; JSON's
-    true and false are not numbers here, though Python counts them as ints."""
-    if isinstance(value, list):
-        return all(_holds_numbers(item) for item in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a JSON value is a number or nested lists of numbers, at any depth;
+    JSON's true and false are not numbers here, though Python counts them as ints."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, list):
+            items += item
+        elif not isinstance(item, (int, float)) or isinstance(item, bool):
+            return False
+    return True
 
 
 def _require_numeric(raw: dict, key: str):
@@ -381,28 +403,19 @@ def build_sim_config(raw: dict) -> SimConfig:
 
 def config_echo(config: SimConfig) -> dict:
     """Config as a JSON tree that parses back into an equivalent SimConfig."""
-    return {
-        "A": config.model.A.tolist(),
-        "C": config.model.C.tolist(),
-        "Q": config.model.Q.tolist(),
-        "R": config.model.R,
-        "Gamma": config.trigger.threshold,
-        "Gamma_e": config.trigger.transmit_error,
-        "a": config.a.weights.tolist(),
-        "x0": config.x0.tolist(),
-        "N": config.N,
-        "seed": config.seed,
-    }
+    model, trigger = config.model, config.trigger
+    return {"A": model.A.tolist(), "C": model.C.tolist(), "Q": model.Q.tolist(), "R": model.R,
+            "Gamma": trigger.threshold, "Gamma_e": trigger.transmit_error,
+            "a": config.a.weights.tolist(), "x0": config.x0.tolist(), "N": config.N,
+            "seed": config.seed}
 
 
 def cmd_check(config_path: str) -> int:
     model, trigger, weights = build_system(load_config(config_path))
     n = model.n
     if n > PATTERN_LISTING_CAP:
-        raise ValueError(
-            f"check lists all 2^n event patterns; n = {n} exceeds the cap of "
-            f"{PATTERN_LISTING_CAP}"
-        )
+        raise ValueError(f"check lists all 2^n event patterns; n = {n} exceeds the cap of "
+                         f"{PATTERN_LISTING_CAP}")
     try:
         solver = WindowSolver(model, trigger, weights)
     except NotObservableError:
@@ -413,7 +426,7 @@ def cmd_check(config_path: str) -> int:
     if solver is None:
         print("epsilon-observable: no")
         return 1
-    print(f"epsilon: {_fmt(solver.epsilon)}")
+    print(f"epsilon: {solver.epsilon:.17g}")
     print(f"worst_pattern: {solver.worst_pattern}")
     # The listing runs in sorted bit-string order, a block of 2^low patterns at
     # a time (``WindowSolver.pattern_trace_blocks``). One table of lines serves
@@ -442,8 +455,8 @@ def cmd_bound(config_path: str) -> int:
     except UnstableSystemError as err:
         print(f"bound undefined: {err}")
         return 1
-    print(f"asymptotic sqrt-trace bound: {_fmt(bound)}")
-    print(f"asymptotic trace bound: {_fmt(_squared_level(bound))}")
+    print(f"asymptotic sqrt-trace bound: {bound:.17g}")
+    print(f"asymptotic trace bound: {_squared_level(bound):.17g}")
     return 0
 
 
@@ -549,6 +562,8 @@ def read_log(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
             rows = [row for row in reader if row]
         except UnicodeDecodeError as err:
             raise ConfigError(f"{path}: cannot decode text: {err}") from err
+        except csv.Error as err:
+            raise ConfigError(f"{path}: unreadable CSV at line {reader.line_num}: {err}") from err
     columns = {name: i for i, name in enumerate(header)}
     width = len(header)
     for row in rows:
@@ -561,9 +576,8 @@ def read_log(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
             k, y_tau = int(cells[columns["k"]]), float(cells[columns["y_tau"]])
             _require_record(k, y_tau)
         except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(
-                f"{path}: malformed log row {_dict_row(header, row)}: {err}"
-            ) from err
+            raise ConfigError(f"{path}: malformed log row {_dict_row(header, row)}: "
+                              f"{err}") from err
         ks.append(k)
         flags.append(gamma)
         references.append(y_tau)
@@ -571,13 +585,9 @@ def read_log(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
         raise ConfigError(f"{path}: log is empty")
     for prev, cur in zip(ks, ks[1:]):
         if cur <= prev:
-            raise ConfigError(
-                f"{path}: step k={cur} is not after the previous step k={prev}"
-            )
+            raise ConfigError(f"{path}: step k={cur} is not after the previous step k={prev}")
         if cur != prev + 1:
-            raise ConfigError(
-                f"{path}: gap in step sequence at k={cur} (expected {prev + 1})"
-            )
+            raise ConfigError(f"{path}: gap in step sequence at k={cur} (expected {prev + 1})")
     return ks[0], np.array(flags, dtype=bool), np.array(references)
 
 
@@ -648,12 +658,8 @@ def _write_polylines(out_dir: Path, estimates: ObserverRun, n: int) -> list[str]
 
 
 def _metrics_dict(metrics: Metrics) -> dict:
-    return {
-        "mean_estimation_error": metrics.mean_estimation_error,
-        "communication_rate": metrics.communication_rate,
-        "containment_violations": metrics.containment_violations,
-        "max_generalized_distance": metrics.max_generalized_distance,
-    }
+    """A run's metrics as the summaries hold them: all but the per-step distances."""
+    return {name: value for name, value in vars(metrics).items() if name != "distances"}
 
 
 def cmd_simulate(config_path: str, out_dir: str, seeds: int | None = None) -> int:
@@ -672,25 +678,18 @@ def cmd_simulate(config_path: str, out_dir: str, seeds: int | None = None) -> in
         return 1
 
     if seeds is not None:
-        rates = [m.communication_rate for _, m in results]
-        errors = [m.mean_estimation_error for _, m in results]
+        def spread(name: str) -> dict:
+            values = [getattr(m, name) for _, m in results]
+            return {"mean": float(np.mean(values)), "min": float(np.min(values)),
+                    "max": float(np.max(values))}
+
         sweep = {
             "config": config_echo(config),
             "per_seed": [{"seed": s, **_metrics_dict(m)} for s, m in results],
             "aggregate": {
-                "mean_estimation_error": {
-                    "mean": float(np.mean(errors)),
-                    "min": float(np.min(errors)),
-                    "max": float(np.max(errors)),
-                },
-                "communication_rate": {
-                    "mean": float(np.mean(rates)),
-                    "min": float(np.min(rates)),
-                    "max": float(np.max(rates)),
-                },
-                "containment_violations": int(
-                    sum(m.containment_violations for _, m in results)
-                ),
+                "mean_estimation_error": spread("mean_estimation_error"),
+                "communication_rate": spread("communication_rate"),
+                "containment_violations": sum(m.containment_violations for _, m in results),
             },
         }
         with open(out / "sweep_summary.json", "w") as fh:

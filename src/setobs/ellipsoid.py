@@ -23,7 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:  # a numpy that moved it: ``_solve_regular`` takes np.linalg.solve
+    _umath_linalg = None
 
 # Tolerances shared by the whole toolkit.
 SYMMETRY_TOL = 1e-9
@@ -303,8 +307,12 @@ def _solve_regular(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     only as the non-finite shapes it leads to). So the caller must know every
     member is regular: cleared by ``_singular``, or proven so for the whole
     run (``observer._singularity_skip_level``). Any other solve goes through
-    np.linalg.solve.
+    np.linalg.solve, and so does this one, copied into ``out``, on a numpy
+    without ``_umath_linalg``.
     """
+    if _umath_linalg is None:
+        np.copyto(out, np.linalg.solve(a, b))
+        return out
     return _umath_linalg.solve(a, b, out=out)
 
 

@@ -197,6 +197,28 @@ class TestConfigParsing:
         assert err == f"config error: {path}: config must be a JSON object, got {kind}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("depth, message", [
+        (900, "config error: invalid config value: "),
+        (100_000, "config error: {path}: invalid JSON: arrays or objects nested too deeply\n"),
+    ])
+    def test_deeply_nested_config_is_config_error(self, tmp_path, depth, message):
+        # 100,000 levels are too deep for json.load itself. 900 levels load,
+        # and the numbers test walks them without recursion; numpy then
+        # refuses an array of 900 dimensions.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**BENCH, "A": "@"}).replace('"@"', "[" * depth + "1"
+                                                                + "]" * depth))
+        done = subprocess.run([sys.executable, "-m", "setobs.cli", "check", "--config", str(path)],
+                              env=child_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr.count("\n")) == (2, "", 1)
+        assert done.stderr.startswith(message.format(path=path))
+
+    def test_numbers_test_walks_any_depth(self):
+        deep, bad = 1.0, True
+        for _ in range(100_000):
+            deep, bad = [deep, 2], [0.5, bad]
+        assert cli._holds_numbers(deep) and not cli._holds_numbers(bad)
+
     @pytest.mark.parametrize("command", ["check", "bound"])
     def test_c_column_is_config_error(self, tmp_path, capsys, command):
         # Read as the row, this column gave the paper plant's bound and exit 0.
@@ -826,6 +848,35 @@ class TestReplay:
         assert code == 2
         assert "config error" in err and "binary.csv" in err
         assert not (tmp_path / "out").exists()
+
+    def test_log_field_beyond_the_csv_limit(self, bench_config_file, tmp_path, capsys):
+        log = tmp_path / "long.csv"
+        log.write_text("k,gamma,y_tau\n0,1," + "1" * 200_000 + "\n")
+        code = main([
+            "replay", "--config", str(bench_config_file),
+            "--log", str(log), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (f"config error: {log}: unreadable CSV at line 2: "
+                                           "field larger than field limit (131072)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_replay_without_the_private_solve_module(self, bench_config_file, tmp_path):
+        # With numpy.linalg._umath_linalg hidden, the observer's solves go
+        # through np.linalg.solve, which wraps the same gufunc: same bytes.
+        sim = tmp_path / "sim"
+        main(["simulate", "--config", str(bench_config_file), "--out", str(sim)])
+        args = ["replay", "--config", str(bench_config_file), "--log", str(sim / "log.csv")]
+        assert main([*args, "--out", str(tmp_path / "fast")]) == 0
+        script = ("import sys, numpy.linalg; del numpy.linalg._umath_linalg; "
+                  "sys.modules['numpy.linalg._umath_linalg'] = None; "
+                  "from setobs import cli, ellipsoid; assert ellipsoid._umath_linalg is None; "
+                  "sys.exit(cli.main(sys.argv[1:]))")
+        done = subprocess.run([sys.executable, "-c", script, *args, "--out", str(tmp_path / "plain")],
+                              env=child_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert ((tmp_path / "plain" / "replay_steps.csv").read_bytes()
+                == (tmp_path / "fast" / "replay_steps.csv").read_bytes())
 
     def test_three_row_log_two_estimates(self, bench_config_file, tmp_path):
         log = tmp_path / "hand.csv"

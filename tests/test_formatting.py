@@ -73,6 +73,34 @@ def test_float_fields_equal_percent_g_on_random_bits_in_the_exact_range():
     assert texts(_float_fields(rounded)) == printed(rounded)
 
 
+def test_powers_of_two_and_their_neighbours_equal_percent_g():
+    # The kernel reads the decade from the binary exponent: 2^E and the
+    # doubles on either side of it, for every E whose doubles meet
+    # [1e-4, 1e17), with both signs.
+    powers = 2.0 ** np.arange(-14, 57)
+    assert powers[0] < 1e-4 < powers[1] and powers[-1] < 1e17 < 2 * powers[-1]
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    values = np.concatenate([near, -near])
+    assert texts(_float_fields(values)) == printed(values)
+
+
+def test_zero_digit_groups_at_every_position_equal_percent_g():
+    # D's 17 digits are a leading digit and four groups of four; its trailing
+    # zeros come from the last group alone unless that group is 0. These
+    # values end in 0 to 4 zero groups (1.0 in four, 1234e12 in three,
+    # 12345678e8 in two), and their halvings move them across decades.
+    bases = np.array([1.0, 1234e12, 12345678e8, 123456789012e4, 1234567890123456.0,
+                      5.0, 0.375, 0.0001220703125, 99e15, 1e-4])
+    values = np.concatenate([bases * 2.0 ** -np.arange(40)[:, None],
+                             bases * 10.0 ** -np.arange(1, 5)[:, None]]).ravel()
+    values = np.concatenate([values, -values])
+    assert texts(_float_fields(values)) == printed(values)
+    # Zero groups at the end of D: 0, 1, 2, 3 and 4 of them all occur.
+    mantissas = [(b"%.16e" % v).split(b"e")[0].replace(b".", b"").lstrip(b"-")
+                 for v in values.tolist() if 1e-4 <= abs(v) < 1e17]
+    assert {(len(d) - len(d.rstrip(b"0"))) // 4 for d in mantissas} == {0, 1, 2, 3, 4}
+
+
 @settings(max_examples=2000, deadline=None)
 @given(st.integers(0, 2**64 - 1))
 @example(0x0000000000000001)  # the smallest subnormal
