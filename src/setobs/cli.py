@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ellipsoid import _require_psd_stack, _symmetrize, _traces, shape_sqrt
+from .ellipsoid import _require_psd, _symmetrize, _traces, shape_sqrt
 from .observability import (
     NotObservableError,
     SystemModel,
@@ -620,7 +620,7 @@ def _write_polylines(out_dir: Path, estimates: ObserverRun, n: int) -> list[str]
     block_centers = (centers[:, index] + 0.0).swapaxes(0, 1)
     blocks = shapes[:, index[:, :, None], index[:, None, :]] + 0.0
     blocks = _symmetrize(blocks.swapaxes(0, 1))
-    _require_psd_stack(blocks.reshape(-1, 2, 2))
+    _require_psd(blocks.reshape(-1, 2, 2))
     roots = shape_sqrt(blocks)
     angles = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_POINTS, endpoint=False)
     circle = np.vstack([np.cos(angles), np.sin(angles)])
@@ -671,11 +671,7 @@ def cmd_simulate(config_path: str, out_dir: str, seeds: int | None = None) -> in
         seed_list = list(range(config.seed, config.seed + seeds))
         results = run_seed_sweep(config, seed_list)
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        print(f"cannot create output directory {out}: {err}", file=sys.stderr)
-        return 1
+    out.mkdir(parents=True, exist_ok=True)
 
     if seeds is not None:
         def spread(name: str) -> dict:
@@ -729,11 +725,7 @@ def cmd_replay(config_path: str, log_path: str, out_dir: str) -> int:
     solver = _log_solver(len(flags), model, trigger, weights)
     [estimates] = _observe(flags[None], references[None], first_k, solver)
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        print(f"cannot create output directory {out}: {err}", file=sys.stderr)
-        return 1
+    out.mkdir(parents=True, exist_ok=True)
     _write_replay_table(out / "replay_steps.csv", first_k, flags, references, estimates,
                         model.n)
     print(f"replay written to {out / 'replay_steps.csv'}")
@@ -775,6 +767,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout at os.devnull, for a stdout that fails to write, so that the
+    flush at shutdown cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -792,11 +792,18 @@ def main(argv: list[str] | None = None) -> int:
         if sys.stdout is not None:
             sys.stdout.flush()
     except BrokenPipeError:
-        # The reader is gone. Point stdout at os.devnull so that the flush at
-        # shutdown cannot fail again, and exit without a traceback.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # The reader is gone: exit without a traceback.
+        _discard_stdout()
+        return 1
+    except OSError as err:
+        # An output that cannot be written: a file or directory under --out,
+        # or stdout (a full disk, say). Load errors are ConfigErrors already.
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError:
+            _discard_stdout()
         return 1
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

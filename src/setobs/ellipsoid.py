@@ -11,11 +11,14 @@ exactly symmetric shapes is exactly symmetric already). Every tolerance
 is relative to the scale of the matrix it tests, so a result means the same
 in any units.
 
-Each set operation is written here for one shape or an (S, n, n) stack. The
-public functions (``affine_transform``, ``minkowski_sum_outer``, the fusion
-matrix) are the specification of the observer's run kernel
-(``observer._observe``), which makes the same IEEE operations inline on its
-stack, and leaves the rare members of an outer sum to ``_outer_sum_into``.
+Each set operation is written here once, in one function that takes one
+shape or an (S, n, n) stack: one PSD test (``_require_psd``), one outer sum
+(``_outer_sum_into``) and one fusion matrix (``optimal_fusion_matrix``), none
+of them with work arrays from a caller. The public functions
+(``affine_transform``, ``minkowski_sum_outer``, ``optimal_fusion_matrix``)
+are the specification of the observer's run kernel (``observer._observe``),
+which makes the same IEEE operations inline on its stack, and leaves the rare
+members of an outer sum to ``_outer_sum_into``.
 """
 
 from __future__ import annotations
@@ -43,11 +46,9 @@ class DegenerateOperandError(ValueError):
     """An operand has zero trace, so a trace-ratio parameter is undefined."""
 
 
-def _symmetrize(S: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(S + S^T) / 2 of one shape or of each shape of a stack, written into
-    ``out`` if given (which may be S itself)."""
-    out = np.add(S, S.swapaxes(-1, -2), out=out)
-    return np.divide(out, 2.0, out=out)
+def _symmetrize(S: np.ndarray) -> np.ndarray:
+    """(S + S^T) / 2 of one shape or of each shape of a stack."""
+    return (S + S.swapaxes(-1, -2)) / 2.0
 
 
 def _require_symmetric(S: np.ndarray, name: str) -> None:
@@ -66,46 +67,38 @@ def _require_symmetric(S: np.ndarray, name: str) -> None:
         )
 
 
-def _require_psd(shape: np.ndarray) -> np.ndarray:
-    """Return ``shape`` if it is finite and its smallest eigenvalue is at least
-    -``PSD_TOL`` Tr/n.
+def _require_psd(shapes: np.ndarray) -> np.ndarray:
+    """Return ``shapes``, one shape or an (m, d, d) stack, if each shape is
+    finite and its smallest eigenvalue is at least -``PSD_TOL`` Tr/d.
 
     The floor scales with the shape, so the test means the same in any units;
-    a zero shape passes. Cholesky, which succeeds exactly on positive-definite
-    shapes, settles the common case without an eigendecomposition. It does
-    not settle a non-finite shape: a NaN factorizes without error, and NaN
-    compares below no floor.
-    """
-    if not np.isfinite(shape).all():
-        raise ValueError("shape matrix has a non-finite entry")
-    try:
-        np.linalg.cholesky(shape)
-    except np.linalg.LinAlgError:
-        floor = -PSD_TOL * max(float(np.trace(shape)) / shape.shape[0], np.finfo(float).tiny)
-        min_eig = float(np.linalg.eigvalsh(shape)[0])
-        if min_eig < floor:
-            raise ValueError(
-                f"shape matrix has eigenvalue {min_eig:.3e} below the floor {floor:.3e}"
-            ) from None
-    return shape
-
-
-def _require_psd_stack(shapes: np.ndarray) -> None:
-    """``_require_psd`` on each shape of an (m, d, d) stack, in order.
-
-    One finiteness test and one stacked Cholesky settle a stack of finite
-    positive-definite shapes (the stacked Cholesky runs the same factorization
-    on each member); otherwise the stack is retested shape by shape, so the
-    verdict and the error raised are those of testing each shape alone.
+    a zero shape passes. Cholesky succeeds exactly on positive-definite
+    shapes, so one finiteness test and one stacked Cholesky (the same
+    factorization on each member) settle the common case without an
+    eigendecomposition. Cholesky alone would not settle a non-finite shape: a
+    NaN factorizes without error, and NaN compares below no floor. Otherwise
+    the shapes are retested one by one, in order, so the verdict and the
+    error raised are those of testing each shape alone.
     """
     if np.isfinite(shapes).all():
         try:
             np.linalg.cholesky(shapes)
-            return
+            return shapes
         except np.linalg.LinAlgError:
             pass
-    for shape in shapes:
-        _require_psd(shape)
+    for shape in shapes.reshape(-1, *shapes.shape[-2:]):
+        if not np.isfinite(shape).all():
+            raise ValueError("shape matrix has a non-finite entry")
+        try:
+            np.linalg.cholesky(shape)
+        except np.linalg.LinAlgError:
+            floor = -PSD_TOL * max(float(np.trace(shape)) / shape.shape[0], np.finfo(float).tiny)
+            min_eig = float(np.linalg.eigvalsh(shape)[0])
+            if min_eig < floor:
+                raise ValueError(
+                    f"shape matrix has eigenvalue {min_eig:.3e} below the floor {floor:.3e}"
+                ) from None
+    return shapes
 
 
 @dataclass(frozen=True)
@@ -197,10 +190,10 @@ def optimal_sum_parameter(Q1: np.ndarray, Q2: np.ndarray) -> float:
 
 def _sum_parameter(t1, t2):
     """p = sqrt(t1 / t2) from two positive traces, or elementwise from two stacks
-    of them: the one formula behind ``optimal_sum_parameter``,
-    ``_outer_sum_into`` and ``observer.fuse``, which the observer's loop writes
-    inline. np.sqrt is correctly rounded, so a stack's members equal the scalar
-    results bit for bit."""
+    of them: the one formula behind ``optimal_sum_parameter``, the outer sum
+    (``_outer_sum_into``, from its operands' traces) and ``observer.fuse``,
+    which the observer's loop writes inline. np.sqrt is correctly rounded, so
+    a stack's members equal the scalar results bit for bit."""
     return np.sqrt(t1 / t2)
 
 
@@ -219,8 +212,7 @@ def minkowski_sum_outer(e1: Ellipsoid, e2: Ellipsoid, p: float | None = None) ->
         raise ValueError(f"sum parameter must be positive, got {p}")
     operands = np.stack((e1.shape, e2.shape))[:, None]
     shape = np.empty_like(operands[0])
-    _outer_sum_into(shape, operands, operands.diagonal(0, -2, -1), np.empty((2, 1, 1, 1)),
-                    np.empty_like(operands), None if p is None else np.array([p]))
+    _outer_sum_into(shape, operands, None if p is None else np.array([p]))
     return Ellipsoid._trusted(e1.center + e2.center, _require_psd(shape[0]))
 
 
@@ -231,31 +223,25 @@ def _traces(shapes: np.ndarray) -> np.ndarray:
 
 
 def _outer_sum_into(
-    out: np.ndarray, operands: np.ndarray, diagonals: np.ndarray, coefficients: np.ndarray,
-    products: np.ndarray, p: np.ndarray | None = None,
+    out: np.ndarray, operands: np.ndarray, p: np.ndarray | None = None
 ) -> np.ndarray:
     """Outer sums (1 + 1/p) X + (1 + p) Y of the pairs of a (2, S, n, n) stack
     [X; Y] into ``out``; returns p.
 
-    The traces t_x and t_y are sums of the stack's ``diagonals`` view. p
-    defaults to the trace-optimal sqrt(t_x / t_y), or 1 where the traces are
-    not both positive. One product scales the stack by [1 + 1/p; 1 + p] (work
-    arrays ``coefficients``, (2, S, 1, 1), and ``products``) and one sum adds
-    its halves: the three roundings per entry of the formula. Where an operand
-    has zero trace (a point) the sum is the other operand. Not PSD-tested; the
-    result is exactly symmetric, as (i, j) and (j, i) sum the same products.
+    p defaults to the trace-optimal sqrt(t_x / t_y) of the operands' traces,
+    or 1 where the traces are not both positive. One product scales the stack
+    by [1 + 1/p; 1 + p] and one sum adds its halves: the three roundings per
+    entry of the formula. Where an operand has zero trace (a point) the sum is
+    the other operand. Not PSD-tested; the result is exactly symmetric, as
+    (i, j) and (j, i) sum the same products.
     """
-    traces = np.add.reduce(diagonals, -1)
+    traces = _traces(operands)
     t_x, t_y = traces.tolist()
     if p is None:
         regular = (traces > 0.0).all(axis=0)
         p = np.ones(len(t_x))
         p[regular] = _sum_parameter(traces[0, regular], traces[1, regular])
-    pair = coefficients[:, :, 0, 0]
-    np.divide(1.0, p, out=pair[0])
-    pair[1] = p
-    np.add(pair, 1.0, out=pair)
-    np.multiply(operands, coefficients, out=products)
+    products = operands * (np.stack((1.0 / p, p)) + 1.0)[:, :, None, None]
     np.add(products[0], products[1], out=out)
     if 0.0 in t_x or 0.0 in t_y:
         for s, (x, y) in enumerate(zip(t_x, t_y)):
@@ -275,13 +261,8 @@ def optimal_fusion_matrix(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
         SingularShapeError: Q1+Q2 is singular within tolerance; the message
             carries the eigenvalue ratio for diagnosis.
     """
-    return _fusion_matrix(
-        np.atleast_2d(np.asarray(Q1, dtype=float)), np.atleast_2d(np.asarray(Q2, dtype=float))
-    )
-
-
-def _fusion_matrix(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
-    """``optimal_fusion_matrix`` of two float shapes of one size."""
+    Q1 = np.atleast_2d(np.asarray(Q1, dtype=float))
+    Q2 = np.atleast_2d(np.asarray(Q2, dtype=float))
     total = _symmetrize(Q1 + Q2)
     eigs = np.linalg.eigvalsh(total)
     if _singular(eigs):

@@ -173,7 +173,6 @@ def epsilon_observability(
     all-zeros pattern, which is the maximum over every pattern of event flags
     (``WindowSolver.epsilon``). Costs O(n^3); nothing is enumerated.
     """
-    a = a if a is not None else WeightVector.uniform(model.n)
     try:
         solver = WindowSolver(model, trigger, a)
     except NotObservableError:
@@ -193,10 +192,10 @@ class WindowSolver:
     """The observability facts and levels of one (model, trigger, weights) triple.
 
     Caches the observability matrix O (validated full rank), the per-offset
-    uncertainty table W[flag, i], the weights a and the diagonal of
-    (O O^T)^-1, taken as the squared column norms of O^-1 from one inverse of
-    O (the Gram matrix O O^T is never factored: its condition number is
-    cond(O)^2). Inverting a window then reduces to a diagonal scale and two
+    uncertainty table W[flag, i], the weights a (uniform when None) and the
+    diagonal of (O O^T)^-1, taken as the squared column norms of O^-1 from one
+    inverse of O (the Gram matrix O O^T is never factored: its condition
+    number is cond(O)^2). Inverting a window then reduces to a diagonal scale and two
     linear solves, and the window-ellipsoid trace of an event pattern is
     Tr(O^-1 diag(W_i/a_i) O^-T) = sum_i (W_i/a_i) [(O O^T)^-1]_ii, an O(n) sum.
 
@@ -226,7 +225,10 @@ class WindowSolver:
 
     # Overflow is tested on O O^T (so on O) and on epsilon, not warned of.
     @np.errstate(over="ignore", invalid="ignore")
-    def __init__(self, model: SystemModel, trigger: TriggerConfig, a: WeightVector):
+    def __init__(
+        self, model: SystemModel, trigger: TriggerConfig, a: WeightVector | None = None
+    ):
+        a = a if a is not None else WeightVector.uniform(model.n)
         if len(a) != model.n:
             raise ValueError(f"weight vector has length {len(a)}, expected {model.n}")
         O = observability_matrix(model)
@@ -372,7 +374,6 @@ def convergence_bound(
         UnstableSystemError: ||A|| >= 1 (trace growth is unbounded), before any other error.
         NotObservableError: the observability matrix is rank deficient.
     """
-    a = a if a is not None else WeightVector.uniform(model.n)
     try:
         solver = WindowSolver(model, trigger, a)
     except ValueError:

@@ -30,15 +30,15 @@ from .ellipsoid import (
     PSD_TOL,
     Ellipsoid,
     SingularShapeError,
-    _fusion_matrix,
     _outer_sum_into,
-    _require_psd_stack,
+    _require_psd,
     _singular,
     _solve_regular,
     _sum_parameter,
     _traces,
     affine_transform,
     minkowski_sum_outer,
+    optimal_fusion_matrix,
 )
 from .observability import (
     SystemModel,
@@ -165,7 +165,7 @@ class ObserverRun(Sequence[ObserverOutput]):
 
 
 class _PsdBlock:
-    """``_require_psd`` deferred to ``_require_psd_stack`` per block of steps.
+    """``_require_psd`` deferred to one stacked test per block of steps.
 
     A step makes five shapes per run: A P A^T, the prior, the two split shapes
     and the posterior. The prior and the posterior are rows of the run arrays
@@ -203,7 +203,7 @@ class _PsdBlock:
         shapes = np.stack((block[:, 0], self._priors[rows], block[:, 2], block[:, 3],
                            self._posteriors[rows]), axis=1)
         runs, n = shapes.shape[2:4]
-        _require_psd_stack(shapes.reshape(-1, n, n)[: (5 * count - 5 + made) * runs])
+        _require_psd(shapes.reshape(-1, n, n)[: (5 * count - 5 + made) * runs])
 
 
 def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
@@ -233,7 +233,7 @@ def fuse(measurement: Ellipsoid, prior: Ellipsoid) -> tuple[Ellipsoid, np.ndarra
     if measurement.dim != prior.dim:
         raise ValueError(f"dimension mismatch: {measurement.dim} vs {prior.dim}")
     try:
-        M = _fusion_matrix(measurement.shape, prior.shape)
+        M = optimal_fusion_matrix(measurement.shape, prior.shape)
     except SingularShapeError:
         M = _bumped_fusion_matrix(measurement.shape, prior.shape)
     parts = affine_transform(measurement, M), affine_transform(prior, np.eye(len(M)) - M)
@@ -243,16 +243,16 @@ def fuse(measurement: Ellipsoid, prior: Ellipsoid) -> tuple[Ellipsoid, np.ndarra
 
 
 def _bumped_fusion_matrix(W: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """``_fusion_matrix`` of W + b I and P + b I, for n x n shapes whose sum
-    ``_singular`` finds singular.
+    """``optimal_fusion_matrix`` of W + b I and P + b I, for n x n shapes whose
+    sum ``_singular`` finds singular.
 
     b = max(1e-12/n, n 1e-14) Tr(W + P) (1e-12 Tr/n up to n = 10), which lifts
     a PSD sum to twice the rule's floor at any n. A sum of zero trace stays
-    singular, and ``_fusion_matrix`` raises SingularShapeError.
+    singular, and ``optimal_fusion_matrix`` raises SingularShapeError.
     """
     n = len(W)
     bump = 1e-12 * float(np.trace(W + P)) / n * max(1.0, n * n / 100.0) * np.eye(n)
-    return _fusion_matrix(W + bump, P + bump)
+    return optimal_fusion_matrix(W + bump, P + bump)
 
 
 def predict_no_delay(
@@ -285,7 +285,6 @@ def observer_run(
     Step 0 adopts its measurement set directly; every later step fuses the
     propagated previous posterior with its own measurement window.
     """
-    a = a if a is not None else WeightVector.uniform(model.n)
     solver = _log_solver(len(records), model, trigger, a)
     ks = [r.k for r in records]
     if ks != list(range(ks[0], ks[0] + len(records))):
@@ -297,7 +296,7 @@ def observer_run(
 
 
 def _log_solver(
-    length: int, model: SystemModel, trigger: TriggerConfig, a: WeightVector
+    length: int, model: SystemModel, trigger: TriggerConfig, a: WeightVector | None
 ) -> WindowSolver:
     """The ``WindowSolver`` of a log of ``length`` records, which must fill a window."""
     if length < model.n:
@@ -343,7 +342,7 @@ def _observe(
     patterns, pattern = _distinct_rows(windows)
     pattern = pattern.reshape(steps, runs)
     window_shapes = solver.window_shapes(patterns)
-    _require_psd_stack(window_shapes)  # every window of the run is one of these
+    _require_psd(window_shapes)  # every window of the run is one of these
     window_centers = solver.window_centers(
         sliding_window_view(references, n, axis=1).swapaxes(0, 1).reshape(-1, n)
     ).reshape(steps, runs, n)
@@ -429,7 +428,7 @@ def _observe(
                     multiply(stack, coefficients, halves)
                     add(x_half, y_half, prior)
                 else:  # a point among the mapped posteriors, or a Q of zero trace
-                    _outer_sum_into(prior, stack, stack.diagonal(0, -2, -1), coefficients, halves)
+                    _outer_sum_into(prior, stack)
                 c_prior = matmul(A, center, prior_columns[t])
                 made = 2
                 # The fusion's operands; pattern indices are always in range.
@@ -465,7 +464,7 @@ def _observe(
                     multiply(split, coefficients, halves)
                     add(x_half, y_half, shape)
                 else:  # a point, or a trace below zero within the PSD floor
-                    _outer_sum_into(shape, split, split_diagonals, coefficients, halves)
+                    _outer_sum_into(shape, split)
                 center = center_columns[t]
                 add(matmul(M, window_columns[t], window_parts),
                     matmul(K, c_prior, prior_parts), center)

@@ -341,6 +341,7 @@ class TestCheck:
         (1, None), (2, None), (3, None), (6, None), (8, None), (9, None), (11, None),
         (12, None), (13, None), (6, 1), (6, 7), (6, 63), (6, 64),
     ])
+    @pytest.mark.bit_identity
     def test_listing_equals_per_pattern_oracle(self, tmp_path, capsys, monkeypatch, n, rows):
         # With the default block size the listing is one block up to n = 11,
         # two blocks of 2048 patterns at n = 12 and four at n = 13. A budget of
@@ -488,6 +489,21 @@ class TestSimulate:
             assert err.endswith(" bytes of plant history, more than can be allocated\n")
             assert len(err.splitlines()) == 1
             assert not (tmp_path / "out").exists()
+
+    def test_unstable_plant_summary_has_null_bounds(self, tmp_path, capsys):
+        # ||A|| >= 1: the run completes, and the undefined bound is null in
+        # strict JSON, not a number or inf.
+        path = write_config(tmp_path, **UNSTABLE_PLANT, N=40)
+        out_dir = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().err == ""
+
+        def no_constant(name):
+            raise AssertionError(f"summary.json holds {name}, which is not JSON")
+
+        summary = json.loads((out_dir / "summary.json").read_text(), parse_constant=no_constant)
+        assert summary["bound_sqrt_trace"] is None
+        assert summary["bound_trace"] is None
 
     def test_summary_echo_round_trip(self, bench_config_file, tmp_path):
         out_dir = tmp_path / "run"
@@ -733,6 +749,66 @@ class TestOverflowingPlant:
         assert not (tmp_path / "out").exists()
 
 
+class TestUnwritableOutput:
+    """An output that cannot be written ends in one error line that names it,
+    exit 1 and no traceback, and nothing more at interpreter exit."""
+
+    @staticmethod
+    def run(args: list[str], stdout=subprocess.PIPE, unbuffered: bool = False):
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run([sys.executable, "-m", "setobs.cli", *args], env=env,
+                              stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+    @staticmethod
+    def command(tmp_path, name: str, out: Path) -> list[str]:
+        config = write_config(tmp_path)
+        if name == "replay":
+            log = tmp_path / "log.csv"
+            log.write_text("k,gamma,y_tau\n" + "".join(f"{k},{k % 2},0.5\n" for k in range(8)))
+            return ["replay", "--config", str(config), "--log", str(log), "--out", str(out)]
+        sweep = ["--seeds", "2"] if name == "sweep" else []
+        return ["simulate", "--config", str(config), "--out", str(out), *sweep]
+
+    @staticmethod
+    def assert_one_error_line(done, path) -> None:
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: cannot write output: ")
+        assert str(path) in done.stderr and done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("name, blocked", [("simulate", "steps.csv"),
+                                               ("replay", "replay_steps.csv"),
+                                               ("sweep", "sweep_summary.json")])
+    def test_output_file_that_is_a_directory(self, tmp_path, name, blocked):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        done = self.run(self.command(tmp_path, name, out))
+        self.assert_one_error_line(done, out / blocked)
+        assert "Is a directory" in done.stderr
+
+    @pytest.mark.parametrize("name", ["simulate", "replay", "sweep"])
+    def test_out_that_is_a_file(self, tmp_path, name):
+        out = tmp_path / "out"
+        out.write_text("")
+        done = self.run(self.command(tmp_path, name, out))
+        self.assert_one_error_line(done, out)
+        assert out.read_text() == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command, n", [("check", 2), ("bound", 2), ("check", 12)])
+    def test_stdout_on_a_full_device(self, tmp_path, command, n, unbuffered):
+        # n = 12 lists 4096 patterns, so check is still writing when a write
+        # fails, and text is left in stdout's buffer for the flush at exit.
+        path = plant_config(tmp_path, n, seed=n)
+        with open("/dev/full", "w") as full:
+            done = self.run([command, "--config", str(path)], stdout=full, unbuffered=unbuffered)
+        assert done.returncode == 1
+        assert done.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
 class TestResolutionLoss:
     """An unstable plant outgrows float64 resolution: exit 1 with a message."""
 
@@ -861,6 +937,7 @@ class TestReplay:
                                            "field larger than field limit (131072)\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.bit_identity
     def test_replay_without_the_private_solve_module(self, bench_config_file, tmp_path):
         # With numpy.linalg._umath_linalg hidden, the observer's solves go
         # through np.linalg.solve, which wraps the same gufunc: same bytes.

@@ -44,6 +44,7 @@ EDGES = [
 ]
 
 
+@pytest.mark.bit_identity
 def test_float_fields_equal_percent_g_at_the_edges():
     edges = np.array(EDGES)
     near = 10.0 ** np.arange(-5, 19)
@@ -56,6 +57,7 @@ def test_float_fields_equal_percent_g_at_the_edges():
     assert texts(fields) == printed(values)
 
 
+@pytest.mark.bit_identity
 def test_float_fields_equal_percent_g_on_random_bits_in_the_exact_range():
     # 10^5 doubles of random sign and mantissa whose exponents span [1e-4, 1e17).
     rng = np.random.default_rng(2024)
@@ -73,6 +75,7 @@ def test_float_fields_equal_percent_g_on_random_bits_in_the_exact_range():
     assert texts(_float_fields(rounded)) == printed(rounded)
 
 
+@pytest.mark.bit_identity
 def test_powers_of_two_and_their_neighbours_equal_percent_g():
     # The kernel reads the decade from the binary exponent: 2^E and the
     # doubles on either side of it, for every E whose doubles meet
@@ -84,6 +87,7 @@ def test_powers_of_two_and_their_neighbours_equal_percent_g():
     assert texts(_float_fields(values)) == printed(values)
 
 
+@pytest.mark.bit_identity
 def test_zero_digit_groups_at_every_position_equal_percent_g():
     # D's 17 digits are a leading digit and four groups of four; its trailing
     # zeros come from the last group alone unless that group is 0. These
@@ -107,6 +111,7 @@ def test_zero_digit_groups_at_every_position_equal_percent_g():
 @example(0x8000000000000000)  # -0.0
 @example(0x7FF8000000000001)  # a NaN with a payload
 @example(0xFFF0000000000000)  # -inf
+@pytest.mark.bit_identity
 def test_float_field_of_every_double_equals_percent_g(bits):
     value = from_bits([bits])
     assert texts(_float_fields(value)) == printed(value)
@@ -125,6 +130,7 @@ def test_mixed_arrays_equal_percent_g(values):
     assert texts(_float_fields(grid)) == printed(grid)
 
 
+@pytest.mark.bit_identity
 def test_int_fields_equal_percent_d():
     rng = np.random.default_rng(7)
     values = np.concatenate([

@@ -251,6 +251,7 @@ class TestEpsilonObservability:
             solver.pattern_trace(np.zeros((2, 2, 2), dtype=int))
 
     @pytest.mark.parametrize("n", range(1, 21))
+    @pytest.mark.bit_identity
     def test_stacked_traces_equal_single_pattern_sums(self, n):
         # Weights spread over 10 decades, so the terms of one sum do too. Up to
         # n = 12, every pattern in blocks of one pattern (low = 0), of half the
@@ -366,6 +367,7 @@ class TestWindowShapes:
     solves, with the bits of that pattern's own pair."""
 
     @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.bit_identity
     def test_window_shapes_equal_per_pattern_solves(self, n):
         model, trigger, a, _ = TestWindowShapeCache.random_system(n, 70 + n)
         solver = WindowSolver(model, trigger, a)

@@ -401,6 +401,7 @@ class TestObserverRunView:
             assert np.array_equal(out.measurement_set.shape, solver.ellipsoid(flags, [0, 0]).shape)
 
     @pytest.mark.parametrize("n", [2, 6])
+    @pytest.mark.bit_identity
     def test_public_steps_equal_the_loop(self, n, bench_model, bench_trigger):
         model = bench_model if n == 2 else orthogonal_plant(n, 95)
         run = observer_run(closed_loop_records(model, bench_trigger, 120, 5), model, bench_trigger)
@@ -414,6 +415,7 @@ class TestObserverRunView:
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 16, 70])
+@pytest.mark.bit_identity
 def test_distinct_rows_equal_unique_rows(n):
     """The window patterns and their indices are those of np.unique(axis=0), in
     its order, for any window length (70 flags pack into 9 bytes)."""
@@ -454,6 +456,7 @@ def hooked_model(model: SystemModel, hook) -> SystemModel:
     return hooked
 
 
+@pytest.mark.bit_identity
 class TestBlockedPsdTests:
     """PSD tests run stacked per block, yet raise what a test per shape raises."""
 
@@ -628,8 +631,8 @@ class TestBlockedPsdTests:
         model = bench_model if n == 2 else orthogonal_plant(n, 95)
         records = closed_loop_records(model, bench_trigger, 3 * observer_mod.PSD_BLOCK_STEPS, 4)
         tested = []
-        original = observer_mod._require_psd_stack
-        monkeypatch.setattr(observer_mod, "_require_psd_stack",
+        original = observer_mod._require_psd
+        monkeypatch.setattr(observer_mod, "_require_psd",
                             lambda shapes: tested.append(shapes.copy()) or original(shapes))
         run = observer_run(records, model, bench_trigger)
         assert same_bits(tested[0], run.window_shapes)
@@ -885,6 +888,7 @@ def reference_observer_run(records, model, trigger, weights):
 
 class TestReferenceRecursion:
     @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.3, 0.7]])
+    @pytest.mark.bit_identity
     def test_observer_run_equals_plain_numpy_reference(self, bench_model, bench_trigger,
                                                        weights):
         a = WeightVector(weights)
@@ -905,6 +909,7 @@ class TestReferenceRecursion:
                 assert np.array_equal(ell.center, center)
                 assert np.array_equal(ell.shape, shape)
 
+    @pytest.mark.bit_identity
     def test_n6_run_longer_than_a_block_equals_reference(self, bench_trigger):
         model = orthogonal_plant(6, 95)
         a = WeightVector.uniform(6)
@@ -929,6 +934,7 @@ def wrapped_solve(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 16])
+@pytest.mark.bit_identity
 def test_stacked_calls_equal_per_matrix_calls(n):
     """The premise of the stacked kernel: each numpy call it makes on a stack
     gives every member the bits of the same call on that member alone, in the
@@ -967,11 +973,10 @@ def test_stacked_calls_equal_per_matrix_calls(n):
     np.subtract(np.eye(n), solution.swapaxes(1, 2), out=factors[1])
     np.matmul(np.matmul(factors, operands, out=halves), factors.swapaxes(2, 3), out=products)
     assert same_bits(products, single[1:3])  # M W M^T and K P K^T
-    # (S + S^T) / 2 into a buffer, as the steps run it, and in place.
+    # (S + S^T) / 2 of a stack.
     S = A @ P
     plain = np.array([(s + s.T) / 2.0 for s in S])
-    assert same_bits(_symmetrize(S, out=np.empty_like(S)), plain)
-    assert same_bits(_symmetrize(S[None], out=S[None]), plain[None])
+    assert same_bits(_symmetrize(S), plain)
     # The outer sums' pair [1 + 1/p; 1 + p] as the loop takes it, from the
     # rows [1; p; 1]: their first two rows over their last two are [1/p; p].
     parameters = np.sqrt(rng.uniform(0.1, 10.0, runs))
@@ -980,29 +985,25 @@ def test_stacked_calls_equal_per_matrix_calls(n):
     pair = np.add(np.divide(ones[:2], ones[1:]), 1.0)[:, :, 0, 0]
     assert same_bits(pair, [[1.0 + 1.0 / q for q in parameters], [1.0 + q for q in parameters]])
     # (1 + 1/p) X + (1 + p) Y as the steps lay it out, a (2, S, n, n) stack
-    # [X; Y] with its diagonal view: with the trace-optimal p, with a given p,
-    # and with one Q for every member, in a slot of a PSD block as the prior
-    # step reads it. Each result goes into a fresh array and into a row of a
-    # (K, S, n, n) run array.
+    # [X; Y]: with the trace-optimal p, with a given p, and with one Q for
+    # every member, in a slot of a PSD block as the prior step reads it. Each
+    # result goes into a fresh array and into a row of a (K, S, n, n) run array.
     given = rng.uniform(0.5, 2.0, runs)
     Q = rand_spd(rng, n)
     block = np.empty((2, 4, runs, n, n))
     block[:, 1] = Q
     block[1, 0] = W
-    slot, slot_diagonals = block[1, :2], block.diagonal(0, -2, -1)[1, :2]
+    slot = block[1, :2]
     pair = np.stack((W, P))
     run = np.empty((3, runs, n, n))
-    coefficients, products = np.empty((2, runs, 1, 1)), np.empty((2, runs, n, n))
-    for stack, diagonals, p in ((pair, pair.diagonal(0, -2, -1), None),
-                                (pair, pair.diagonal(0, -2, -1), given),
-                                (slot, slot_diagonals, None)):
+    for stack, p in ((pair, None), (pair, given), (slot, None)):
         expected_p, expected = [], []
         for s, (w, y) in enumerate(zip(*stack)):
             q = float(np.sqrt(w.trace() / y.trace())) if p is None else float(p[s])
             expected_p.append(q)
             expected.append((1.0 + 1.0 / q) * w + (1.0 + q) * y)
         for out in (np.empty_like(W), run[1]):
-            got = _outer_sum_into(out, stack, diagonals, coefficients, products, p)
+            got = _outer_sum_into(out, stack, p)
             assert same_bits(got, expected_p) and same_bits(out, expected)
     d = rng.standard_normal((rows, n))
     norms = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
@@ -1088,8 +1089,8 @@ class TestStackedSteps:
         sums = []
         original = observer_mod._outer_sum_into
 
-        def spy(out, operands, diagonals, *args):
-            sums.append((_traces(operands), original(out, operands, diagonals, *args)))
+        def spy(out, operands, *args):
+            sums.append((_traces(operands), original(out, operands, *args)))
             return sums[-1][1]
 
         monkeypatch.setattr(observer_mod, "_outer_sum_into", spy)
@@ -1102,6 +1103,7 @@ class TestStackedSteps:
         assert any(rare(*traces[:, 1]) and p[1] == 1.0 and p[0] != 1.0 and p[2] != 1.0
                    for traces, p in sums)
 
+    @pytest.mark.bit_identity
     def test_point_posterior_in_a_stack(self, bench_model, bench_trigger, monkeypatch):
         model, flags, references = self.case("point posterior", monkeypatch, bench_model)
         sums = self.general_sums(monkeypatch)
@@ -1111,6 +1113,7 @@ class TestStackedSteps:
         self.assert_rare_sum(sums, lambda t_x, t_y: t_x == 0.0 < t_y)
 
     @pytest.mark.parametrize("case", ["bump", "point prior", "negative trace"])
+    @pytest.mark.bit_identity
     def test_rare_member_in_a_stack(self, case, bench_model, bench_trigger, monkeypatch):
         model, flags, references = self.case(case, monkeypatch, bench_model)
         if case == "bump":
@@ -1119,8 +1122,8 @@ class TestStackedSteps:
             steps, bumps = [], []
             hooked = hooked_model(model, lambda: steps.append(None))
             solver = WindowSolver(hooked, bench_trigger, WeightVector.uniform(2))
-            fusion_matrix = observer_mod._fusion_matrix
-            monkeypatch.setattr(observer_mod, "_fusion_matrix",
+            fusion_matrix = observer_mod.optimal_fusion_matrix
+            monkeypatch.setattr(observer_mod, "optimal_fusion_matrix",
                                 lambda *args: bumps.append(len(steps)) or fusion_matrix(*args))
             bumped = []
             for s in range(3):
@@ -1142,6 +1145,7 @@ class TestStackedSteps:
             self.assert_rare_sum(sums, lambda t_x, t_y: t_x < 0.0 < t_y)
 
     @pytest.mark.parametrize("case", ["bump", "zero sum"])
+    @pytest.mark.bit_identity
     def test_solve_helper_never_sees_a_singular_member(self, case, bench_model, bench_trigger,
                                                       monkeypatch):
         """``_solve_regular`` gets only stacks that ``_singular`` has cleared, and
@@ -1197,6 +1201,7 @@ class SignedZeroProducts(np.ndarray):
 @pytest.mark.parametrize("products", ["numpy", "signed zeros"])
 @pytest.mark.parametrize("value", [0.0, -0.0])
 @pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.bit_identity
 def test_signed_zero_references(n, value, products, bench_model, bench_trigger):
     """On logs of zero references of either sign, alone and in a stack, every
     prior and posterior has the bits of the public steps, whose zero offsets
@@ -1227,6 +1232,7 @@ class TestSingularityTestSkip:
         level = observer_mod._singularity_skip_level(run.solver, run.window_shapes)
         assert np.max(np.trace(run.shapes, axis1=1, axis2=2)) < level
 
+    @pytest.mark.bit_identity
     def test_solve_helper_gets_only_cleared_stacks(self, bench_trigger, monkeypatch):
         """In a run where the bump fires, ``_solve_regular`` gets no singular stack,
         and the run has the bits of one that solves with np.linalg.solve."""
@@ -1234,8 +1240,8 @@ class TestSingularityTestSkip:
                             R=0.5)
         records = [MeasurementRecord(k, k % 2 == 0, 0.0) for k in range(60)]
         received, bumps = [], []
-        helper, fusion_matrix = observer_mod._solve_regular, observer_mod._fusion_matrix
-        monkeypatch.setattr(observer_mod, "_fusion_matrix",
+        helper, fusion_matrix = observer_mod._solve_regular, observer_mod.optimal_fusion_matrix
+        monkeypatch.setattr(observer_mod, "optimal_fusion_matrix",
                             lambda *args: bumps.append(None) or fusion_matrix(*args))
         monkeypatch.setattr(observer_mod, "_solve_regular",
                             lambda a, b, out: received.append(a.copy()) or helper(a, b, out=out))
@@ -1254,8 +1260,8 @@ class TestSingularityTestSkip:
                             R=0.5)
         records = [MeasurementRecord(k, k % 2 == 0, 0.0) for k in range(60)]
         bumps = []
-        original = observer_mod._fusion_matrix
-        monkeypatch.setattr(observer_mod, "_fusion_matrix",
+        original = observer_mod.optimal_fusion_matrix
+        monkeypatch.setattr(observer_mod, "optimal_fusion_matrix",
                             lambda *args: bumps.append(None) or original(*args))
         run = observer_run(records, model, bench_trigger)
         assert observer_mod._singularity_skip_level(run.solver, run.window_shapes) == -math.inf

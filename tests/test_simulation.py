@@ -416,6 +416,7 @@ def plant_cases(draw):
                     trigger=TriggerConfig(0.6, 1e-4), x0=[0.3], N=12, seed=0), [4, 1], 2))
 @example((SimConfig(model=orthogonal_plant(16, 7), trigger=TriggerConfig(0.6, 1e-4),
                     x0=np.zeros(16), N=30, seed=0), [3, 8], 5))
+@pytest.mark.bit_identity
 def test_simulate_equals_the_per_step_plant(case):
     """Every seed's plant, noise and channel log, from a group and from a group
     of one, have the bits of the per-step plant of ``reference_plant``."""
