@@ -10,11 +10,12 @@ Every number that ``check`` lists and the CSV writers write is the text that
 once: ``_float_fields`` and ``_int_fields`` turn an array into NUL-padded ASCII
 fields. A float's decimal exponent comes from its binary exponent and one
 comparison, its 17 digits from one exact product with no second scaling, four
-to a group by int64 floor division. ``_join_rows`` lays fields and separators
-out row by row and drops the padding, so a block of lines becomes one bytes
-object without a Python string per number. ``check`` lays its listing out in
-one table of lines that every block reuses, and ``_write_polylines`` one that
-serves all of its files.
+to a group by int64 floor division. Every line the CLI writes is laid out in
+one kind of table: ``_line_table`` writes a line's literal text once into
+every row and returns its fields as views to fill, and ``_write_lines`` drops
+the padding and writes a block of lines as one bytes object, without a Python
+string per number. ``check``'s listing and each CSV file, polylines included,
+reuse one table for all of their blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import json
 import math
 import os
 import sys
-from contextlib import ExitStack
 from itertools import combinations
 from pathlib import Path
 
@@ -54,22 +54,20 @@ PLOT_STEPS = 10
 ROW_END = b"\r\n"
 # check lists every one of the 2^n event patterns; refuse beyond this n.
 PATTERN_LISTING_CAP = 20
-# check computes and writes its listing a block of patterns at a time; a
-# block is the largest power of two of patterns whose (patterns, n) table of
-# trace terms fits in this many bytes (2048 patterns at n = 16). Measured at
-# n = 16 in-process on 2 cores (numpy 2.4.6), a check took 23, 18, 15, 14.5,
-# 15 and 18 ms with blocks of 512, 1024, 2048, 4096, 8192 and 16384 patterns,
-# and the peak traced allocation was 0.24, 0.43, 0.79, 1.55, 3.1 and 6.4 MB;
-# formatting the listing line by line peaks at 0.18 MB and takes about 75 ms.
-PATTERN_BLOCK_BYTES = 1 << 18
-# The CSV writers format and write this many numbers at a time, in whole rows.
-# Measured on a 1000-step simulate at n = 6, 2^11 keeps the peak traced
-# allocation of the command at that of writers that format line by line
-# (1.4 MB); 2^13 took about 30% less time in the writers and added 1.5 MB.
+# Every table of lines is filled and written a block at a time. The CSV
+# writers format this many numbers per block, in whole rows: measured on a
+# 1000-step simulate at n = 6, 2^11 keeps the peak traced allocation of the
+# command at that of writers that format line by line (1.4 MB); 2^13 took
+# about 30% less time in the writers and added 1.5 MB. check lists
+# 2^min(n, 11) patterns per block (2048 at n = 16), one trace field each, and
+# its (patterns, n) float64 table of trace terms takes 256 KB at n = 16 and
+# 320 KB at n = 20 (twice the 160 KB of blocks sized to hold at most 256 KB
+# of trace terms, 1024 patterns at n = 20). Measured at n = 16 in-process on
+# 2 cores (numpy 2.4.6), a check took 23, 18, 15, 14.5, 15 and 18 ms with
+# blocks of 512, 1024, 2048, 4096, 8192 and 16384 patterns, and the peak
+# traced allocation was 0.24, 0.43, 0.79, 1.55, 3.1 and 6.4 MB; formatting
+# the listing line by line peaks at 0.18 MB and takes about 75 ms.
 TABLE_BLOCK_FIELDS = 1 << 11
-# The polyline writer keeps this many of its files (one per coordinate pair)
-# open at once, to write each block of lines to all of them.
-POLYLINE_FILES_OPEN = 64
 
 
 class ConfigError(ValueError):
@@ -270,36 +268,28 @@ def _step_fields(first: int, count: int) -> np.ndarray:
     return _text_fields([b"%d" % k for k in range(first, first + count)])
 
 
-def _csv_fields(fields: np.ndarray) -> np.ndarray:
-    """(rows, c, width) fields as one (rows, c * (width + 1) - 1) part with a
-    comma between consecutive fields."""
-    rows, count, width = fields.shape
-    joined = np.full((rows, count, width + 1), ord(","), np.uint8)
-    joined[:, :, :width] = fields
-    return joined.reshape(rows, -1)[:, :-1]
+def _line_table(rows: int, parts: list) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A (rows, width) table of lines laid out from ``parts``, and its fields.
 
-
-def _join_rows(parts: list) -> bytes:
-    """Row by row, the concatenation of ``parts``, NUL padding dropped.
-
-    A part is a literal (bytes, the same in every row) or an array of fields
-    whose first axis is the row.
+    A part is a literal (bytes), written here into every row, or a field width
+    (int), left NUL and returned as a (rows, width) view for the caller to
+    fill; a NUL byte anywhere in a line is padding.
     """
-    rows = next(len(part) for part in parts if isinstance(part, np.ndarray))
-    parts = [np.frombuffer(part, np.uint8) if isinstance(part, bytes)
-             else part.reshape(rows, -1) for part in parts]
-    table = np.empty((rows, sum(part.shape[-1] for part in parts)), np.uint8)
-    at = 0
-    for part in parts:
-        table[:, at:at + part.shape[-1]] = part
-        at += part.shape[-1]
-    return table[table != 0].tobytes()
+    sizes = [len(part) if isinstance(part, bytes) else part for part in parts]
+    table = np.zeros((rows, sum(sizes)), np.uint8)
+    fields, at = [], 0
+    for part, size in zip(parts, sizes):
+        if isinstance(part, bytes):
+            table[:, at:at + size] = np.frombuffer(part, np.uint8)
+        else:
+            fields.append(table[:, at:at + size])
+        at += size
+    return table, fields
 
 
-def _row_blocks(rows: int, fields_per_row: int) -> list[slice]:
-    """Consecutive slices of whole rows, about ``TABLE_BLOCK_FIELDS`` fields each."""
-    step = max(1, TABLE_BLOCK_FIELDS // fields_per_row)
-    return [slice(start, start + step) for start in range(0, rows, step)]
+def _write_lines(fh, lines: np.ndarray) -> None:
+    """Write the rows of a line table to a binary file, NUL padding dropped."""
+    fh.write(lines[lines != 0].tobytes())
 
 
 # The JSON name of each Python type that json.load returns.
@@ -360,8 +350,9 @@ def _require_int(raw: dict, key: str) -> int:
     return int(value)
 
 
-def build_system(raw: dict) -> tuple[SystemModel, TriggerConfig, WeightVector]:
-    """Model, trigger, and weights from a parsed config (weights default uniform)."""
+def build_system(raw: dict) -> tuple[SystemModel, TriggerConfig, WeightVector | None]:
+    """Model, trigger, and weights from a parsed config; the weights are None
+    when the config gives no ``a``, and ``WindowSolver`` then takes them uniform."""
     try:
         model = SystemModel(
             A=_require_numeric(raw, "A"), C=_require_numeric(raw, "C"),
@@ -371,12 +362,11 @@ def build_system(raw: dict) -> tuple[SystemModel, TriggerConfig, WeightVector]:
             threshold=float(_require_numeric(raw, "Gamma")),
             transmit_error=float(_require_numeric(raw, "Gamma_e")),
         )
-        weights = (
-            WeightVector(_require_numeric(raw, "a")) if raw.get("a") is not None
-            else WeightVector.uniform(model.n)
-        )
-        if len(weights) != model.n:
-            raise ConfigError(f"'a' has {len(weights)} entries, expected {model.n}")
+        weights = None
+        if raw.get("a") is not None:
+            weights = WeightVector(_require_numeric(raw, "a"))
+            if len(weights) != model.n:
+                raise ConfigError(f"'a' has {len(weights)} entries, expected {model.n}")
     except ConfigError:
         raise
     except (TypeError, ValueError) as err:
@@ -432,17 +422,14 @@ def cmd_check(config_path: str) -> int:
     # a time (``WindowSolver.pattern_trace_blocks``). One table of lines serves
     # every block: the text, the last low digits of each pattern and the line
     # ends are written once, and a block writes its first n - low digits and
-    # its traces. Unused bytes of a trace's field are NUL and dropped.
-    low = min(n, (PATTERN_BLOCK_BYTES // (8 * n)).bit_length() - 1)
-    high, at = n - low, len(b"pattern ")
-    lines = np.zeros((2**low, at + n + 2 + FIELD_WIDTH + 1), np.uint8)
-    lines[:, :at] = np.frombuffer(b"pattern ", np.uint8)
-    lines[:, at + high:at + n] = _pattern_bits(np.arange(2**low), low) + ord("0")
-    lines[:, at + n:at + n + 2] = np.frombuffer(b": ", np.uint8)
-    lines[:, -1] = ord("\n")
+    # its traces.
+    low = min(n, TABLE_BLOCK_FIELDS.bit_length() - 1)
+    lines, (high_bits, low_bits, trace_fields) = _line_table(
+        2**low, [b"pattern ", n - low, low, b": ", FIELD_WIDTH, b"\n"])
+    low_bits[:] = _pattern_bits(np.arange(2**low), low) + ord("0")
     for code, traces in enumerate(solver.pattern_trace_blocks(low)):
-        lines[:, at:at + high] = _pattern_bits(code, high) + ord("0")
-        lines[:, at + n + 2:-1] = _float_fields(traces)
+        high_bits[:] = _pattern_bits(code, n - low) + ord("0")
+        trace_fields[:] = _float_fields(traces)
         print(lines[lines != 0].tobytes().decode("ascii"), end="")
     print("epsilon-observable: yes")
     return 0
@@ -460,41 +447,54 @@ def cmd_bound(config_path: str) -> int:
     return 0
 
 
-def _write_csv(path: Path, header: list[str], first: int, columns: list[np.ndarray]) -> None:
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """A CSV file: the ``header`` line, then one row per row of the columns.
 
-    Each row opens with its step number, counted from ``first``. A column is
-    a 1-D or (rows, c) array, written as '%.17g' if it holds floats and as 0
-    or 1 if it holds flags (bools). A float column shorter than the file
-    leaves its fields empty after its last row. The rows go out
-    ``_row_blocks`` at a time, and a block's floats are formatted in one
-    ``_float_fields`` call.
+    A column is a 1-D or (rows, c) array, written as '%.17g' if it holds
+    floats and as 0 or 1 if it holds flags (bools), or a (rows, w) uint8 array
+    of text fields, one per row. A float column shorter than the file leaves
+    its fields empty after its last row. The rows are laid out in one
+    ``_line_table`` that every block of about ``TABLE_BLOCK_FIELDS`` floats
+    reuses, and a block's floats are formatted in one ``_float_fields`` call.
     """
     columns = [column[:, None] if column.ndim == 1 else column for column in columns]
     rows = max(map(len, columns))
-    # Each float column's fields among a row's floats; None for a flag column.
-    slots, width = [], 0
+    # Per field of a row, its column and the field's index in that column (for
+    # a float, its index among the row's floats); a text column is one field.
+    slots, parts, floats, width = [], [], [], 0
     for column in columns:
-        slots.append(None if column.dtype == bool else slice(width, width + column.shape[1]))
-        width = width if column.dtype == bool else width + column.shape[1]
+        if column.dtype == np.uint8:
+            slots.append((column, None))
+            parts += [b",", column.shape[1]]
+            continue
+        is_flag = column.dtype == bool
+        for j in range(column.shape[1]):
+            slots.append((column, j if is_flag else width + j))
+            parts += [b",", 1 if is_flag else FIELD_WIDTH]
+        if not is_flag:
+            floats.append((column, width))
+            width += column.shape[1]
     # A short column's missing rows are formatted from 1.0, a value of the
     # exact path, and then emptied.
     values = np.ones((rows, width))
-    for column, slot in zip(columns, slots):
-        if slot is not None:
-            values[:len(column), slot] = column
+    for column, at in floats:
+        values[:len(column), at:at + column.shape[1]] = column
+    block = max(1, TABLE_BLOCK_FIELDS // max(1, width))
+    table, fields = _line_table(min(rows, block), parts[1:] + [ROW_END])
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + ROW_END)
-        for block in _row_blocks(rows, width):
-            fields = _float_fields(values[block])
-            parts = [_step_fields(first + block.start, len(fields))]
-            for column, slot in zip(columns, slots):
-                if slot is None:
-                    parts += [b",", column[block].view(np.uint8) + ord("0")]
+        for start in range(0, rows, block):
+            count = min(block, rows - start)
+            numbers = _float_fields(values[start:start + count])
+            for field, (column, j) in zip(fields, slots):
+                if j is None:
+                    field[:count] = column[start:start + count]
+                elif column.dtype == bool:
+                    field[:count] = column[start:start + count, j:j + 1].view(np.uint8) + ord("0")
                 else:
-                    fields[max(0, len(column) - block.start):, slot] = 0
-                    parts += [b",", _csv_fields(fields[:, slot])]
-            fh.write(_join_rows(parts + [ROW_END]))
+                    numbers[max(0, len(column) - start):, j] = 0
+                    field[:count] = numbers[:, j]
+            _write_lines(fh, table[:count])
 
 
 def _write_step_table(
@@ -510,9 +510,10 @@ def _write_step_table(
         + [f"x_hat{i + 1}" for i in range(n)]
         + ["gamma", "y", "y_tau", "trace_P_hat", "gen_distance"]
     )
-    _write_csv(path, header, 0, [
-        trace.states, estimates.centers, trace.flags, trace.outputs, trace.references,
-        _traces(estimates.shapes), np.asarray(distances, dtype=float),
+    _write_csv(path, header, [
+        _step_fields(0, len(trace.states)), trace.states, estimates.centers, trace.flags,
+        trace.outputs, trace.references, _traces(estimates.shapes),
+        np.asarray(distances, dtype=float),
     ])
 
 
@@ -521,14 +522,15 @@ def _write_replay_table(path: Path, first_k: int, flags: np.ndarray, references:
     """One row per step of the log; estimate i belongs to step ``first_k + i``,
     as the run starts at the first step of the consecutive log."""
     header = ["k"] + [f"x_hat{i + 1}" for i in range(n)] + ["gamma", "y_tau", "trace_P_hat"]
-    _write_csv(path, header, first_k, [
-        estimates.centers, flags, references, _traces(estimates.shapes),
+    _write_csv(path, header, [
+        _step_fields(first_k, len(flags)), estimates.centers, flags, references,
+        _traces(estimates.shapes),
     ])
 
 
 def _write_log(path: Path, flags: np.ndarray, references: np.ndarray) -> None:
     """The channel log of steps 0, 1, ... from its flag and reference arrays."""
-    _write_csv(path, ["k", "gamma", "y_tau"], 0, [flags, references])
+    _write_csv(path, ["k", "gamma", "y_tau"], [_step_fields(0, len(flags)), flags, references])
 
 
 def _dict_row(header: list[str], row: list[str]) -> dict:
@@ -626,34 +628,13 @@ def _write_polylines(out_dir: Path, estimates: ObserverRun, n: int) -> list[str]
     circle = np.vstack([np.cos(angles), np.sin(angles)])
     names = (["ellipsoids.csv"] if n == 2
              else [f"ellipsoids_x{i + 1}x{j + 1}.csv" for i, j in pairs])
-    # Each row is a set's step and kind, then a point. One table of lines
-    # serves every file: a block of whole sets writes its labels once, each
-    # file its points' coordinate fields, each in a cell after its comma, and
-    # the NUL bytes of the fields are dropped. A block holds at most
-    # TABLE_BLOCK_FIELDS coordinates, unless one set alone has more.
-    label_fields = _text_fields([label.encode() for label in labels])
-    width, cell = label_fields.shape[1], FIELD_WIDTH + 1
-    per_block = max(1, TABLE_BLOCK_FIELDS // (2 * BOUNDARY_POINTS))
-    table = np.empty((per_block * BOUNDARY_POINTS, width + 2 * cell + len(ROW_END)), np.uint8)
-    cells = table[:, width:width + 2 * cell].reshape(-1, 2, cell)
-    cells[:, :, 0] = ord(",")
-    table[:, -len(ROW_END):] = np.frombuffer(ROW_END, np.uint8)
-    for first in range(0, len(names), POLYLINE_FILES_OPEN):
-        group = slice(first, first + POLYLINE_FILES_OPEN)
-        with ExitStack() as stack:
-            files = [stack.enter_context(open(out_dir / name, "wb")) for name in names[group]]
-            for fh in files:
-                fh.write(b"step,set_kind,x1,x2" + ROW_END)
-            for start in range(0, len(labels), per_block):
-                sets = slice(start, start + per_block)
-                rows = len(label_fields[sets]) * BOUNDARY_POINTS
-                lines = table[:rows]
-                lines[:, :width] = np.repeat(label_fields[sets], BOUNDARY_POINTS, axis=0)
-                for fh, pair_centers, pair_roots in zip(files, block_centers[group], roots[group]):
-                    # (set, coordinate, point), written point by point
-                    points = pair_centers[sets, :, None] + pair_roots[sets] @ circle
-                    cells[:rows, :, 1:] = _float_fields(points.swapaxes(1, 2)).reshape(rows, 2, -1)
-                    fh.write(lines[lines != 0].tobytes())
+    # Each row is a set's step and kind, then a point; a set's points follow
+    # its boundary, (set, point, coordinate).
+    labels = np.repeat(_text_fields([label.encode() for label in labels]), BOUNDARY_POINTS, 0)
+    for name, pair_centers, pair_roots in zip(names, block_centers, roots):
+        points = (pair_centers[:, :, None] + pair_roots @ circle).swapaxes(1, 2)
+        _write_csv(out_dir / name, ["step", "set_kind", "x1", "x2"],
+                   [labels, points.reshape(-1, 2)])
     return names
 
 

@@ -344,11 +344,11 @@ class TestCheck:
     @pytest.mark.bit_identity
     def test_listing_equals_per_pattern_oracle(self, tmp_path, capsys, monkeypatch, n, rows):
         # With the default block size the listing is one block up to n = 11,
-        # two blocks of 2048 patterns at n = 12 and four at n = 13. A budget of
-        # `rows` patterns at n = 6 makes blocks of 1 (no template flags), 4, 32
-        # and 64.
+        # two blocks of 2048 patterns at n = 12 and four at n = 13. A block of
+        # at most `rows` fields at n = 6 makes blocks of 1 (no template flags),
+        # 4, 32 and 64 patterns.
         if rows is not None:
-            monkeypatch.setattr(cli, "PATTERN_BLOCK_BYTES", 8 * n * rows)
+            monkeypatch.setattr(cli, "TABLE_BLOCK_FIELDS", rows)
         path = plant_config(tmp_path, n, seed=n)
         assert main(["check", "--config", str(path)]) == 0
         assert capsys.readouterr().out == list_patterns(*build_system(load_config(path)))
@@ -541,7 +541,8 @@ class TestSimulate:
         step1 = [r for r in rows if r["step"] == "1"]
         assert len(step1) == 3 * 64
 
-    @pytest.mark.parametrize("n, N", [(2, 40), (3, 40), (6, 40), (2, 5)])
+    # n = 13 writes 78 files, each on its own.
+    @pytest.mark.parametrize("n, N", [(2, 40), (3, 40), (6, 40), (2, 5), (13, 40)])
     def test_polylines_equal_per_set_oracle(self, tmp_path, n, N):
         raw = {**BENCH, "N": N}
         if n != 2:
@@ -562,13 +563,10 @@ class TestSimulate:
         for name in names:
             assert (cli / name).read_bytes() == (oracle / name).read_bytes()
 
-    @pytest.mark.parametrize("block_fields, files_open", [(3 * 128, 4), (64, 1)])
-    def test_polylines_in_small_blocks_and_file_groups(self, tmp_path, monkeypatch,
-                                                       block_fields, files_open):
-        # Blocks of 3 sets and of one set (which alone exceeds 64 fields), with
-        # the 15 files of n = 6 written 4 and 1 at a time.
+    @pytest.mark.parametrize("block_fields", [3 * 128, 64])
+    def test_polylines_in_small_blocks(self, tmp_path, monkeypatch, block_fields):
+        # Blocks of 3 sets and of half a set, in each of the 15 files of n = 6.
         monkeypatch.setattr(cli, "TABLE_BLOCK_FIELDS", block_fields)
-        monkeypatch.setattr(cli, "POLYLINE_FILES_OPEN", files_open)
         model = orthogonal_plant(6, 95)
         path = write_config(tmp_path, A=model.A.tolist(), C=model.C.tolist(), Q=model.Q.tolist(),
                             a=None, x0=[0.0] * 6, N=40)
@@ -779,6 +777,8 @@ class TestUnwritableOutput:
         assert str(path) in done.stderr and done.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("name, blocked", [("simulate", "steps.csv"),
+                                               ("simulate", "log.csv"),
+                                               ("simulate", "ellipsoids.csv"),
                                                ("replay", "replay_steps.csv"),
                                                ("sweep", "sweep_summary.json")])
     def test_output_file_that_is_a_directory(self, tmp_path, name, blocked):
@@ -787,6 +787,8 @@ class TestUnwritableOutput:
         done = self.run(self.command(tmp_path, name, out))
         self.assert_one_error_line(done, out / blocked)
         assert "Is a directory" in done.stderr
+        # summary.json is written last: its absence marks an incomplete run.
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("name", ["simulate", "replay", "sweep"])
     def test_out_that_is_a_file(self, tmp_path, name):
@@ -954,6 +956,20 @@ class TestReplay:
         assert (done.returncode, done.stderr) == (0, "")
         assert ((tmp_path / "plain" / "replay_steps.csv").read_bytes()
                 == (tmp_path / "fast" / "replay_steps.csv").read_bytes())
+
+    @pytest.mark.parametrize("first", [9998, 10**16 - 3])
+    @pytest.mark.bit_identity
+    def test_step_column_of_a_late_log(self, bench_config_file, tmp_path, first):
+        # From k = 9998 the steps grow from one group of four digits to two
+        # inside the file; from 10^16 - 3 they outgrow the four groups of an
+        # integer field and are printed with '%d'.
+        log = tmp_path / "late.csv"
+        log.write_text("k,gamma,y_tau\n" + "".join(f"{first + i},{int(i % 3 == 0)},0.5\n"
+                                                   for i in range(6)))
+        args = ["replay", "--config", str(bench_config_file), "--log", str(log)]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 0
+        rows = read_rows(tmp_path / "out" / "replay_steps.csv")
+        assert [row["k"] for row in rows] == ["%d" % k for k in range(first, first + 6)]
 
     def test_three_row_log_two_estimates(self, bench_config_file, tmp_path):
         log = tmp_path / "hand.csv"

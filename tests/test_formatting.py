@@ -1,7 +1,10 @@
-"""The CLI's number formatting: fields equal to '%.17g' and '%d', rows joined
-without their NUL padding, and the channel-log reader's row rules."""
+"""The CLI's number formatting: fields equal to '%.17g' and '%d', lines laid
+out in a line table and written without their NUL padding, and the channel-log
+reader's row rules."""
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 import pytest
@@ -13,8 +16,9 @@ from setobs.cli import (
     ConfigError,
     _float_fields,
     _int_fields,
-    _join_rows,
+    _line_table,
     _step_fields,
+    _write_lines,
     read_log,
 )
 
@@ -148,18 +152,22 @@ def test_step_fields_beyond_the_digit_table(first):
 
 
 @pytest.mark.parametrize("rows", [2**p for p in range(12)])
+@pytest.mark.bit_identity
 def test_joined_block_equals_per_line_text(rows):
     # Blocks of 1 .. 2048 patterns, every size that check's listing makes in
-    # the tests, laid out as check lays them out.
+    # the tests, laid out in a line table as check lays them out.
     rng = np.random.default_rng(rows)
     n = 11
     flags = rng.integers(0, 2, (rows, n)).astype(bool)
     traces = rng.uniform(0.5, 5e4, rows)
-    got = _join_rows([b"pattern ", flags.view(np.uint8) + ord("0"), b": ",
-                      _float_fields(traces), b"\n"])
+    lines, (bits, trace_fields) = _line_table(rows, [b"pattern ", n, b": ", FIELD_WIDTH, b"\n"])
+    bits[:] = flags.view(np.uint8) + ord("0")
+    trace_fields[:] = _float_fields(traces)
+    written = io.BytesIO()
+    _write_lines(written, lines)
     expected = "".join(f"pattern {''.join(map(str, bits))}: {trace:.17g}\n"
                        for bits, trace in zip(flags.astype(int).tolist(), traces.tolist()))
-    assert got == expected.encode()
+    assert written.getvalue() == expected.encode()
 
 
 class TestReadLogRows:
