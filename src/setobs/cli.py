@@ -14,8 +14,8 @@ to a group by int64 floor division. Every line the CLI writes is laid out in
 one kind of table: ``_line_table`` writes a line's literal text once into
 every row and returns its fields as views to fill, and ``_write_lines`` drops
 the padding and writes a block of lines as one bytes object, without a Python
-string per number. ``check``'s listing and each CSV file, polylines included,
-reuse one table for all of their blocks.
+string per number. ``check``'s listing and each CSV file reuse one table for
+all of their blocks, and the polyline files share one.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .observability import (
     UnstableSystemError,
     WeightVector,
     WindowSolver,
-    _pattern_bits,
     _squared_level,
     convergence_bound,
     observability_matrix,
@@ -58,15 +57,14 @@ PATTERN_LISTING_CAP = 20
 # writers format this many numbers per block, in whole rows: measured on a
 # 1000-step simulate at n = 6, 2^11 keeps the peak traced allocation of the
 # command at that of writers that format line by line (1.4 MB); 2^13 took
-# about 30% less time in the writers and added 1.5 MB. check lists
-# 2^min(n, 11) patterns per block (2048 at n = 16), one trace field each, and
-# its (patterns, n) float64 table of trace terms takes 256 KB at n = 16 and
-# 320 KB at n = 20 (twice the 160 KB of blocks sized to hold at most 256 KB
-# of trace terms, 1024 patterns at n = 20). Measured at n = 16 in-process on
-# 2 cores (numpy 2.4.6), a check took 23, 18, 15, 14.5, 15 and 18 ms with
-# blocks of 512, 1024, 2048, 4096, 8192 and 16384 patterns, and the peak
-# traced allocation was 0.24, 0.43, 0.79, 1.55, 3.1 and 6.4 MB; formatting
-# the listing line by line peaks at 0.18 MB and takes about 75 ms.
+# about 30% less time in the writers and added 1.5 MB. check lists 2^min(n, 11) patterns per
+# block (2048 at n = 16), one trace field each, and a block's partial sums are
+# a few arrays of at most that many floats. Measured at n = 16 in-process on
+# 2 cores (numpy 2.4.6, minimum of 40 interleaved runs), a check took 18.8,
+# 14.5, 12.5, 11.8, 11.6 and 12.3 ms with blocks of 512, 1024, 2048, 4096,
+# 8192 and 16384 patterns, and the peak traced allocation was 0.16, 0.28,
+# 0.49, 0.95, 1.9 and 3.5 MB; formatting the listing line by line peaks at
+# 0.18 MB and takes about 75 ms.
 TABLE_BLOCK_FIELDS = 1 << 11
 
 
@@ -266,6 +264,12 @@ def _step_fields(first: int, count: int) -> np.ndarray:
     if first + count <= 10**16:  # an integer field holds at most four groups of digits
         return _int_fields(np.arange(first, first + count))
     return _text_fields([b"%d" % k for k in range(first, first + count)])
+
+
+def _pattern_bits(codes: int | np.ndarray, width: int) -> np.ndarray:
+    """The flags of the patterns whose ``width``-bit strings spell ``codes`` in
+    binary, first flag first: shape codes.shape + (width,), 0 or 1."""
+    return np.asarray(codes)[..., None] >> np.arange(width - 1, -1, -1) & 1
 
 
 def _line_table(rows: int, parts: list) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -629,12 +633,24 @@ def _write_polylines(out_dir: Path, estimates: ObserverRun, n: int) -> list[str]
     names = (["ellipsoids.csv"] if n == 2
              else [f"ellipsoids_x{i + 1}x{j + 1}.csv" for i, j in pairs])
     # Each row is a set's step and kind, then a point; a set's points follow
-    # its boundary, (set, point, coordinate).
-    labels = np.repeat(_text_fields([label.encode() for label in labels]), BOUNDARY_POINTS, 0)
+    # its boundary, (set, point, coordinate). One table of lines serves every
+    # file: the labels and the text are written once, and a file fills its
+    # two coordinates and writes, a block of TABLE_BLOCK_FIELDS numbers at a time.
+    labels = _text_fields([label.encode() for label in labels])
+    lines, (label_fields, *coordinates) = _line_table(
+        len(labels) * BOUNDARY_POINTS,
+        [labels.shape[1], b",", FIELD_WIDTH, b",", FIELD_WIDTH, ROW_END])
+    label_fields[:] = labels.repeat(BOUNDARY_POINTS, 0)
+    block = TABLE_BLOCK_FIELDS // 2
     for name, pair_centers, pair_roots in zip(names, block_centers, roots):
-        points = (pair_centers[:, :, None] + pair_roots @ circle).swapaxes(1, 2)
-        _write_csv(out_dir / name, ["step", "set_kind", "x1", "x2"],
-                   [labels, points.reshape(-1, 2)])
+        points = (pair_centers[:, :, None] + pair_roots @ circle).swapaxes(1, 2).reshape(-1, 2)
+        with open(out_dir / name, "wb") as fh:
+            fh.write(b"step,set_kind,x1,x2" + ROW_END)
+            for start in range(0, len(lines), block):
+                numbers = _float_fields(points[start:start + block])
+                for j, field in enumerate(coordinates):
+                    field[start:start + block] = numbers[:, j]
+                _write_lines(fh, lines[start:start + block])
     return names
 
 

@@ -11,6 +11,7 @@ an asymptotic one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -277,19 +278,40 @@ class WindowSolver:
     def pattern_trace_blocks(self, low: int) -> Iterator[np.ndarray]:
         """The traces of all 2^n patterns in sorted bit-string order, in blocks
         of 2^low (0 <= low <= n): block b holds the patterns whose first n - low
-        flags spell b in binary.
+        flags spell b in binary. Each block is its own array.
 
-        One (2^low, n) table of trace terms serves every block: its last low
-        columns are written once, and a block writes its first n - low. A row's
-        sum is numpy's pairwise sum along a contiguous last axis, which has the
-        bits of ``pattern_trace``.
+        Every trace is added in the order of ``pattern_trace``'s 1-D sum,
+        numpy's pairwise summation, written out as a tree over the flag
+        positions (``_pairwise_tree``), so it has that sum's bits. A subtree of
+        at most 8 leaves is tabulated once over its leaves' flags. A larger one
+        is added per block from its children, each read from its table at the
+        block's fixed first n - low flags, as a broadcast add over the last low
+        flags in bit-string order: patterns that share a subtree's flags share
+        its partial sum.
         """
         high, terms = self.n - low, self._trace_terms
-        table = np.empty((2**low, self.n))
-        table[:, high:] = terms[_pattern_bits(np.arange(2**low), low), np.arange(high, self.n)]
+        frame = list(range(high, self.n))  # the flags a block varies, one axis each
+
+        def plan(tree):
+            """A subtree's leaves, its table over their flags (one axis per leaf,
+            in order; None above 8 leaves) and its values in a block, as a
+            function of the block's number."""
+            if isinstance(tree, int):
+                leaves, table = (tree,), terms[:, tree]
+            else:
+                (left, left_table, left_block), (right, right_table, right_block) = map(plan, tree)
+                leaves = tuple(sorted(left + right))
+                if len(leaves) > 8:
+                    return leaves, None, lambda code: left_block(code) + right_block(code)
+                table = _spread(left_table, left, leaves) + _spread(right_table, right, leaves)
+            fixed = [p for p in leaves if p < high]
+            view, shifts = _spread(table, leaves, fixed + frame), [high - 1 - p for p in fixed]
+            return leaves, table, lambda code: view[tuple(code >> shift & 1 for shift in shifts)]
+
+        _, table, block = plan(_pairwise_tree(range(self.n)))
         for code in range(2**high):
-            table[:, :high] = terms[_pattern_bits(code, high), np.arange(high)]
-            yield table.sum(axis=-1)
+            traces = block(code).reshape(2**low)
+            yield traces if table is None else traces.copy()  # a table's view is shared
 
     def bound(self) -> float:
         """``convergence_bound`` of this solver's (model, trigger, weights):
@@ -346,10 +368,33 @@ class WindowSolver:
         return np.linalg.solve(stacked, references[..., None])[..., 0]
 
 
-def _pattern_bits(codes: int | np.ndarray, width: int) -> np.ndarray:
-    """The flags of the patterns whose ``width``-bit strings spell ``codes`` in
-    binary, first flag first: shape codes.shape + (width,), 0 or 1."""
-    return np.asarray(codes)[..., None] >> np.arange(width - 1, -1, -1) & 1
+def _pairwise_tree(leaves: Sequence[int]):
+    """The order in which numpy sums a contiguous float64 array of len(leaves)
+    terms (its pairwise summation), as a tree: a leaf is a term's index and a
+    node a pair (left, right), added as left + right. Below 8 terms the sum runs
+    left to right; up to 128, eight accumulators r_j = a_j + a_{j+8} + ... take
+    the terms up to a multiple of 8, ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)) adds them, and the rest follow in order; above 128 the halves,
+    split at a multiple of 8, are summed apart."""
+    def chain(leaves, *first):  # left to right
+        return functools.reduce(lambda tree, leaf: (tree, leaf), leaves, *first)
+
+    n = len(leaves)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_tree(leaves[:half]), _pairwise_tree(leaves[half:])
+    if n < 8:
+        return chain(leaves)
+    full = n - n % 8
+    r = [chain(leaves[j:full:8]) for j in range(8)]
+    return chain(leaves[full:], (((r[0], r[1]), (r[2], r[3])), ((r[4], r[5]), (r[6], r[7]))))
+
+
+def _spread(table: np.ndarray, leaves: Sequence[int], positions: Sequence[int]) -> np.ndarray:
+    """A table over the flags of ``leaves`` (one axis each, in order) as a view
+    over ``positions``, which holds them in order: size 2 on their axes, 1 on
+    the others, to broadcast."""
+    return table.reshape([2 if p in leaves else 1 for p in positions])
 
 
 def spectral_norm(A: np.ndarray) -> float:

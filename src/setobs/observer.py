@@ -63,6 +63,8 @@ RESOLUTION_MARGIN = 2.0**10
 # the 92 KB stack its flush builds.
 PSD_BLOCK_STEPS = 64
 PSD_BLOCK_BYTES = 1 << 17
+# The shapes a step makes, in the order ``_PsdBlock`` tests them.
+_BLOCK_SHAPES = ("A P A^T", "prior", "M W M^T", "K P K^T", "posterior")
 
 
 class DivergenceError(RuntimeError):
@@ -172,10 +174,13 @@ class _PsdBlock:
     ``priors`` and ``posteriors``; the step's slot in the block, (4, S, n, n)
     [A P A^T; Q; S1; S2] with Q filled once, holds the rest. A flush tests the
     pending steps' shapes as one stack in the order made, so the verdict and
-    the error raised are those of testing each shape when it is made.
+    the error raised are those of testing each shape when it is made; the
+    error then names the shape, its step (the first is ``first_step``) and,
+    of several runs, its run.
     """
 
-    def __init__(self, priors: np.ndarray, posteriors: np.ndarray, Q: np.ndarray):
+    def __init__(self, priors: np.ndarray, posteriors: np.ndarray, Q: np.ndarray,
+                 first_step: int):
         stack = priors.shape[1:]  # (S, n, n), five of them per step
         steps = max(1, min(PSD_BLOCK_STEPS, PSD_BLOCK_BYTES // (40 * math.prod(stack))))
         self._block = np.empty((steps, 4, *stack))
@@ -185,6 +190,7 @@ class _PsdBlock:
                        for slot, diagonal in zip(self._block, diagonals)]
         self._priors, self._posteriors = priors, posteriors
         self._first = self._count = 0
+        self._first_step = first_step
 
     def reserve(self) -> tuple[np.ndarray, ...]:
         """The next step's stack [A P A^T; Q], its A P A^T with that one's diagonal
@@ -203,7 +209,19 @@ class _PsdBlock:
         shapes = np.stack((block[:, 0], self._priors[rows], block[:, 2], block[:, 3],
                            self._posteriors[rows]), axis=1)
         runs, n = shapes.shape[2:4]
-        _require_psd(shapes.reshape(-1, n, n)[: (5 * count - 5 + made) * runs])
+        stack = shapes.reshape(-1, n, n)[: (5 * count - 5 + made) * runs]
+        try:
+            _require_psd(stack)
+        except ValueError:
+            for index, shape in enumerate(stack):  # name the first failing shape
+                try:
+                    _require_psd(shape)
+                except ValueError as err:
+                    step, kind, run = index // (5 * runs), index // runs % 5, index % runs
+                    where = _BLOCK_SHAPES[kind] + (f" of run {run}" if runs > 1 else "")
+                    raise ValueError(f"{err} ({where} at step {self._first_step + first + step})"
+                                     ) from None
+            raise
 
 
 def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
@@ -399,7 +417,7 @@ def _observe(
                 )
         return not all(trace <= skip_level for trace in traces)
 
-    block = _PsdBlock(prior_shapes[1:], shapes[1:], Q)
+    block = _PsdBlock(prior_shapes[1:], shapes[1:], Q, first_k + 1)
     made = 5  # how many of its five PSD-tested shapes the latest step has made
     # A center or shape that overflows or turns NaN (as would a singular
     # member of ``_solve_regular``) fails the PSD or the resolution test,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -839,6 +840,21 @@ class TestResolutionLoss:
         assert code == 1
         assert err.startswith("error: ") and "resolution" in err
         assert "Traceback" not in err
+
+
+class TestPsdStop:
+    """A valid config whose run fails a PSD test: exit 1 with one line that
+    names the failing shape and its step."""
+
+    def test_skewed_weights_name_the_shape_and_step(self, tmp_path, capsys):
+        # W's condition number is about 1e16, and (M W) M^T loses definiteness.
+        path = write_config(tmp_path, a=[1 - 1e-16, 1e-16], N=200, seed=3)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert re.fullmatch(r"error: shape matrix has eigenvalue \S+ below the floor \S+ "
+                            r"\(M W M\^T at step 1\)\n", err)
+        assert not (tmp_path / "run").exists()
 
 
 class TestReplay:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -276,6 +276,53 @@ class TestEpsilonObservability:
         single = solver.pattern_trace(flags[-1])
         assert type(single) is float and single == expected[-1]
         assert type(solver.epsilon) is float
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    @pytest.mark.bit_identity
+    def test_tree_traces_of_hostile_terms_equal_numpy_sums(self, n):
+        # Flag 0 terms of one scale, so that the order of additions shows in
+        # the patterns of few events; flag 1 terms of 0.0, subnormals and
+        # magnitudes from 1e-300 to 1e300. Blocks of one pattern (the first
+        # 4096 beyond n = 12), of half the flags and of all of them; up to
+        # 4096 patterns of each are compared.
+        rng = np.random.default_rng(100 + n)
+        solver = WindowSolver(orthogonal_plant(n, seed=n),
+                              TriggerConfig(threshold=0.6, transmit_error=1e-4))
+        kind = rng.integers(0, 3, n)
+        hostile = np.choose(kind, [np.zeros(n), 5e-324 * rng.integers(1, 2**52, n),
+                                   10.0 ** rng.uniform(-300.0, 300.0, n)])
+        terms = np.stack((10.0 ** rng.uniform(-1.0, 1.0, n), hostile))
+        solver._trace_terms = terms
+        for low in sorted({0, n // 2, n}):
+            blocks = list(islice(solver.pattern_trace_blocks(low), 2**12))
+            count = len(blocks) * 2**low
+            codes = np.arange(count) if count <= 2**12 else rng.choice(count, 2**12, False)
+            table = np.where((codes[:, None] >> np.arange(n - 1, -1, -1)) & 1, *terms[::-1])
+            traces = np.concatenate(blocks)[codes].tolist()
+            assert traces == [float(np.sum(row)) for row in table]
+            assert traces == table.sum(axis=-1).tolist()
+            # Each block is its own array: writing to one changes no other,
+            # nor the terms.
+            for i, block in enumerate(blocks):
+                block[...] = i
+            assert all((block == i).all() for i, block in enumerate(blocks))
+            assert same_bits(solver._trace_terms, terms)
+
+    @pytest.mark.bit_identity
+    def test_pairwise_tree_is_numpy_summation_order(self):
+        # The tree's sums against np.sum on terms of mixed scales, across
+        # numpy's thresholds of 8 terms, 128 terms and its halving above.
+        rng = np.random.default_rng(3)
+
+        def total(tree, terms):
+            if isinstance(tree, tuple):
+                return total(tree[0], terms) + total(tree[1], terms)
+            return terms[tree]
+
+        for n in [*range(1, 40), 127, 128, 129, 135, 256, 300, 1000]:
+            terms = 10.0 ** rng.uniform(-3.0, 3.0, n)
+            tree = observability_mod._pairwise_tree(range(n))
+            assert total(tree, terms.tolist()) == float(np.sum(terms))
 
     def test_monotone_in_threshold(self, bench_model, bench_weights):
         last = 0.0

@@ -481,7 +481,8 @@ class TestBlockedPsdTests:
         the posterior of ``bad_step`` instead: its fusion matrix is zeroed, so
         M W M^T is a point and the fusion's outer sum goes through
         ``_outer_sum_into``, whose result is spoiled. Returns the model to run
-        and the error _require_psd gives the spoiled shape."""
+        and the error _require_psd gives the spoiled shape, named with its step
+        (the records start at k = 0, so step t is k = t)."""
         expected, starts, solves = [], [], []
         helper, outer_sum = observer_mod._solve_regular, observer_mod._outer_sum_into
 
@@ -490,7 +491,7 @@ class TestBlockedPsdTests:
             out[...] = spoil(out)  # the run's posterior row
             with pytest.raises(ValueError) as err:
                 _require_psd(out[0].copy())
-            expected.append(str(err.value))
+            expected.append(f"{err.value} (posterior at step {len(solves)})")
             monkeypatch.setattr(observer_mod, "_outer_sum_into", outer_sum)
             return p
 
@@ -511,7 +512,7 @@ class TestBlockedPsdTests:
                 b[...] = spoil(b)  # the run's prior row
                 with pytest.raises(ValueError) as err:
                     _require_psd(b[0].copy())
-                expected.append(str(err.value))
+                expected.append(f"{err.value} (prior at step {step})")
             if step == raise_step and in_fusion:
                 raise ZeroDivisionError("planted")
             helper(a, b, out=out)
@@ -562,6 +563,27 @@ class TestBlockedPsdTests:
             observer_run(records, model, bench_trigger)
         assert str(err.value) == expected[0]
         assert "eigenvalue" in expected[0]
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("kind", range(5))
+    def test_failing_shape_is_named(self, kind, runs):
+        # Steps 7, 8 and 9 of the runs: the second one's shape ``kind`` fails
+        # in the last run.
+        n = 2
+        priors, posteriors = np.empty((2, 3, runs, n, n))
+        block = observer_mod._PsdBlock(priors, posteriors, np.eye(n), 7)
+        for step in range(3):
+            _, mapped, _, split, _ = block.reserve()
+            mapped[...] = split[...] = priors[step] = posteriors[step] = np.eye(n)
+            if step == 1:
+                [mapped, priors[step], split[0], split[1], posteriors[step]][kind][-1] = -np.eye(n)
+        with pytest.raises(ValueError) as err:
+            _require_psd(-np.eye(n))
+        name = ("A P A^T", "prior", "M W M^T", "K P K^T", "posterior")[kind]
+        where = f"{name} of run {runs - 1}" if runs > 1 else name
+        with pytest.raises(ValueError) as named:
+            block.flush()
+        assert str(named.value) == f"{err.value} ({where} at step 8)"
 
     def test_earliest_failing_step_wins(self, records, bench_model, bench_trigger, monkeypatch):
         model, expected = self.plant(monkeypatch, bench_model, bad_step=100, raise_step=110)
