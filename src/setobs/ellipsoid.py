@@ -53,8 +53,6 @@ def _symmetrize(S: np.ndarray) -> np.ndarray:
 
 def _require_symmetric(S: np.ndarray, name: str) -> None:
     """Raise ValueError unless S is symmetric within ``SYMMETRY_TOL`` of its largest entry."""
-    if not S.size:
-        return
     # An asymmetry too large for float64 is inf, which the test refuses; a
     # finite S cannot make a NaN here.
     with np.errstate(over="ignore"):
@@ -67,7 +65,7 @@ def _require_symmetric(S: np.ndarray, name: str) -> None:
         )
 
 
-def _require_psd(shapes: np.ndarray) -> np.ndarray:
+def _require_psd(shapes: np.ndarray, where=None) -> np.ndarray:
     """Return ``shapes``, one shape or an (m, d, d) stack, if each shape is
     finite and its smallest eigenvalue is at least -``PSD_TOL`` Tr/d.
 
@@ -78,7 +76,9 @@ def _require_psd(shapes: np.ndarray) -> np.ndarray:
     eigendecomposition. Cholesky alone would not settle a non-finite shape: a
     NaN factorizes without error, and NaN compares below no floor. Otherwise
     the shapes are retested one by one, in order, so the verdict and the
-    error raised are those of testing each shape alone.
+    error raised are those of testing each shape alone. ``where``, if given,
+    maps the stack index of the first failing shape to text that names it,
+    which the error's message ends with in parentheses.
     """
     if np.isfinite(shapes).all():
         try:
@@ -86,18 +86,21 @@ def _require_psd(shapes: np.ndarray) -> np.ndarray:
             return shapes
         except np.linalg.LinAlgError:
             pass
-    for shape in shapes.reshape(-1, *shapes.shape[-2:]):
+    for index, shape in enumerate(shapes.reshape(-1, *shapes.shape[-2:])):
         if not np.isfinite(shape).all():
-            raise ValueError("shape matrix has a non-finite entry")
-        try:
-            np.linalg.cholesky(shape)
-        except np.linalg.LinAlgError:
+            error = "shape matrix has a non-finite entry"
+        else:
+            try:
+                np.linalg.cholesky(shape)
+                continue
+            except np.linalg.LinAlgError:
+                pass
             floor = -PSD_TOL * max(float(np.trace(shape)) / shape.shape[0], np.finfo(float).tiny)
             min_eig = float(np.linalg.eigvalsh(shape)[0])
-            if min_eig < floor:
-                raise ValueError(
-                    f"shape matrix has eigenvalue {min_eig:.3e} below the floor {floor:.3e}"
-                ) from None
+            if min_eig >= floor:
+                continue
+            error = f"shape matrix has eigenvalue {min_eig:.3e} below the floor {floor:.3e}"
+        raise ValueError(error if where is None else f"{error} ({where(index)})")
     return shapes
 
 
@@ -130,6 +133,8 @@ class Ellipsoid:
         shape = np.atleast_2d(np.asarray(self.shape, dtype=float))
         if shape.ndim != 2 or shape.shape[0] != shape.shape[1]:
             raise ValueError(f"shape matrix must be square, got {shape.shape}")
+        if not shape.size:
+            raise ValueError("ellipsoid dimension must be at least 1, got a 0 x 0 shape matrix")
         if center.size != shape.shape[0]:
             raise ValueError(
                 f"center has dimension {center.size} but shape matrix is {shape.shape}"

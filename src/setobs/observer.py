@@ -172,11 +172,12 @@ class _PsdBlock:
     A step makes five shapes per run: A P A^T, the prior, the two split shapes
     and the posterior. The prior and the posterior are rows of the run arrays
     ``priors`` and ``posteriors``; the step's slot in the block, (4, S, n, n)
-    [A P A^T; Q; S1; S2] with Q filled once, holds the rest. A flush tests the
-    pending steps' shapes as one stack in the order made, so the verdict and
-    the error raised are those of testing each shape when it is made; the
-    error then names the shape, its step (the first is ``first_step``) and,
-    of several runs, its run.
+    [A P A^T; Q; S1; S2] with Q filled once, holds the rest. A flush is one
+    ``_require_psd`` call on the pending steps' shapes, stacked in the order
+    made: one test and, if it fails, one search for the first failing shape,
+    so the verdict and the error raised are those of testing each shape when
+    it is made. The error names the shape, its step (the first is
+    ``first_step``) and, of several runs, its run.
     """
 
     def __init__(self, priors: np.ndarray, posteriors: np.ndarray, Q: np.ndarray,
@@ -209,19 +210,9 @@ class _PsdBlock:
         shapes = np.stack((block[:, 0], self._priors[rows], block[:, 2], block[:, 3],
                            self._posteriors[rows]), axis=1)
         runs, n = shapes.shape[2:4]
-        stack = shapes.reshape(-1, n, n)[: (5 * count - 5 + made) * runs]
-        try:
-            _require_psd(stack)
-        except ValueError:
-            for index, shape in enumerate(stack):  # name the first failing shape
-                try:
-                    _require_psd(shape)
-                except ValueError as err:
-                    step, kind, run = index // (5 * runs), index // runs % 5, index % runs
-                    where = _BLOCK_SHAPES[kind] + (f" of run {run}" if runs > 1 else "")
-                    raise ValueError(f"{err} ({where} at step {self._first_step + first + step})"
-                                     ) from None
-            raise
+        _require_psd(shapes.reshape(-1, n, n)[: (5 * count - 5 + made) * runs], lambda i: (
+            _BLOCK_SHAPES[i // runs % 5] + (f" of run {i % runs}" if runs > 1 else "")
+            + f" at step {self._first_step + first + i // (5 * runs)}"))
 
 
 def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
@@ -360,7 +351,10 @@ def _observe(
     patterns, pattern = _distinct_rows(windows)
     pattern = pattern.reshape(steps, runs)
     window_shapes = solver.window_shapes(patterns)
-    _require_psd(window_shapes)  # every window of the run is one of these
+    # Every window of the run is one of these; a failure names its pattern as
+    # ``check`` lists it, first flag first.
+    _require_psd(window_shapes, lambda i: "window of pattern "
+                 + "".join(str(int(flag)) for flag in patterns[i]))
     window_centers = solver.window_centers(
         sliding_window_view(references, n, axis=1).swapaxes(0, 1).reshape(-1, n)
     ).reshape(steps, runs, n)

@@ -107,18 +107,10 @@ def run_closed_loop(config: SimConfig) -> tuple[Trace, ObserverRun, Metrics]:
     The first transmission is forced (gamma_0 = 1, y_tau_0 = y_0) so the
     send-on-delta reference is well defined from the start. Raises
     NotObservableError before simulating anything if the observability matrix
-    is rank deficient.
+    is rank deficient. This is a sweep of one seed.
     """
-    solver = _window_solver(config)
-    [result] = _run_seeds([config], solver, _noise_roots(config.model))
-    return result
-
-
-def _window_solver(config: SimConfig) -> WindowSolver:
-    try:
-        return WindowSolver(config.model, config.trigger, config.a)
-    except NotObservableError:
-        raise NotObservableError("model is not observable; refusing to simulate") from None
+    [(_, trace, run, metrics)] = _sweep(config, [config.seed])
+    return trace, run, metrics
 
 
 def _simulate(configs: list[SimConfig], roots: tuple[np.ndarray, np.ndarray]) -> list[Trace]:
@@ -265,7 +257,10 @@ def _sweep(
 ) -> Iterator[tuple[int, Trace, ObserverRun, Metrics]]:
     """``run_seed_sweep`` with each seed's trace and observer run, a group at a
     time, so that only one group's arrays are held at once."""
-    solver = _window_solver(base)
+    try:
+        solver = WindowSolver(base.model, base.trigger, base.a)
+    except NotObservableError:
+        raise NotObservableError("model is not observable; refusing to simulate") from None
     roots = _noise_roots(base.model)
     n, steps = base.model.n, base.N + 1
     # A seed's bytes per step: plant history (2n + 2 floats) and noise radii
@@ -281,6 +276,8 @@ def _sweep(
         try:
             runs = _run_seeds(configs, solver, roots)
         except Exception:
+            if len(configs) == 1:
+                raise
             # The stack may meet a later seed's failure first; alone, the
             # first failing seed raises what the serial loop raises.
             runs = [run for config in configs for run in _run_seeds([config], solver, roots)]

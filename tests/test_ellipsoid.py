@@ -16,7 +16,7 @@ from setobs import (
     optimal_sum_parameter,
     sample_point,
 )
-from setobs.ellipsoid import _generalized_distances
+from setobs.ellipsoid import _generalized_distances, _require_psd
 
 from conftest import rand_spd, same_bits, scalar_chain
 from oracles import (
@@ -50,6 +50,11 @@ class TestEllipsoidType:
         with pytest.raises(ValueError, match=r"must be square, got \(2, 2, 2\)"):
             Ellipsoid([0.0, 0.0], np.ones((2, 2, 2)))
 
+    def test_rejects_zero_dimensional_shape(self):
+        with pytest.raises(ValueError, match="^ellipsoid dimension must be at least 1, "
+                                             "got a 0 x 0 shape matrix$"):
+            Ellipsoid([], np.empty((0, 0)))
+
     def test_rejects_tiny_indefinite_shape(self):
         # Eigenvalue -3e-18 is as negative as the shape is large: the floor is relative.
         with pytest.raises(ValueError, match="eigenvalue"):
@@ -67,6 +72,31 @@ class TestEllipsoidType:
     def test_rejects_non_finite(self, center, shape, match):
         with pytest.raises(ValueError, match=match):
             Ellipsoid(center, shape)
+
+
+class TestRequirePsd:
+    """A failing stack raises the error of its first failing shape alone,
+    named by ``where`` when it is given."""
+
+    STACK = np.array([np.eye(2), np.diag([1.0, -1.0]), np.full((2, 2), np.nan)])
+
+    def test_where_names_the_first_failing_shape(self):
+        with pytest.raises(ValueError) as alone:
+            _require_psd(self.STACK[1])
+        with pytest.raises(ValueError) as bare:
+            _require_psd(self.STACK)
+        assert str(bare.value) == str(alone.value)
+        assert str(alone.value).startswith("shape matrix has eigenvalue -1.000e+00 below")
+        asked = []
+        with pytest.raises(ValueError) as named:
+            _require_psd(self.STACK, lambda i: asked.append(i) or f"shape {i}")
+        assert str(named.value) == f"{alone.value} (shape 1)" and asked == [1]
+        with pytest.raises(ValueError, match=r"^shape matrix has a non-finite entry \(last\)$"):
+            _require_psd(self.STACK[2:], lambda i: "last")
+
+    def test_passing_stack_never_asks_where(self):
+        stack = self.STACK[:1]
+        assert _require_psd(stack, lambda i: pytest.fail("asked")) is stack
 
 
 class TestAffineTransform:
@@ -378,6 +408,10 @@ class TestContains:
         # Within the PSD floor of -1e-9 Tr/n, yet indefinite after the 1e-12 Tr/n bump.
         with pytest.raises(SingularShapeError, match="beyond repair"):
             contains(Ellipsoid([0.0, 0.0], np.diag([1.0, -1e-10])), [1.0, 0.0])
+
+    def test_point_of_other_dimension_rejected(self):
+        with pytest.raises(ValueError, match="^point has dimension 3, ellipsoid 2$"):
+            contains(Ellipsoid([0.0, 0.0], np.eye(2)), [0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_non_finite_point_rejected(self, entry):

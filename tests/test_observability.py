@@ -81,6 +81,10 @@ class TestSystemModelType:
                                              rf"got shape {re.escape(str(shape))}"):
             SystemModel(A=np.eye(2), C=C, Q=np.eye(2), R=1.0)
 
+    def test_q_of_other_shape_is_refused(self):
+        with pytest.raises(ValueError, match=r"^Q must be 2x2, got \(3, 3\)$"):
+            SystemModel(A=np.eye(2), C=[1.0, 0.0], Q=np.eye(3), R=1.0)
+
     def test_c_as_one_row_matrix_is_the_row(self, bench_model):
         model = SystemModel(A=bench_model.A, C=[bench_model.C.tolist()], Q=bench_model.Q, R=0.5)
         assert model.C.shape == (2,) and model.C.tolist() == bench_model.C.tolist()
@@ -94,6 +98,12 @@ class TestTriggerConfigType:
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
             TriggerConfig(threshold=0.0, transmit_error=0.0)
+
+    @pytest.mark.parametrize("transmit_error", [0.0, -0.1])
+    def test_rejects_nonpositive_transmit_error(self, transmit_error):
+        with pytest.raises(ValueError, match=rf"^transmit_error must be positive, "
+                                             rf"got {transmit_error}$"):
+            TriggerConfig(threshold=0.5, transmit_error=transmit_error)
 
     def test_uncertainty_selection(self, bench_trigger):
         assert bench_trigger.output_uncertainty(False) == 0.6
@@ -450,6 +460,10 @@ class TestSpectralNorm:
 
     def test_diagonal_with_negative_entry(self):
         assert spectral_norm(np.diag([0.5, -0.7])) == pytest.approx(0.7)
+
+    def test_rejects_non_square_matrix(self):
+        with pytest.raises(ValueError, match=r"^matrix must be square, got \(2, 3\)$"):
+            spectral_norm(np.ones((2, 3)))
 
 
 class TestConvergenceBound:

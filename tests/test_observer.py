@@ -164,6 +164,10 @@ class TestFuse:
             assert np.array_equal(posterior.center, reference.center)
             assert np.array_equal(posterior.shape, reference.shape)
 
+    def test_rejects_operands_of_other_dimensions(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 1 vs 2$"):
+            fuse(Ellipsoid([0.0], [[1.0]]), Ellipsoid([0.0, 0.0], np.eye(2)))
+
     @pytest.mark.parametrize("n", [2, 10, 14, 15, 16])
     def test_singular_sum_is_regularized_at_every_n(self, n):
         # W + P = e1 e1^T is singular at every n; from n = 15 on a bump of
@@ -234,6 +238,11 @@ class TestObserverRun:
     def test_short_log_rejected(self, bench_model, bench_trigger):
         with pytest.raises(ValueError, match="at least"):
             observer_run([MeasurementRecord(0, True, 0.0)], bench_model, bench_trigger)
+
+    def test_weights_of_other_length_rejected(self, bench_model, bench_trigger):
+        records = [MeasurementRecord(k, False, 0.0) for k in range(4)]
+        with pytest.raises(ValueError, match="^weight vector has length 3, expected 2$"):
+            observer_run(records, bench_model, bench_trigger, WeightVector([0.2, 0.3, 0.5]))
 
     def test_log_starting_past_zero_keeps_step_labels(self, bench_model, bench_trigger):
         records = [MeasurementRecord(k, False, 0.1) for k in range(5, 12)]
@@ -646,7 +655,34 @@ class TestBlockedPsdTests:
         model, _ = self.plant(monkeypatch, bench_model, bad_step=5)
         with pytest.raises(ValueError) as raised:
             observer_run(records, model, bench_trigger, bad)
-        assert str(raised.value) == str(err.value)
+        bits = "".join("1" if flag else "0" for flag in patterns[0])
+        assert str(raised.value) == f"{err.value} (window of pattern {bits})"
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_failing_window_shape_is_named_by_its_pattern(self, bench_model, bench_trigger,
+                                                          monkeypatch, n):
+        # Every window whose first step has an event is planted indefinite: the
+        # error names the first of them in sorted order, spelled as check lists it.
+        model = bench_model if n == 2 else orthogonal_plant(n, 95)
+        records = closed_loop_records(model, bench_trigger, 60, 4)
+        original = WindowSolver.window_shapes
+
+        def window_shapes(self, patterns):
+            shapes = original(self, patterns)
+            shapes[np.asarray(patterns)[:, 0]] = -np.eye(n)
+            return shapes
+
+        monkeypatch.setattr(WindowSolver, "window_shapes", window_shapes)
+        gammas = [record.gamma for record in records]
+        windows = sorted({tuple(gammas[k : k + n]) for k in range(len(gammas) - n + 1)})
+        first = next(window for window in windows if window[0])
+        with pytest.raises(ValueError) as alone:
+            _require_psd(-np.eye(n))
+        with pytest.raises(ValueError) as named:
+            observer_run(records, model, bench_trigger)
+        bits = "".join("1" if flag else "0" for flag in first)
+        assert str(named.value) == f"{alone.value} (window of pattern {bits})"
+        assert windows[0] != first  # a window that passes comes first
 
     @pytest.mark.parametrize("n", [2, 6])
     def test_each_window_shape_is_tested_once(self, bench_model, bench_trigger, monkeypatch, n):
@@ -655,7 +691,8 @@ class TestBlockedPsdTests:
         tested = []
         original = observer_mod._require_psd
         monkeypatch.setattr(observer_mod, "_require_psd",
-                            lambda shapes: tested.append(shapes.copy()) or original(shapes))
+                            lambda shapes, *args: tested.append(shapes.copy())
+                            or original(shapes, *args))
         run = observer_run(records, model, bench_trigger)
         assert same_bits(tested[0], run.window_shapes)
         assert len(tested) > 2  # the windows, then more than one block of steps

@@ -251,6 +251,24 @@ class TestSeedSweep:
             run_seed_sweep(base, [4, 2, 1])
         assert str(err.value) == expected
 
+    def test_failing_group_of_one_seed_runs_once(self, monkeypatch):
+        # A single run is a sweep's group of one: its failure is raised as is,
+        # not after a second run of the same seed.
+        raw = UNSTABLE_PLANT
+        model = SystemModel(A=raw["A"], C=raw["C"], Q=raw["Q"], R=raw["R"])
+        config = SimConfig(model=model, trigger=TriggerConfig(raw["Gamma"], raw["Gamma_e"]),
+                           x0=[0.0, 0.0], N=100, seed=1)
+        groups = []
+        run_seeds = simulation_mod._run_seeds
+        monkeypatch.setattr(simulation_mod, "_run_seeds",
+                            lambda configs, *args: groups.append(len(configs))
+                            or run_seeds(configs, *args))
+        with pytest.raises(DivergenceError, match="step 98 "):
+            run_closed_loop(config)
+        with pytest.raises(DivergenceError, match="step 98 "):
+            run_seed_sweep(config, [1])
+        assert groups == [1, 1]
+
     def test_divergent_seed_raises_the_serial_error(self, bench_model, bench_trigger,
                                                     monkeypatch):
         base = SimConfig(model=bench_model, trigger=bench_trigger, x0=[0.0, 0.0], N=60, seed=0)

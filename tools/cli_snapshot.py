@@ -54,6 +54,9 @@ CONFIGS = {
     # near 1e17, traces near 1e36, a tiny first state with a subnormal entry.
     "extreme": {**PAPER, "Q": [[1e36, 0.0], [0.0, 1e36]], "R": 1e-30,
                 "x0": [3e-5, -7e-310], "N": 60},
+    # Weights 10^16 apart: simulate stops at a shape that fails its PSD test,
+    # and the error names the shape and its step.
+    "skewed": {**PAPER, "a": [1 - 1e-16, 1e-16]},
 }
 
 COMMANDS = {
