@@ -316,6 +316,8 @@ def load_config(path: str | Path) -> dict:
                           f"{err.msg}") from err
     except RecursionError as err:
         raise ConfigError(f"{path}: invalid JSON: arrays or objects nested too deeply") from err
+    except ValueError as err:  # an integer past Python's limit on digits read
+        raise ConfigError(f"{path}: cannot read a number: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object, got {_JSON_TYPES[type(raw)]}")
     return raw
@@ -327,23 +329,35 @@ def _require(raw: dict, key: str):
     return raw[key]
 
 
-def _holds_numbers(value) -> bool:
-    """Whether a JSON value is a number or nested lists of numbers, at any depth;
-    JSON's true and false are not numbers here, though Python counts them as ints."""
-    items = [value]
+def _numbers(value) -> list | None:
+    """The numbers of a JSON value that is a number or nested lists of numbers,
+    at any depth, or None for any other value; JSON's true and false are not
+    numbers here, though Python counts them as ints."""
+    numbers, items = [], [value]
     while items:
         item = items.pop()
         if isinstance(item, list):
             items += item
-        elif not isinstance(item, (int, float)) or isinstance(item, bool):
-            return False
-    return True
+        elif isinstance(item, (int, float)) and not isinstance(item, bool):
+            numbers.append(item)
+        else:
+            return None
+    return numbers
 
 
 def _require_numeric(raw: dict, key: str):
     value = _require(raw, key)
-    if not _holds_numbers(value):
+    numbers = _numbers(value)
+    if numbers is None:
         raise ConfigError(f"'{key}' must be a number or a list of numbers, got {value!r}")
+    # A JSON integer has any size, and one past float range would overflow
+    # every float conversion of it.
+    for number in numbers:
+        try:
+            float(number)
+        except OverflowError:
+            raise ConfigError(f"'{key}' holds an integer of {len(str(abs(number)))} digits, "
+                              "too large for a float") from None
     return value
 
 

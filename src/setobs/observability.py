@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -122,8 +122,10 @@ class WeightVector:
             raise ValueError("weights must be finite")
         if np.any(w <= 0.0):
             raise ValueError("all weights must be positive")
-        if abs(float(np.sum(w)) - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {np.sum(w)!r}, expected 1")
+        with np.errstate(over="ignore"):  # a sum that overflows is inf, and fails
+            total = np.sum(w)
+        if abs(float(total) - 1.0) > 1e-12:
+            raise ValueError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "weights", w)
 
     @classmethod
@@ -331,7 +333,7 @@ class WindowSolver:
         """
         if len(flags) != self.n or len(references) != self.n:
             raise ValueError(f"window must contain exactly {self.n} records")
-        shape = _require_psd(self.window_shape(flags))
+        shape = _require_psd(self.window_shape(flags), _window_named([flags]))
         center = self.window_centers(np.asarray(references, dtype=float)[None])[0]
         return Ellipsoid._trusted(center, shape)
 
@@ -366,6 +368,12 @@ class WindowSolver:
         """
         stacked = np.broadcast_to(self.matrix, (len(references), self.n, self.n))
         return np.linalg.solve(stacked, references[..., None])[..., 0]
+
+
+def _window_named(patterns) -> Callable[[int], str]:
+    """The ``where`` of a PSD test of the window shapes of ``patterns``: a
+    failing one is named by its pattern as ``check`` lists it, first flag first."""
+    return lambda i: "window of pattern " + "".join(str(int(flag)) for flag in patterns[i])
 
 
 def _pairwise_tree(leaves: Sequence[int]):

@@ -46,6 +46,7 @@ from .observability import (
     WeightVector,
     WindowSolver,
     _squared_level,
+    _window_named,
 )
 
 # Abort when a posterior trace exceeds this multiple of
@@ -331,7 +332,10 @@ def _observe(
     per run, every product goes into a buffer or a run-array row, and ``out``
     is positional. The -0.0 entries of the centers and prior centers after
     row 0 are turned into 0.0 by one pass after the loop, not per step; row 0
-    keeps the window center's bits. The run arrays are
+    keeps the window center's bits. The divergence guard and the trigger of
+    the next step's singularity test come from the step's split traces when
+    their bound clears both levels, and from the posterior traces otherwise.
+    The run arrays are
     laid out step by step, (K, S, ...), and each ``ObserverRun`` holds views
     of its run's column. The window shapes depend on the event patterns
     alone, so each distinct one is PSD-tested once, before any step: a window
@@ -351,10 +355,7 @@ def _observe(
     patterns, pattern = _distinct_rows(windows)
     pattern = pattern.reshape(steps, runs)
     window_shapes = solver.window_shapes(patterns)
-    # Every window of the run is one of these; a failure names its pattern as
-    # ``check`` lists it, first flag first.
-    _require_psd(window_shapes, lambda i: "window of pattern "
-                 + "".join(str(int(flag)) for flag in patterns[i]))
+    _require_psd(window_shapes, _window_named(patterns))  # every window of the run is one
     window_centers = solver.window_centers(
         sliding_window_view(references, n, axis=1).swapaxes(0, 1).reshape(-1, n)
     ).reshape(steps, runs, n)
@@ -366,6 +367,7 @@ def _observe(
     guard = DIVERGENCE_FACTOR * _squared_level(solver.gain)
     skip_level = _singularity_skip_level(solver, window_shapes)
     settled = min(guard, skip_level)
+    quick = settled / 4.0  # a level the split traces clear without the exact pass
     A, Q = model.A, model.Q
     A_T, eye = A.T, np.eye(n)
     q_trace = float(_traces(Q))
@@ -434,12 +436,12 @@ def _observe(
                 divide(add(product, product_T, mapped), two, mapped)
                 prior = prior_shapes[t]
                 traces = add_reduce(mapped_diagonals, -1)
-                if min(traces.tolist()) > 0.0 and q_trace > 0.0:
+                if min(traces.tolist()) > 0.0:
                     sqrt(divide(traces, q_traces, p), p)
                     add(divide(numerators, denominators, coefficients), ones, coefficients)
                     multiply(stack, coefficients, halves)
                     add(x_half, y_half, prior)
-                else:  # a point among the mapped posteriors, or a Q of zero trace
+                else:  # a point among the mapped posteriors (Q is positive definite)
                     _outer_sum_into(prior, stack)
                 c_prior = matmul(A, center, prior_columns[t])
                 made = 2
@@ -471,19 +473,37 @@ def _observe(
                 traces = add_reduce(split_diagonals, -1)
                 t_x, t_y = traces.tolist()
                 if min(t_x) > 0.0 and min(t_y) > 0.0:
+                    # When ``fast`` holds, every posterior trace is below both
+                    # levels, and the exact pass below need not run:
+                    # - at the optimal p, (1 + 1/p) t_x + (1 + p) t_y =
+                    #   (sqrt t_x + sqrt t_y)^2 <= 2 (t_x + t_y);
+                    # - so each run's computed trace is at most 2 (t_x + t_y)
+                    #   up to a few n u of rounding, which the 4 of ``quick`` covers;
+                    # - the sum over runs bounds the largest run;
+                    # - a NaN or inf fails the strict comparison, even with an
+                    #   infinite level, and takes the exact pass;
+                    # - split shapes that fail their PSD test, and a posterior
+                    #   made non-finite by a trace ratio past float range, stop
+                    #   the run at this step's flush, whatever the trigger
+                    #   decided, so the bound need only hold for valid shapes.
+                    fast = 2.0 * (sum(t_x) + sum(t_y)) < quick
                     sqrt(divide(traces[0], traces[1], p), p)
                     add(divide(numerators, denominators, coefficients), ones, coefficients)
                     multiply(split, coefficients, halves)
                     add(x_half, y_half, shape)
                 else:  # a point, or a trace below zero within the PSD floor
+                    fast = False
                     _outer_sum_into(shape, split)
                 center = center_columns[t]
                 add(matmul(M, window_columns[t], window_parts),
                     matmul(K, c_prior, prior_parts), center)
                 made = 5
-                traces = add_reduce(posterior_diagonals[t], -1).tolist()
-                test_singular = (not all(map(settled.__ge__, traces))
-                                 and needs_singular_test(t, traces))
+                if fast:
+                    test_singular = False
+                else:
+                    traces = add_reduce(posterior_diagonals[t], -1).tolist()
+                    test_singular = (not all(map(settled.__ge__, traces))
+                                     and needs_singular_test(t, traces))
         except Exception:
             block.flush(made)  # an earlier failing PSD test would have stopped the run first
             raise

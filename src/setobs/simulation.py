@@ -8,6 +8,7 @@ Identical configurations, seed included, reproduce traces bit for bit.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -135,6 +136,9 @@ def _simulate(configs: list[SimConfig], roots: tuple[np.ndarray, np.ndarray]) ->
         references = np.empty((runs, N + 1))
     except (MemoryError, ValueError) as err:  # numpy refuses some sizes outright
         size = 8 * runs * ((N + 1) * (n + 2) + N * n)
+        if size > sys.float_info.max:  # an int past float range, which '.3g' cannot format
+            from decimal import Decimal
+            size = Decimal(size)
         raise ValueError(
             f"N = {N} steps need {size:.3g} bytes of plant history, more than can be allocated"
         ) from err

@@ -218,7 +218,7 @@ class TestConfigParsing:
         deep, bad = 1.0, True
         for _ in range(100_000):
             deep, bad = [deep, 2], [0.5, bad]
-        assert cli._holds_numbers(deep) and not cli._holds_numbers(bad)
+        assert cli._numbers(deep) is not None and cli._numbers(bad) is None
 
     @pytest.mark.parametrize("command", ["check", "bound"])
     def test_c_column_is_config_error(self, tmp_path, capsys, command):

@@ -57,6 +57,11 @@ CONFIGS = {
     # Weights 10^16 apart: simulate stops at a shape that fails its PSD test,
     # and the error names the shape and its step.
     "skewed": {**PAPER, "a": [1 - 1e-16, 1e-16]},
+    # An integer past float range: one config error line, exit 2.
+    "huge_int": {**PAPER, "R": 10**400},
+    # A step count whose history size is past float range: simulate ends in
+    # one error line naming the bytes it needs, exit 1.
+    "huge_n": {**PAPER, "N": 10**307},
 }
 
 COMMANDS = {
