@@ -291,8 +291,9 @@ def _solve_regular(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     (a RuntimeWarning under numpy's default error state; the observer's loop
     runs it with that warning silenced, so there a singular member would show
     only as the non-finite shapes it leads to). So the caller must know every
-    member is regular: cleared by ``_singular``, or proven so for the whole
-    run (``observer._singularity_skip_level``). Any other solve goes through
+    member is regular: cleared by ``_singular``, or proven so by the step
+    before it (the observer's clearance bound, below a quarter of
+    ``observer._singularity_skip_level``). Any other solve goes through
     np.linalg.solve, and so does this one, copied into ``out``, on a numpy
     without ``_umath_linalg``.
     """
@@ -312,10 +313,11 @@ def _singular(eigs: np.ndarray) -> np.ndarray:
 def contains(ell: Ellipsoid, x: np.ndarray) -> tuple[bool, float]:
     """Membership test: returns (inside, d) with d = (x-c)^T S^-1 (x-c).
 
-    The point is inside when d <= 1 + ``CONTAINMENT_TOL``. A near-singular
-    shape is regularized by 1e-12 Tr(S)/d on the diagonal so queries stay
-    total on strongly flattened ellipsoids. This is ``_generalized_distances``
-    on a stack of one.
+    The point is inside when d <= 1 + ``CONTAINMENT_TOL``. A shape that is not
+    positive definite is regularized on the diagonal, by 1e-12 Tr(S)/d and, if
+    that is not enough, by 2 ``PSD_TOL`` Tr(S)/d (``_distance_factor``), so
+    queries stay total on every ellipsoid the constructor accepts, however
+    flat. This is ``_generalized_distances`` on a stack of one.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if x.size != ell.dim:
@@ -348,19 +350,21 @@ def _generalized_distances(
 
 def _distance_factor(shape: np.ndarray) -> np.ndarray:
     """Cholesky factor of one shape for ``_generalized_distances``: a shape that
-    is not positive definite is retried once with 1e-12 Tr(S)/n on the diagonal."""
+    is not positive definite is retried with 1e-12 Tr(S)/n, then with
+    2 ``PSD_TOL`` Tr(S)/n, on the diagonal. The last lift leaves every shape
+    that ``_require_psd`` admits with l_min >= ``PSD_TOL`` Tr(S)/n, far above
+    the rounding of its factorization, so only a shape no ``Ellipsoid`` holds
+    can fail it."""
     trace = float(shape.trace())
     if trace <= 0.0:
         raise SingularShapeError("shape matrix has zero trace; membership is undefined")
-    try:
-        return np.linalg.cholesky(shape)
-    except np.linalg.LinAlgError:
-        pass
     n = shape.shape[0]
-    try:
-        return np.linalg.cholesky(shape + (1e-12 * trace / n) * np.eye(n))
-    except np.linalg.LinAlgError as err:
-        raise SingularShapeError(f"shape matrix singular beyond repair: {err}") from None
+    for lift in (0.0, 1e-12, 2.0 * PSD_TOL):
+        try:
+            return np.linalg.cholesky(shape + (lift * trace / n) * np.eye(n) if lift else shape)
+        except np.linalg.LinAlgError as err:
+            failure = err
+    raise SingularShapeError(f"shape matrix singular beyond repair: {failure}") from None
 
 
 def shape_sqrt(S: np.ndarray) -> np.ndarray:

@@ -332,12 +332,14 @@ def _observe(
     per run, every product goes into a buffer or a run-array row, and ``out``
     is positional. The -0.0 entries of the centers and prior centers after
     row 0 are turned into 0.0 by one pass after the loop, not per step; row 0
-    keeps the window center's bits. The divergence guard and the trigger of
-    the next step's singularity test come from the step's split traces when
-    their bound clears both levels, and from the posterior traces otherwise.
-    The run arrays are
-    laid out step by step, (K, S, ...), and each ``ObserverRun`` holds views
-    of its run's column. The window shapes depend on the event patterns
+    keeps the window center's bits. A step is cleared when a bound on its
+    posterior traces, twice its split traces summed over runs (at step 0 the
+    sum of its window traces), is below a quarter of the lower of the
+    divergence guard and ``_singularity_skip_level``; the fusion after a
+    cleared step skips its singularity test, and a step not cleared has its
+    posterior traces checked against the guard. The run arrays are laid out
+    step by step, (K, S, ...), and each ``ObserverRun`` holds views of its
+    run's column. The window shapes depend on the event patterns
     alone, so each distinct one is PSD-tested once, before any step: a window
     that fails raises before every step's failure. Every shape a step makes
     is PSD-tested, in blocks (``_PsdBlock``); an exception leaving the loop
@@ -365,9 +367,8 @@ def _observe(
     prior_centers = np.full((steps, runs, n), np.nan)
     prior_shapes = np.full((steps, runs, n, n), np.nan)
     guard = DIVERGENCE_FACTOR * _squared_level(solver.gain)
-    skip_level = _singularity_skip_level(solver, window_shapes)
-    settled = min(guard, skip_level)
-    quick = settled / 4.0  # a level the split traces clear without the exact pass
+    # The level a step's bound must be below for the step to be cleared.
+    quick = min(guard, _singularity_skip_level(solver, window_shapes)) / 4.0
     A, Q = model.A, model.Q
     A_T, eye = A.T, np.eye(n)
     q_trace = float(_traces(Q))
@@ -401,17 +402,14 @@ def _observe(
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     sqrt, matmul, add_reduce = np.sqrt, np.matmul, np.add.reduce
 
-    def needs_singular_test(t: int, traces: list[float]) -> bool:
-        """The divergence guard on step t's posterior traces, one of which is
-        above ``settled``; tells whether the fusion of step t + 1 must run its
-        singularity test."""
-        for trace in traces:
+    def require_below_guard(t: int) -> None:
+        """The divergence guard on the posterior traces of step t, which is not cleared."""
+        for trace in add_reduce(posterior_diagonals[t], -1).tolist():
             if trace > guard:
                 raise DivergenceError(
                     f"posterior trace {trace:.3e} at step {first_k + t} exceeds "
                     f"divergence guard {guard:.3e}; the observer has broken down numerically"
                 )
-        return not all(trace <= skip_level for trace in traces)
 
     block = _PsdBlock(prior_shapes[1:], shapes[1:], Q, first_k + 1)
     made = 5  # how many of its five PSD-tested shapes the latest step has made
@@ -423,10 +421,11 @@ def _observe(
             centers[0] = window_centers[0]
             shape = window_shapes.take(pattern[0], 0, shapes[0], "clip")
             center = center_columns[0]
-            traces = add_reduce(posterior_diagonals[0], -1).tolist()
-            # Usually every trace is below both levels, and one pass shows it
-            # (settled >= trace is trace <= settled, False for a NaN).
-            test_singular = not all(map(settled.__ge__, traces)) and needs_singular_test(0, traces)
+            # Step 0's posteriors are windows, whose PSD test keeps each trace at
+            # or above zero (to within a subnormal), so their sum bounds each.
+            test_singular = not sum(add_reduce(posterior_diagonals[0], -1).tolist()) < quick
+            if test_singular:
+                require_below_guard(0)
             for t in range(1, steps):
                 made = 0
                 stack, mapped, mapped_diagonals, split, split_diagonals = block.reserve()
@@ -473,15 +472,15 @@ def _observe(
                 traces = add_reduce(split_diagonals, -1)
                 t_x, t_y = traces.tolist()
                 if min(t_x) > 0.0 and min(t_y) > 0.0:
-                    # When ``fast`` holds, every posterior trace is below both
-                    # levels, and the exact pass below need not run:
+                    # When ``fast`` holds, the step is cleared: every posterior
+                    # trace is within both levels.
                     # - at the optimal p, (1 + 1/p) t_x + (1 + p) t_y =
                     #   (sqrt t_x + sqrt t_y)^2 <= 2 (t_x + t_y);
                     # - so each run's computed trace is at most 2 (t_x + t_y)
                     #   up to a few n u of rounding, which the 4 of ``quick`` covers;
                     # - the sum over runs bounds the largest run;
                     # - a NaN or inf fails the strict comparison, even with an
-                    #   infinite level, and takes the exact pass;
+                    #   infinite level, and the step is not cleared;
                     # - split shapes that fail their PSD test, and a posterior
                     #   made non-finite by a trace ratio past float range, stop
                     #   the run at this step's flush, whatever the trigger
@@ -498,12 +497,9 @@ def _observe(
                 add(matmul(M, window_columns[t], window_parts),
                     matmul(K, c_prior, prior_parts), center)
                 made = 5
-                if fast:
-                    test_singular = False
-                else:
-                    traces = add_reduce(posterior_diagonals[t], -1).tolist()
-                    test_singular = (not all(map(settled.__ge__, traces))
-                                     and needs_singular_test(t, traces))
+                test_singular = not fast
+                if test_singular:
+                    require_below_guard(t)
         except Exception:
             block.flush(made)  # an earlier failing PSD test would have stopped the run first
             raise

@@ -171,14 +171,17 @@ def write_polylines(out_dir: Path, estimates, n: int) -> list[str]:
 
 def cho_distance(center: np.ndarray, shape: np.ndarray, x: np.ndarray) -> float:
     """(x - c)^T S^-1 (x - c) through scipy's ``cho_factor``/``cho_solve``, with
-    the 1e-12 Tr(S)/d regularized retry of ``contains``."""
+    the regularized retries of ``contains``: 1e-12 Tr(S)/d on the diagonal,
+    then 2e-9 Tr(S)/d."""
     residual = x - center
-    try:
-        factor = cho_factor(shape)
-    except LinAlgError:
-        bump = 1e-12 * float(np.trace(shape)) / center.size
-        factor = cho_factor(shape + bump * np.eye(center.size))
-    return float(residual @ cho_solve(factor, residual))
+    for lift in (0.0, 1e-12, 2e-9):
+        bump = lift * float(np.trace(shape)) / center.size
+        try:
+            factor = cho_factor(shape + bump * np.eye(center.size) if lift else shape)
+        except LinAlgError:
+            continue
+        return float(residual @ cho_solve(factor, residual))
+    raise LinAlgError("shape matrix singular beyond repair")
 
 
 def list_patterns(model, trigger, weights) -> str:

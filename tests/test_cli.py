@@ -857,6 +857,31 @@ class TestPsdStop:
         assert not (tmp_path / "run").exists()
 
 
+class TestIllScaledNoise:
+    """A Q whose entries span 1e-5 to 7e10: the posterior of step 9 has
+    l_min = -2.9e-12 Tr/n, within the PSD floor, and its containment distance
+    takes the last lift of ``_distance_factor``. Both runs end in exit 0."""
+
+    CONFIG = {
+        "A": [[-0.12655137941610542, -0.021576298135250152, -0.03955749298212227],
+              [-0.16032977042613317, -0.3163884155211622, -0.20332125074401033],
+              [-0.4058346737667999, 0.16198631327244237, -0.036583375995143705]],
+        "C": [0.9195744523368594, 0.8964985363918643, 1.9336249837910817],
+        "Q": [[30.94123688163918, -195465.6875290186, -0.027069282068961645],
+              [-195465.68752901859, 72598121988.05232, 1458.4358186595055],
+              [-0.027069282068961645, 1458.4358186595055, 8.075341548011748e-05]],
+        "R": 0.0018191343644126249, "Gamma": 0.018191343644126248,
+        "Gamma_e": 1.819134364412625e-06, "x0": [0.0, 0.0, 0.0], "N": 30, "seed": 101,
+    }
+
+    @pytest.mark.parametrize("seeds", [[], ["--seeds", "3"]], ids=["simulate", "sweep"])
+    def test_run_exits_0(self, tmp_path, capsys, seeds):
+        path = tmp_path / "ill-scaled.json"
+        path.write_text(json.dumps(self.CONFIG))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run"), *seeds])
+        assert (code, capsys.readouterr().err) == (0, "")
+
+
 class TestReplay:
     def test_round_trip_byte_identical_estimates(self, bench_config_file, tmp_path):
         sim_dir, replay_dir = tmp_path / "sim", tmp_path / "replay"

@@ -404,10 +404,32 @@ class TestContains:
         _, dist = contains(Ellipsoid(center, shape), x)
         assert dist == cho_distance(center, shape, x) == 0.249999999999875
 
-    def test_singular_beyond_repair_rejected(self):
-        # Within the PSD floor of -1e-9 Tr/n, yet indefinite after the 1e-12 Tr/n bump.
+    def test_shape_at_the_psd_floor_gets_a_distance(self):
+        # l_min = -2e-10 Tr/n: within the PSD floor of -1e-9 Tr/n, and
+        # indefinite after the 1e-12 Tr/n lift; the 2e-9 Tr/n lift factors it.
+        inside, dist = contains(Ellipsoid([0.0, 0.0], np.diag([1.0, -1e-10])), [1.0, 0.0])
+        assert inside and dist == pytest.approx(1.0, rel=1e-8)
+
+    def test_planted_shape_past_the_first_lift_gets_a_distance(self):
+        # A rotated shape with l_min = -3e-12 Tr/n, which the constructor
+        # accepts and neither Cholesky nor the 1e-12 Tr/n lift factors.
+        U, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+        ell = Ellipsoid(np.zeros(3), (U * [-3e-12, 1.0, 2.0]) @ U.T)
+        trace = float(np.trace(ell.shape))
+        assert np.linalg.eigvalsh(ell.shape)[0] / (trace / 3) == pytest.approx(-3e-12, rel=1e-3)
+        for lift in (0.0, 1e-12 * trace / 3):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(ell.shape + lift * np.eye(3))
+        x = U[:, 2]  # the unit axis of eigenvalue 2
+        inside, dist = contains(ell, x)
+        assert inside and dist == pytest.approx(0.5, rel=1e-8)
+        assert dist == pytest.approx(cho_distance(ell.center, ell.shape, x), rel=1e-12)
+
+    def test_shape_below_the_psd_floor_is_beyond_repair(self):
+        # l_min = -2e-8 Tr/n: no Ellipsoid holds it, and the last lift leaves it indefinite.
+        shape = np.diag([1.0, -1e-8])
         with pytest.raises(SingularShapeError, match="beyond repair"):
-            contains(Ellipsoid([0.0, 0.0], np.diag([1.0, -1e-10])), [1.0, 0.0])
+            _generalized_distances(np.zeros((1, 2)), shape[None], np.array([[1.0, 0.0]]))
 
     def test_point_of_other_dimension_rejected(self):
         with pytest.raises(ValueError, match="^point has dimension 3, ellipsoid 2$"):
@@ -440,12 +462,15 @@ class TestGeneralizedDistances:
         assert same_bits(_generalized_distances(centers, shapes, points), alone)
 
     @pytest.mark.parametrize("middle, message", [
-        ([np.diag([1.0, -1e-10])], "beyond repair"),
-        ([np.zeros((2, 2)), np.diag([1.0, -1e-10])], "zero trace"),
-        ([np.diag([1.0, -1e-10]), np.zeros((2, 2))], "beyond repair"),
+        ([np.diag([1.0, -1e-8])], "beyond repair"),
+        ([np.zeros((2, 2)), np.diag([1.0, -1e-8])], "zero trace"),
+        ([np.diag([1.0, -1e-8]), np.zeros((2, 2))], "beyond repair"),
     ], ids=["beyond-repair", "zero-trace-first", "beyond-repair-first"])
     def test_first_failing_member_raises(self, middle, message):
-        _, centers, shapes, points = self.stack(middle)
+        # diag(1, -1e-8) is below the PSD floor, which no Ellipsoid is: it
+        # goes into the stack in place of a valid member.
+        _, centers, shapes, points = self.stack([np.eye(2)] * len(middle))
+        shapes[1:-1] = middle
         with pytest.raises(SingularShapeError, match=message):
             _generalized_distances(centers, shapes, points)
 

@@ -1337,10 +1337,11 @@ class TestSingularityTestSkip:
 
 
 class TestSplitTraceTrigger:
-    """The loop takes its guard and singularity-test verdicts from the split
-    traces when 2 (t_x + t_y), summed over runs, is below a quarter of the
-    levels, and from the posterior traces otherwise. A guard set just above
-    the largest posterior trace puts most steps on the exact pass.
+    """A step is cleared when its bound, 2 (t_x + t_y) summed over runs (at
+    step 0 the window traces), is below a quarter of the levels. The guard
+    checks the posterior traces of every other step, and the fusion after it
+    runs its singularity test. A guard set just above the largest posterior
+    trace leaves most steps uncleared.
 
     A paper-plant run alone is never in that band: its first set is a bare
     window of trace at least 163, and no later step's bound reaches a quarter
@@ -1365,18 +1366,47 @@ class TestSplitTraceTrigger:
         return observer_mod.DIVERGENCE_FACTOR * squared
 
     @staticmethod
-    def exact_share(runs, quick: float) -> float:
-        """The share of steps after the first whose split-trace bound, summed
-        over the runs, does not clear ``quick``: the steps on the exact pass.
-        The split traces are ``fuse``'s, whose bits the loop has."""
-        bounds = np.zeros(len(runs[0]) - 1)
-        for run in runs:
-            for i, out in enumerate(run[1:]):
+    def step_bounds(runs) -> np.ndarray:
+        """Each step's bound, summed over the runs in the loop's order: the
+        window traces at step 0, then twice the split traces, which are
+        ``fuse``'s, whose bits the loop has."""
+        bounds = [sum(float(np.trace(run.shapes[0])) for run in runs)]
+        for i in range(1, len(runs[0])):
+            t_x, t_y = [], []
+            for out in (run[i] for run in runs):
                 _, M, _ = fuse(out.measurement_set, out.prior_set)
-                parts = (affine_transform(out.measurement_set, M),
-                         affine_transform(out.prior_set, np.eye(len(M)) - M))
-                bounds[i] += 2.0 * sum(np.trace(part.shape) for part in parts)
-        return float(np.mean(~(bounds < quick)))
+                t_x.append(float(np.trace(affine_transform(out.measurement_set, M).shape)))
+                t_y.append(float(np.trace(
+                    affine_transform(out.prior_set, np.eye(len(M)) - M).shape)))
+            bounds.append(2.0 * (sum(t_x) + sum(t_y)))
+        return np.array(bounds)
+
+    @classmethod
+    def exact_share(cls, runs, quick: float) -> float:
+        """The share of steps after the first that do not clear ``quick``."""
+        return float(np.mean(~(cls.step_bounds(runs)[1:] < quick)))
+
+    @staticmethod
+    def spy_eigvalsh(monkeypatch) -> tuple[list[tuple[int, np.ndarray]], list[None]]:
+        """Record each ``np.linalg.eigvalsh`` argument with the number of steps
+        the loop has begun (``_PsdBlock.reserve`` calls, one list entry each)
+        when it is made; returns both lists, which a new run clears."""
+        calls, begun = [], []
+        eigvalsh, reserve = np.linalg.eigvalsh, observer_mod._PsdBlock.reserve
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append((len(begun), a.copy())) or eigvalsh(a))
+        monkeypatch.setattr(observer_mod._PsdBlock, "reserve",
+                            lambda block: begun.append(None) or reserve(block))
+        return calls, begun
+
+    @staticmethod
+    def steps_tested(runs, calls: list[tuple[int, np.ndarray]]) -> list[int]:
+        """The steps t whose fusion sum W + P, stacked over the runs, is an
+        ``eigvalsh`` argument of ``calls`` made during step t, in call order."""
+        sums = np.stack([run.window_shapes[run.pattern] + run.prior_shapes for run in runs],
+                        axis=1)
+        return [t for t, call in calls
+                if 0 < t < len(sums) and call.shape == sums[t].shape and same_bits(call, sums[t])]
 
     @pytest.mark.bit_identity
     @pytest.mark.parametrize("seeds", [[5], [5, 6, 7]], ids=["scalar-alone", "paper-stack"])
@@ -1399,6 +1429,29 @@ class TestSplitTraceTrigger:
         for run, default in zip(runs, expected, strict=True):
             for name in ("centers", "shapes", "prior_centers", "prior_shapes",
                          "window_centers", "pattern"):
+                assert same_bits(getattr(run, name), getattr(default, name)), name
+
+    @pytest.mark.bit_identity
+    @pytest.mark.parametrize("seeds", [[5], [5, 6, 7]], ids=["scalar-alone", "paper-stack"])
+    def test_singularity_test_runs_after_exactly_the_uncleared_steps(
+            self, seeds, bench_model, bench_trigger, monkeypatch):
+        model = self.SCALAR if len(seeds) == 1 else bench_model
+        flags, references = self.logs(model, bench_trigger, seeds)
+        solver = WindowSolver(model, bench_trigger, WeightVector.uniform(model.n))
+        calls, begun = self.spy_eigvalsh(monkeypatch)
+        expected = observer_mod._observe(flags, references, 0, solver)
+        assert self.steps_tested(expected, calls) == []
+        largest = max(float(np.trace(run.shapes, axis1=1, axis2=2).max()) for run in expected)
+        guard = self.set_guard(monkeypatch, solver, largest * (1 + 1e-9))
+        calls.clear()
+        begun.clear()
+        runs = observer_mod._observe(flags, references, 0, solver)
+        assert guard < observer_mod._singularity_skip_level(solver, runs[0].window_shapes)
+        uncleared = np.flatnonzero(~(self.step_bounds(runs) < guard / 4.0))
+        assert len(uncleared) > self.N / 2
+        assert self.steps_tested(runs, calls) == [t + 1 for t in uncleared if t + 1 < len(runs[0])]
+        for run, default in zip(runs, expected, strict=True):
+            for name in ("centers", "shapes", "prior_centers", "prior_shapes"):
                 assert same_bits(getattr(run, name), getattr(default, name)), name
 
     def test_guard_below_the_largest_trace_stops_at_its_step(self, bench_trigger, monkeypatch):

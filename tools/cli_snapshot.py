@@ -62,6 +62,19 @@ CONFIGS = {
     # A step count whose history size is past float range: simulate ends in
     # one error line naming the bytes it needs, exit 1.
     "huge_n": {**PAPER, "N": 10**307},
+    # Q's entries span 1e-5 to 7e10: a posterior within the PSD floor needs
+    # the last diagonal lift of the containment distance.
+    "ill-scaled": {
+        "A": [[-0.12655137941610542, -0.021576298135250152, -0.03955749298212227],
+              [-0.16032977042613317, -0.3163884155211622, -0.20332125074401033],
+              [-0.4058346737667999, 0.16198631327244237, -0.036583375995143705]],
+        "C": [0.9195744523368594, 0.8964985363918643, 1.9336249837910817],
+        "Q": [[30.94123688163918, -195465.6875290186, -0.027069282068961645],
+              [-195465.68752901859, 72598121988.05232, 1458.4358186595055],
+              [-0.027069282068961645, 1458.4358186595055, 8.075341548011748e-05]],
+        "R": 0.0018191343644126249, "Gamma": 0.018191343644126248,
+        "Gamma_e": 1.819134364412625e-06, "x0": [0.0, 0.0, 0.0], "N": 30, "seed": 101,
+    },
 }
 
 COMMANDS = {
