@@ -53,6 +53,8 @@ PLOT_STEPS = 10
 ROW_END = b"\r\n"
 # check lists every one of the 2^n event patterns; refuse beyond this n.
 PATTERN_LISTING_CAP = 20
+# Every character of check's listing, which ``_stdout_lines`` writes as ASCII.
+_LISTED = b"pattern 0123456789: .e+-infa\n"
 # Every table of lines is filled and written a block at a time. The CSV
 # writers format this many numbers per block, in whole rows: measured on a
 # 1000-step simulate at n = 6, 2^11 keeps the peak traced allocation of the
@@ -150,8 +152,9 @@ def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _ALIGNED, _SHIFTED, _CHARS = _layout_tables()
 
 
-def _exact_float_fields(values: np.ndarray) -> np.ndarray:
-    """``_float_fields`` of a 1-D array whose magnitudes all lie in [1e-4, 1e17).
+def _exact_float_fields(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``_float_fields`` of a 1-D array whose magnitudes all lie in [1e-4, 1e17),
+    written into ``out`` if given.
 
     There '%.17g' prints the 17 digits D = round-half-even(|v| 10^k) in fixed
     form, k = 16 - X, X the decimal exponent of |v|, which the binary exponent
@@ -211,13 +214,14 @@ def _exact_float_fields(values: np.ndarray) -> np.ndarray:
     part = _SHIFTED.take(layout, 0).ravel()
     part &= aligned[1:]
     fields |= part
-    fields |= _CHARS.take(layout, 0).ravel()
-    return fields.reshape(m, FIELD_WIDTH)
+    fields = fields.reshape(m, FIELD_WIDTH)
+    return np.bitwise_or(fields, _CHARS.take(layout, 0), out=fields if out is None else out)
 
 
-def _float_fields(values) -> np.ndarray:
+def _float_fields(values, out: np.ndarray | None = None) -> np.ndarray:
     """'%.17g' % v of every element, as ASCII fields of shape values.shape + (24,)
-    whose NUL bytes, wherever they stand, are padding.
+    whose NUL bytes, wherever they stand, are padding; written into ``out``
+    (a 2-D view, such as a field of a line table, of a 1-D ``values``) if given.
 
     Magnitudes in [1e-4, 1e17) go through ``_exact_float_fields``; the rest
     (zeros, subnormals, exponent forms, infinities and NaN) through '%.17g'.
@@ -227,12 +231,10 @@ def _float_fields(values) -> np.ndarray:
     a = np.abs(flat)
     exact = (a >= 1e-4) & (a < 1e17)
     if exact.all():
-        fields = _exact_float_fields(flat)
-    else:
-        fields = np.empty((flat.size, FIELD_WIDTH), np.uint8)
-        fields[exact] = _exact_float_fields(flat[exact])
-        fields[~exact] = _text_fields([b"%.17g" % v for v in flat[~exact].tolist()],
-                                      FIELD_WIDTH)
+        return _exact_float_fields(flat, out).reshape(values.shape + (FIELD_WIDTH,))
+    fields = np.empty((flat.size, FIELD_WIDTH), np.uint8) if out is None else out
+    fields[exact] = _exact_float_fields(flat[exact])
+    fields[~exact] = _text_fields([b"%.17g" % v for v in flat[~exact].tolist()], FIELD_WIDTH)
     return fields.reshape(values.shape + (FIELD_WIDTH,))
 
 
@@ -294,6 +296,31 @@ def _line_table(rows: int, parts: list) -> tuple[np.ndarray, list[np.ndarray]]:
 def _write_lines(fh, lines: np.ndarray) -> None:
     """Write the rows of a line table to a binary file, NUL padding dropped."""
     fh.write(lines[lines != 0].tobytes())
+
+
+def _stdout_lines():
+    """A function that writes the rows of a line table to stdout, NUL padding
+    dropped, as print would write their text.
+
+    The bytes go straight to stdout's binary buffer, after one flush of its
+    text layer so that they follow what was printed before. A raw buffer
+    (stdout under python -u) may take fewer bytes than it is given, so the
+    rest is written again. A stdout without a binary buffer (a StringIO), one
+    that is None, or one whose text layer would change ASCII text (an encoding
+    that is not ASCII's on it, or a line end other than "\n") takes print.
+    """
+    stdout = sys.stdout
+    buffer, encoding = getattr(stdout, "buffer", None), getattr(stdout, "encoding", None)
+    if (buffer is None or encoding is None or os.linesep != "\n"
+            or _LISTED.decode("ascii").encode(encoding) != _LISTED):
+        return lambda lines: print(lines[lines != 0].tobytes().decode("ascii"), end="")
+    stdout.flush()
+
+    def write(lines: np.ndarray) -> None:
+        view = memoryview(lines[lines != 0])
+        while view:
+            view = view[buffer.write(view):]
+    return write
 
 
 # The JSON name of each Python type that json.load returns.
@@ -445,10 +472,11 @@ def cmd_check(config_path: str) -> int:
     lines, (high_bits, low_bits, trace_fields) = _line_table(
         2**low, [b"pattern ", n - low, low, b": ", FIELD_WIDTH, b"\n"])
     low_bits[:] = _pattern_bits(np.arange(2**low), low) + ord("0")
+    write = _stdout_lines()
     for code, traces in enumerate(solver.pattern_trace_blocks(low)):
         high_bits[:] = _pattern_bits(code, n - low) + ord("0")
-        trace_fields[:] = _float_fields(traces)
-        print(lines[lines != 0].tobytes().decode("ascii"), end="")
+        _float_fields(traces, trace_fields)
+        write(lines)
     print("epsilon-observable: yes")
     return 0
 
@@ -586,6 +614,22 @@ def read_log(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
             raise ConfigError(f"{path}: unreadable CSV at line {reader.line_num}: {err}") from err
     columns = {name: i for i, name in enumerate(header)}
     width = len(header)
+    # The common case column by column: every row as wide as the header, and
+    # every cell valid. Anything else goes to the row loop, which raises the
+    # error of the first bad row or, for steps past int64, reads the log.
+    if rows and {"k", "gamma", "y_tau"} <= columns.keys() and all(
+            len(row) == width for row in rows):
+        table = list(zip(*rows))
+        try:
+            steps, gammas = (np.fromiter(map(int, table[columns[name]]), np.int64, len(rows))
+                             for name in ("k", "gamma"))
+            values = np.fromiter(map(float, table[columns["y_tau"]]), float, len(rows))
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if ((gammas == 0) | (gammas == 1)).all() and (steps >= 0).all() and (
+                    np.diff(steps) == 1).all() and np.isfinite(values).all():
+                return int(steps[0]), gammas == 1, values
     for row in rows:
         # A short row reads None in its missing cells.
         cells = row if len(row) >= width else row + [None] * (width - len(row))

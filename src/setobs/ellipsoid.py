@@ -79,6 +79,10 @@ def _require_psd(shapes: np.ndarray, where=None) -> np.ndarray:
     error raised are those of testing each shape alone. ``where``, if given,
     maps the stack index of the first failing shape to text that names it,
     which the error's message ends with in parentheses.
+
+    This is the one code that words a PSD failure, and the reference of the
+    screen ``_pivots_positive``, which clears the observer's blocks of small
+    shapes without LAPACK and sends here every block it does not clear.
     """
     if np.isfinite(shapes).all():
         try:
@@ -102,6 +106,48 @@ def _require_psd(shapes: np.ndarray, where=None) -> np.ndarray:
             error = f"shape matrix has eigenvalue {min_eig:.3e} below the floor {floor:.3e}"
         raise ValueError(error if where is None else f"{error} ({where(index)})")
     return shapes
+
+
+def _pivots_positive(shapes: np.ndarray) -> bool:
+    """True if every shape of an (m, d, d) stack is finite and symmetric
+    elimination without pivoting (Cholesky without square roots, reading the
+    lower triangle as LAPACK does) gives it positive pivots only: a screen
+    that clears a block of small shapes for ``_require_psd`` without one
+    LAPACK factorization per shape.
+
+    The elimination runs one column at a time over the whole stack, and stops
+    at the first column with a pivot that is not positive. The finiteness
+    test comes first, as an infinite pivot can survive elimination. False
+    only means "not cleared": the caller then runs ``_require_psd``.
+
+    A cleared shape passes ``_require_psd``. When the elimination completes,
+    its computed unit lower factor L and pivots D satisfy L D L^T = S + dS
+    with dS symmetric and |dS| <= gamma_(d+1) |L| D |L|^T, where
+    gamma_k = k u / (1 - k u) and u is the unit roundoff: the backward error
+    of elimination (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 9.3) plus the rounding of the multipliers, the bound that Thm 10.3
+    gives Cholesky, whose factor is L D^(1/2). With D > 0, S + dS is positive
+    definite, and the 2-norm of |L| D |L|^T is at most its trace, which is
+    Tr(S + dS). So l_min(S) >= -||dS||_2, about -(d + 1) u Tr S: -4.4e-16 Tr S
+    at d = 3, more than five orders of magnitude above the floor
+    -``PSD_TOL`` Tr S / d that ``_require_psd`` tests (and that its
+    eigenvalues, accurate to a few u ||S||, resolve). Underflow adds at most a
+    few 2^-1074 per entry, far below that floor's least magnitude, ``PSD_TOL``
+    times the smallest normal. The same bound is why a Cholesky that LAPACK
+    completes settles the test.
+    """
+    if not np.isfinite(shapes).all():
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        rest = shapes
+        while True:
+            pivots = rest[:, 0, 0]
+            if not (pivots > 0.0).all():  # NaN, from inf - inf, is not positive either
+                return False
+            if rest.shape[-1] == 1:
+                return True
+            column = rest[:, 1:, 0]
+            rest = rest[:, 1:, 1:] - column[:, :, None] * (column / pivots[:, None])[:, None, :]
 
 
 @dataclass(frozen=True)

@@ -149,13 +149,16 @@ def _simulate(configs: list[SimConfig], roots: tuple[np.ndarray, np.ndarray]) ->
     ):
         rng = np.random.default_rng(config.seed)
         normal, uniform = rng.standard_normal, rng.random
-        v_normal[0] = normal()
-        v_radius[0] = uniform()
-        for k in range(N):
-            normal(out=w_normal[k])
-            w_radius[k] = uniform() ** power  # a Python power, as _draw takes it
-            v_normal[k + 1] = normal()
-            v_radius[k + 1] = uniform()
+        # Scalar draws go to lists, each written to its array once.
+        w_radius_draws, v_normal_draws, v_radius_draws = [], [normal()], [uniform()]
+        for w_row in w_normal:
+            normal(out=w_row)
+            w_radius_draws.append(uniform() ** power)  # a Python power, as _draw takes it
+            v_normal_draws.append(normal())
+            v_radius_draws.append(uniform())
+        w_radius[:] = w_radius_draws
+        v_normal[:] = v_normal_draws
+        v_radius[:] = v_radius_draws
 
     # A plant that overflows yields non-finite states and outputs; the check
     # of the references below reports the failure.

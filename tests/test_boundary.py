@@ -8,7 +8,8 @@ valid channel log (its header names, rows, cells and bytes) and runs
 line, ``config error: ...``, exit 1 one line, ``error: ...``, and exit 0
 nothing. ``check`` and ``bound`` also exit 1 with their verdict as the last
 line of stdout, and nothing on stderr, for a plant that is not observable or
-has no bound.
+has no bound. Each fuzz also has a profile ten times larger, marked ``slow``
+and deselected by default: ``pytest -m slow`` runs them.
 """
 
 from __future__ import annotations
@@ -99,13 +100,8 @@ def assert_one_outcome(name: str, argv: list[str]) -> None:
         assert len(lines) == 1 and lines[0].startswith(prefix), (name, err)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(raw=configs())
-@example(raw={**BASE, "R": 10**400})
-@example(raw={**BASE, "A": [[int("9" * 400), 0.2], [0.5, 0.3]]})
-@example(raw={**BASE, "N": 10**307})
-@example(raw={**BASE, "N": 1e308})
-def test_every_config_ends_in_an_exit_code_and_at_most_one_line(raw, log):
+def assert_config_outcomes(raw: dict, log: Path) -> None:
+    """Every command run on the config ``raw`` has one outcome (``assert_one_outcome``)."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(raw))
@@ -118,6 +114,23 @@ def test_every_config_ends_in_an_exit_code_and_at_most_one_line(raw, log):
         }
         for name, (command, *args) in commands.items():
             assert_one_outcome(name, [command, "--config", str(config), *args])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=configs())
+@example(raw={**BASE, "R": 10**400})
+@example(raw={**BASE, "A": [[int("9" * 400), 0.2], [0.5, 0.3]]})
+@example(raw={**BASE, "N": 10**307})
+@example(raw={**BASE, "N": 1e308})
+def test_every_config_ends_in_an_exit_code_and_at_most_one_line(raw, log):
+    assert_config_outcomes(raw, log)
+
+
+@pytest.mark.slow
+@settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+@given(raw=configs())
+def test_many_configs_end_in_an_exit_code_and_at_most_one_line(raw, log):
+    assert_config_outcomes(raw, log)
 
 
 # Non-finite and out-of-range numbers, a step past int64, flags outside
@@ -177,18 +190,30 @@ def mutated(text: str, edits: list[tuple]) -> bytes:
                     for row in (header, *rows))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(edits=mutations())
-# A first step near 2^63, and one past 10^16 that the step field writes with %d.
-@example(edits=[("first", 2**63 - 10)])
-@example(edits=[("first", 10**30)])
-def test_every_log_ends_in_an_exit_code_and_at_most_one_line(edits, log):
+def assert_log_outcome(edits: list[tuple], log: Path) -> None:
+    """``replay`` of the valid log with ``edits`` applied has one outcome."""
     with tempfile.TemporaryDirectory() as tmp:
         config, mutant = Path(tmp) / "config.json", Path(tmp) / "log.csv"
         config.write_text(json.dumps(BASE))
         mutant.write_bytes(mutated(log.read_text(), edits))
         assert_one_outcome("replay", ["replay", "--config", str(config), "--log", str(mutant),
                                       "--out", str(Path(tmp) / "replay")])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(edits=mutations())
+# A first step near 2^63, and one past 10^16 that the step field writes with %d.
+@example(edits=[("first", 2**63 - 10)])
+@example(edits=[("first", 10**30)])
+def test_every_log_ends_in_an_exit_code_and_at_most_one_line(edits, log):
+    assert_log_outcome(edits, log)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(edits=mutations())
+def test_many_logs_end_in_an_exit_code_and_at_most_one_line(edits, log):
+    assert_log_outcome(edits, log)
 
 
 def test_found_configs_end_in_one_line():

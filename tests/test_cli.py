@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -353,6 +355,34 @@ class TestCheck:
         path = plant_config(tmp_path, n, seed=n)
         assert main(["check", "--config", str(path)]) == 0
         assert capsys.readouterr().out == list_patterns(*build_system(load_config(path)))
+
+    @pytest.mark.parametrize("stream", ["short writes", "utf-16"])
+    def test_listing_through_any_stdout(self, tmp_path, monkeypatch, stream):
+        # The listing goes to stdout's binary buffer as bytes. A raw buffer
+        # that takes at most 1000 bytes a write gets the rest written again;
+        # a text layer that would encode ASCII text otherwise gets print's text.
+        class ShortWrites(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                taken = bytes(data[:1000])
+                written.extend(taken)
+                return len(taken)
+
+        path = plant_config(tmp_path, 6, seed=6)
+        expected = io.StringIO()
+        with contextlib.redirect_stdout(expected):
+            assert main(["check", "--config", str(path)]) == 0
+        written = bytearray()
+        raw, encoding = (ShortWrites(), "ascii") if stream == "short writes" else (
+            io.BytesIO(), "utf-16")
+        stdout = io.TextIOWrapper(raw, encoding=encoding, write_through=True)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["check", "--config", str(path)]) == 0
+        stdout.flush()
+        data = written if stream == "short writes" else raw.getvalue()
+        assert data.decode(encoding) == expected.getvalue()
 
     @pytest.mark.parametrize("plant", [{}, {"A": [[1.0, 0.0], [0.0, 1.0]], "C": [1.0, 0.0]}],
                              ids=["observable", "rank-deficient"])

@@ -16,7 +16,7 @@ from setobs import (
     optimal_sum_parameter,
     sample_point,
 )
-from setobs.ellipsoid import _generalized_distances, _require_psd
+from setobs.ellipsoid import _generalized_distances, _pivots_positive, _require_psd
 
 from conftest import rand_spd, same_bits, scalar_chain
 from oracles import (
@@ -97,6 +97,76 @@ class TestRequirePsd:
     def test_passing_stack_never_asks_where(self):
         stack = self.STACK[:1]
         assert _require_psd(stack, lambda i: pytest.fail("asked")) is stack
+
+
+def planted_shape(rng: np.random.Generator, d: int, sign: float = 1.0) -> np.ndarray:
+    """A d x d shape with largest eigenvalue 1 and a smallest planted at
+    sign 10^(-20...-6) (at d = 1, at sign 1), in a random orthonormal basis,
+    scaled by 10^(-300...300)."""
+    basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    smallest = sign * 10.0 ** rng.uniform(-20, -6)
+    eigenvalues = (np.array([smallest, *rng.uniform(abs(smallest), 1.0, d - 2), 1.0])
+                   if d > 1 else np.array([sign]))
+    shape = (basis * eigenvalues) @ basis.T
+    return (shape + shape.T) / 2.0 * 10.0 ** rng.integers(-300, 301)
+
+
+def odd_shape(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A zero, NaN or infinite shape, one with a subnormal pivot, or one whose
+    off-diagonal over its pivot overflows (and, at d = 3, meets a zero: inf * 0)."""
+    shape = np.zeros((d, d))
+    kind = rng.integers(6)
+    if kind == 1:
+        shape[rng.integers(d), rng.integers(d)] = np.nan
+    elif kind == 2:
+        shape[rng.integers(d), rng.integers(d)] = rng.choice([np.inf, -np.inf])
+    elif kind == 3:
+        shape[np.diag_indices(d)] = 1.0
+        shape[0, 0] = rng.choice([5e-324, 1e-310])
+    elif kind >= 4:
+        shape[np.diag_indices(d)] = 1.0
+        shape[0, 0] = 1e-300
+        shape[d - 1, 0] = shape[0, d - 1] = rng.choice([1e-300, 1e10, -1e10])
+    return shape
+
+
+class TestPivotScreen:
+    """``_pivots_positive`` clears a stack only if ``_require_psd`` passes it."""
+
+    def test_cleared_stacks_pass_require_psd(self):
+        # Stacks of positive planted shapes, half of them with one member that
+        # is negative planted or odd. Warnings are errors in this suite, so the
+        # screen may raise none.
+        rng = np.random.default_rng(20260101)
+        cleared = refused = 0
+        for _ in range(3000):
+            d, k = int(rng.integers(1, 4)), int(rng.integers(1, 41))
+            stack = np.array([planted_shape(rng, d) for _ in range(k)])
+            if rng.random() < 0.5:
+                stack[rng.integers(k)] = (planted_shape(rng, d, -1.0) if rng.random() < 0.7
+                                          else odd_shape(rng, d))
+            if _pivots_positive(stack):
+                cleared += 1
+                assert _require_psd(stack) is stack
+            else:
+                refused += 1
+        assert cleared > 500 and refused > 500
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_clears_well_conditioned_shapes_at_any_scale(self, d):
+        rng = np.random.default_rng(d)
+        for exponent in range(-300, 301, 20):
+            stack = np.array([rand_spd(rng, d, 10.0**exponent) for _ in range(20)])
+            assert _pivots_positive(stack)
+
+    @pytest.mark.parametrize("shape", [
+        [[0.0]], [[-0.0]], [[np.inf]], [[np.nan]],
+        [[1.0, 1e10], [1e10, 1e-300]],  # its second pivot is -inf
+        [[1e-300, 1e10], [1e10, 1.0]],  # its multiplier overflows
+        [[1.0, 1.0], [1.0, 1.0]],  # rank one: its second pivot is 0
+    ])
+    def test_refuses(self, shape):
+        assert not _pivots_positive(np.array([shape]))
 
 
 class TestAffineTransform:

@@ -592,26 +592,57 @@ class TestBlockedPsdTests:
         assert str(err.value) == expected[0]
         assert "eigenvalue" in expected[0]
 
-    @pytest.mark.parametrize("runs", [1, 3])
-    @pytest.mark.parametrize("kind", range(5))
-    def test_failing_shape_is_named(self, kind, runs):
-        # Steps 7, 8 and 9 of the runs: the second one's shape ``kind`` fails
-        # in the last run.
-        n = 2
+    @staticmethod
+    def filled_block(n, runs, spoiled=None, kind=0):
+        """A ``_PsdBlock`` of steps 7, 8 and 9 of ``runs`` runs, every shape I
+        but, if ``spoiled`` is given, step 8's shape ``kind`` in the last run."""
         priors, posteriors = np.empty((2, 3, runs, n, n))
         block = observer_mod._PsdBlock(priors, posteriors, np.eye(n), 7)
         for step in range(3):
             _, mapped, _, split, _ = block.reserve()
             mapped[...] = split[...] = priors[step] = posteriors[step] = np.eye(n)
-            if step == 1:
-                [mapped, priors[step], split[0], split[1], posteriors[step]][kind][-1] = -np.eye(n)
+            if step == 1 and spoiled is not None:
+                [mapped, priors[step], split[0], split[1], posteriors[step]][kind][-1] = spoiled
+        return block
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("kind", range(5))
+    def test_failing_shape_is_named(self, kind, runs):
+        self.assert_named(2, runs, -np.eye(2), kind)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("spoil", ["nan", "slightly negative"])
+    @pytest.mark.parametrize("kind", range(5))
+    def test_failing_shape_of_any_size_is_named(self, kind, spoil, n):
+        # At n <= 3 the block fails the screen and then ``_require_psd``; at
+        # n = 6 it goes to ``_require_psd`` alone. The slightly negative shape
+        # has eigenvalue -1e-6, below the floor -1e-9 Tr/n.
+        spoiled = (np.full((n, n), np.nan) if spoil == "nan"
+                   else np.diag([1.0] * (n - 1) + [-1e-6]))
+        self.assert_named(n, 3, spoiled, kind)
+
+    def assert_named(self, n, runs, spoiled, kind):
+        """A flush of ``filled_block(n, runs, spoiled, kind)`` raises the error
+        ``_require_psd`` gives the spoiled shape, named with its shape, run and step."""
+        block = self.filled_block(n, runs, spoiled, kind)
         with pytest.raises(ValueError) as err:
-            _require_psd(-np.eye(n))
+            _require_psd(spoiled)
         name = ("A P A^T", "prior", "M W M^T", "K P K^T", "posterior")[kind]
         where = f"{name} of run {runs - 1}" if runs > 1 else name
         with pytest.raises(ValueError) as named:
             block.flush()
         assert str(named.value) == f"{err.value} ({where} at step 8)"
+
+    @pytest.mark.parametrize("n, factorizations", [(2, 0), (3, 0), (6, 1)])
+    def test_passing_block_factorizes_above_the_screen_only(self, monkeypatch, n,
+                                                           factorizations):
+        # A block of 2 x 2 or 3 x 3 shapes is cleared by one elimination over
+        # the stack; a 6 x 6 block is one stacked LAPACK Cholesky.
+        block = self.filled_block(n, 3)
+        calls, cholesky = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+        block.flush()
+        assert calls == [(15 * 3, n, n)] * factorizations
 
     def test_earliest_failing_step_wins(self, records, bench_model, bench_trigger, monkeypatch):
         model, expected = self.plant(monkeypatch, bench_model, bad_step=100, raise_step=110)
@@ -708,10 +739,11 @@ class TestBlockedPsdTests:
         model = bench_model if n == 2 else orthogonal_plant(n, 95)
         records = closed_loop_records(model, bench_trigger, 3 * observer_mod.PSD_BLOCK_STEPS, 4)
         tested = []
-        original = observer_mod._require_psd
-        monkeypatch.setattr(observer_mod, "_require_psd",
-                            lambda shapes, *args: tested.append(shapes.copy())
-                            or original(shapes, *args))
+        for name in ("_require_psd", "_pivots_positive"):  # blocks at n <= 3 are screened
+            original = getattr(observer_mod, name)
+            monkeypatch.setattr(observer_mod, name,
+                                lambda shapes, *args, original=original:
+                                tested.append(shapes.copy()) or original(shapes, *args))
         run = observer_run(records, model, bench_trigger)
         assert same_bits(tested[0], run.window_shapes)
         assert len(tested) > 2  # the windows, then more than one block of steps
