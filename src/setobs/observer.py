@@ -28,10 +28,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .ellipsoid import (
     PSD_TOL,
+    _SINGULAR_RATIO,
     Ellipsoid,
     SingularShapeError,
     _outer_sum_into,
-    _pivots_positive,
     _require_psd,
     _singular,
     _solve_regular,
@@ -65,12 +65,6 @@ RESOLUTION_MARGIN = 2.0**10
 # the 92 KB stack its flush builds.
 PSD_BLOCK_STEPS = 64
 PSD_BLOCK_BYTES = 1 << 17
-# Largest n whose blocks are first screened by ``_pivots_positive``, which
-# clears a block of small shapes faster than LAPACK factorizes it shape by
-# shape. On 2 cores, 2560 shapes took 198-215 us in np.linalg.cholesky and
-# 23-33 us in the screen at n = 2, 275 and 58 us at n = 3, 599 and 725 us at
-# n = 6; 320 shapes at n = 2 took 27-32 and 15-20 us.
-_SCREEN_MAX_N = 3
 # The shapes a step makes, in the order ``_PsdBlock`` tests them.
 _BLOCK_SHAPES = ("A P A^T", "prior", "M W M^T", "K P K^T", "posterior")
 
@@ -181,14 +175,10 @@ class _PsdBlock:
     and the posterior. The prior and the posterior are rows of the run arrays
     ``priors`` and ``posteriors``; the step's slot in the block, (4, S, n, n)
     [A P A^T; Q; S1; S2] with Q filled once, holds the rest. A flush tests
-    the pending steps' shapes, stacked in the order made. At n <= 3 the stack
-    is first screened by ``_pivots_positive``, one elimination over the whole
-    stack, which clears a block only where ``_require_psd`` would pass it;
-    any other block is one ``_require_psd`` call: one stacked Cholesky and, if
-    it fails, one search for the first failing shape, so the verdict and the
-    error raised are those of testing each shape when it is made. The error
-    names the shape, its step (the first is ``first_step``) and, of several
-    runs, its run.
+    the pending steps' shapes, stacked in the order made, by one
+    ``_require_psd`` call, so the verdict and the error raised are those of
+    testing each shape when it is made. The error names the shape, its step
+    (the first is ``first_step``) and, of several runs, its run.
     """
 
     def __init__(self, priors: np.ndarray, posteriors: np.ndarray, Q: np.ndarray,
@@ -221,11 +211,9 @@ class _PsdBlock:
         shapes = np.stack((block[:, 0], self._priors[rows], block[:, 2], block[:, 3],
                            self._posteriors[rows]), axis=1)
         runs, n = shapes.shape[2:4]
-        made_shapes = shapes.reshape(-1, n, n)[: (5 * count - 5 + made) * runs]
-        if n > _SCREEN_MAX_N or not _pivots_positive(made_shapes):
-            _require_psd(made_shapes, lambda i: (
-                _BLOCK_SHAPES[i // runs % 5] + (f" of run {i % runs}" if runs > 1 else "")
-                + f" at step {self._first_step + first + i // (5 * runs)}"))
+        _require_psd(shapes.reshape(-1, n, n)[: (5 * count - 5 + made) * runs], lambda i: (
+            _BLOCK_SHAPES[i // runs % 5] + (f" of run {i % runs}" if runs > 1 else "")
+            + f" at step {self._first_step + first + i // (5 * runs)}"))
 
 
 def prior_set(previous: Ellipsoid, model: SystemModel) -> Ellipsoid:
@@ -268,9 +256,10 @@ def _bumped_fusion_matrix(W: np.ndarray, P: np.ndarray) -> np.ndarray:
     """``optimal_fusion_matrix`` of W + b I and P + b I, for n x n shapes whose
     sum ``_singular`` finds singular.
 
-    b = max(1e-12/n, n 1e-14) Tr(W + P) (1e-12 Tr/n up to n = 10), which lifts
-    a PSD sum to twice the rule's floor at any n. A sum of zero trace stays
-    singular, and ``optimal_fusion_matrix`` raises SingularShapeError.
+    b = max(1e-12/n, n ``_SINGULAR_RATIO``) Tr(W + P) (1e-12 Tr/n up to
+    n = 10), which lifts a PSD sum to twice the rule's floor at any n. A sum of
+    zero trace stays singular, and ``optimal_fusion_matrix`` raises
+    SingularShapeError.
     """
     n = len(W)
     bump = 1e-12 * float(np.trace(W + P)) / n * max(1.0, n * n / 100.0) * np.eye(n)
@@ -541,15 +530,19 @@ def _distinct_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(flags, axis=0, return_inverse=True) of a 2-D bool array: its
     distinct rows in ascending order, and the index of each row among them.
 
-    Each row is packed into bytes, its first flag the high bit, and the bytes
-    are one opaque key. Keys compare as byte strings, which orders the rows as
-    np.unique does (False before True, from the first flag on), at a fraction
-    of the cost of its row-wise path.
+    Each row is packed into bytes, its first flag the high bit. A stable sort
+    on the byte columns, first byte first, orders the rows as np.unique does
+    (False before True, from the first flag on), and a row unlike the one
+    before it starts a pattern, at a fraction of np.unique's row-wise cost.
     """
     packed = np.packbits(flags, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return flags[first], inverse.reshape(-1)
+    order = np.lexsort(packed.T[::-1])
+    ordered = packed[order]
+    starts = np.ones(len(order), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    return flags[order[starts]], inverse
 
 
 def _singularity_skip_level(solver: WindowSolver, window_shapes: np.ndarray) -> float:
@@ -559,8 +552,9 @@ def _singularity_skip_level(solver: WindowSolver, window_shapes: np.ndarray) -> 
     solver's ``norm_a``.
 
     The test passes when the computed eigenvalues of T = W + P have
-    l_min > n 1e-14 l_max. For the prior P = a A S A^T + b Q of a posterior S
-    (b >= 1, and A S A^T is PSD within ``PSD_TOL`` Tr/n):
+    l_min > n ``_SINGULAR_RATIO`` l_max (``_singular``). For the prior
+    P = a A S A^T + b Q of a posterior S (b >= 1, and A S A^T is PSD within
+    ``PSD_TOL`` Tr/n):
 
     - l_min(T) >= l_min(W) + l_min(Q) - PSD_TOL Tr(T)/n, less the rounding of
       P and T, about (n + 4) u Tr(T);
@@ -585,7 +579,7 @@ def _singularity_skip_level(solver: WindowSolver, window_shapes: np.ndarray) -> 
     # Python floats from here on: a room that overflows is inf, without a
     # warning, and so is the level, which every finite trace is below.
     smallest = q_min + float(np.min(w[:, 0] - error * w[:, -1]))
-    rate = PSD_TOL / n + n * 1e-14 + (n + 4) * u + error
+    rate = PSD_TOL / n + n * _SINGULAR_RATIO + (n + 4) * u + error
     prior_room = smallest / (2.0 * rate) / 2.0 - float(np.max(_traces(window_shapes)))
     mapped_room = prior_room / 2.0 / 2.0 - float(np.trace(Q))
     if not mapped_room > 0.0:

@@ -114,9 +114,12 @@ def run_closed_loop(config: SimConfig) -> tuple[Trace, ObserverRun, Metrics]:
     return trace, run, metrics
 
 
-def _simulate(configs: list[SimConfig], roots: tuple[np.ndarray, np.ndarray]) -> list[Trace]:
+def _simulate(
+    configs: list[SimConfig], roots: tuple[np.ndarray, np.ndarray]
+) -> tuple[list[Trace], np.ndarray, np.ndarray]:
     """The plants and channels of runs that differ only in their seed, drawing
-    noise from the given roots; each run gets the bits it gets alone.
+    noise from the given roots, with their (S, N + 1) flags and references, of
+    which each trace holds a row; each run gets the bits it gets alone.
 
     Each seed's stream is drawn in the order of one run: step 0's v, then w and
     v of every later step, each as ``sample_point`` draws it (a normal vector
@@ -199,7 +202,7 @@ def _simulate(configs: list[SimConfig], roots: tuple[np.ndarray, np.ndarray]) ->
 
     return [Trace(*arrays) for arrays in zip(
         states, outputs, flags, references, process_noise, measurement_noise
-    )]
+    )], flags, references
 
 
 def _ball_noise(root: np.ndarray, normals: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -218,9 +221,7 @@ def _run_seeds(
 ) -> list[tuple[Trace, ObserverRun, Metrics]]:
     """``run_closed_loop`` of configs that differ only in their seed: the plants
     are simulated as one group and the observer advances them as one stack."""
-    traces = _simulate(configs, roots)
-    flags = np.array([trace.flags for trace in traces])
-    references = np.array([trace.references for trace in traces])
+    traces, flags, references = _simulate(configs, roots)
     runs = _observe(flags, references, 0, solver)
     return [(trace, run, compute_metrics(trace, run)) for trace, run in zip(traces, runs)]
 
@@ -271,11 +272,10 @@ def _sweep(
     roots = _noise_roots(base.model)
     n, steps = base.model.n, base.N + 1
     # A seed's bytes per step: plant history (2n + 2 floats) and noise radii
-    # (2), flags and references twice (the traces' and the observer's stacked
-    # copy), run arrays (2n^2 + 3n floats and a pattern index), the resolution
-    # check's eigenvalues and error terms (n + 2) and the metrics' list of
-    # distances (a pointer and a float object).
-    seed_bytes = steps * (8 * (2 * n * n + 6 * n + 7) + 2 * 9 + 32)
+    # (2), flags and references, run arrays (2n^2 + 3n floats and a pattern
+    # index), the resolution check's eigenvalues and error terms (n + 2) and
+    # the metrics' list of distances (a pointer and a float object).
+    seed_bytes = steps * (8 * (2 * n * n + 6 * n + 7) + 9 + 32)
     group = max(1, SWEEP_GROUP_BYTES // seed_bytes)
     ordered = sorted(seeds)
     for start in range(0, len(ordered), group):

@@ -16,6 +16,7 @@ from setobs import (
     optimal_sum_parameter,
     sample_point,
 )
+import setobs.ellipsoid as ellipsoid_mod
 from setobs.ellipsoid import _generalized_distances, _pivots_positive, _require_psd
 
 from conftest import rand_spd, same_bits, scalar_chain
@@ -130,27 +131,54 @@ def odd_shape(rng: np.random.Generator, d: int) -> np.ndarray:
     return shape
 
 
+def psd_verdict(shapes, where=None) -> str | None:
+    """The message ``_require_psd`` raises on ``shapes``, or None if they pass."""
+    try:
+        assert _require_psd(shapes, where) is shapes
+    except ValueError as err:
+        return str(err)
+    return None
+
+
 class TestPivotScreen:
-    """``_pivots_positive`` clears a stack only if ``_require_psd`` passes it."""
+    """``_pivots_positive`` clears a stack only if each of its shapes passes
+    ``_require_psd`` alone, and a stack's PSD test, screened or not, gives the
+    verdict of its shapes tested one by one."""
 
     def test_cleared_stacks_pass_require_psd(self):
         # Stacks of positive planted shapes, half of them with one member that
-        # is negative planted or odd. Warnings are errors in this suite, so the
-        # screen may raise none.
+        # is negative planted or odd; at d = 4, past the screen's cutoff, a
+        # stack takes LAPACK. Warnings are errors in this suite, so the screen
+        # may raise none.
         rng = np.random.default_rng(20260101)
         cleared = refused = 0
+        failed = set()
         for _ in range(3000):
-            d, k = int(rng.integers(1, 4)), int(rng.integers(1, 41))
+            d, k = int(rng.integers(1, 5)), int(rng.integers(1, 41))
             stack = np.array([planted_shape(rng, d) for _ in range(k)])
             if rng.random() < 0.5:
                 stack[rng.integers(k)] = (planted_shape(rng, d, -1.0) if rng.random() < 0.7
                                           else odd_shape(rng, d))
-            if _pivots_positive(stack):
+            expected = next((f"{message} (member {i})" for i, message
+                             in enumerate(map(psd_verdict, stack)) if message), None)
+            if d <= ellipsoid_mod._SCREEN_MAX_N and _pivots_positive(stack):
                 cleared += 1
-                assert _require_psd(stack) is stack
-            else:
+                assert expected is None
+            elif d <= ellipsoid_mod._SCREEN_MAX_N:
                 refused += 1
-        assert cleared > 500 and refused > 500
+            assert psd_verdict(stack, lambda i: f"member {i}") == expected
+            failed.add(d if expected else None)
+        assert cleared > 500 and refused > 500 and failed == {None, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_single_shape_takes_one_lapack_call_and_no_screen(self, monkeypatch, d):
+        calls, cholesky = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+        monkeypatch.setattr(ellipsoid_mod, "_pivots_positive", lambda shapes: pytest.fail())
+        shape = rand_spd(np.random.default_rng(d), d, 1.0)
+        assert psd_verdict(shape) is None
+        Ellipsoid(np.zeros(d), shape)
+        assert calls == [(d, d)] * 2
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_clears_well_conditioned_shapes_at_any_scale(self, d):

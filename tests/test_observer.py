@@ -442,11 +442,12 @@ class TestObserverRunView:
                 assert same_bits(got.shape, expected.shape)
 
 
-@pytest.mark.parametrize("n", [1, 2, 6, 16, 70])
+@pytest.mark.parametrize("n", [1, 2, 6, 8, 9, 16, 70])
 @pytest.mark.bit_identity
 def test_distinct_rows_equal_unique_rows(n):
     """The window patterns and their indices are those of np.unique(axis=0), in
-    its order, for any window length (70 flags pack into 9 bytes)."""
+    its order, for any window length (8 flags fill one byte, 9 spill into a
+    second, 70 pack into 9 bytes)."""
     rng = np.random.default_rng(n)
     for runs, length, rate in ((1, n, 0.5), (1, 400 + n, 0.5), (3, 150 + n, 0.05)):
         flags = rng.random((runs, length)) < rate
@@ -633,11 +634,11 @@ class TestBlockedPsdTests:
             block.flush()
         assert str(named.value) == f"{err.value} ({where} at step 8)"
 
-    @pytest.mark.parametrize("n, factorizations", [(2, 0), (3, 0), (6, 1)])
+    @pytest.mark.parametrize("n, factorizations", [(2, 0), (3, 0), (4, 1), (6, 1)])
     def test_passing_block_factorizes_above_the_screen_only(self, monkeypatch, n,
                                                            factorizations):
         # A block of 2 x 2 or 3 x 3 shapes is cleared by one elimination over
-        # the stack; a 6 x 6 block is one stacked LAPACK Cholesky.
+        # the stack; a 4 x 4 or 6 x 6 block is one stacked LAPACK Cholesky.
         block = self.filled_block(n, 3)
         calls, cholesky = [], np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
@@ -738,12 +739,9 @@ class TestBlockedPsdTests:
     def test_each_window_shape_is_tested_once(self, bench_model, bench_trigger, monkeypatch, n):
         model = bench_model if n == 2 else orthogonal_plant(n, 95)
         records = closed_loop_records(model, bench_trigger, 3 * observer_mod.PSD_BLOCK_STEPS, 4)
-        tested = []
-        for name in ("_require_psd", "_pivots_positive"):  # blocks at n <= 3 are screened
-            original = getattr(observer_mod, name)
-            monkeypatch.setattr(observer_mod, name,
-                                lambda shapes, *args, original=original:
-                                tested.append(shapes.copy()) or original(shapes, *args))
+        tested, original = [], observer_mod._require_psd
+        monkeypatch.setattr(observer_mod, "_require_psd", lambda shapes, *args:
+                            tested.append(shapes.copy()) or original(shapes, *args))
         run = observer_run(records, model, bench_trigger)
         assert same_bits(tested[0], run.window_shapes)
         assert len(tested) > 2  # the windows, then more than one block of steps

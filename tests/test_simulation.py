@@ -443,10 +443,13 @@ def test_simulate_equals_the_per_step_plant(case):
     roots = simulation_mod._noise_roots(base.model)
     rng = (lambda seed: _ZeroDraws(seed, every)) if every else _default_rng
     with mock.patch.object(np.random, "default_rng", rng):
-        group = simulation_mod._simulate(configs, roots)
-        alone = [simulation_mod._simulate([config], roots)[0] for config in configs]
+        group, flags, references = simulation_mod._simulate(configs, roots)
+        alone = [simulation_mod._simulate([config], roots)[0][0] for config in configs]
         expected = [reference_plant(base.model, base.trigger, base.x0, base.N, seed)
                     for seed in seeds]
+    # The stacked log arrays are those the traces' rows view.
+    assert same_bits(flags, [trace.flags for trace in group])
+    assert same_bits(references, [trace.references for trace in group])
     for trace_g, trace_a, (states, outputs, w, v, records) in zip(group, alone, expected):
         for trace in (trace_g, trace_a):
             assert same_bits(trace.states, states)
