@@ -6,16 +6,18 @@ significant digits so replaying an emitted log reproduces estimator columns
 byte for byte.
 
 Every number that ``check`` lists and the CSV writers write is the text that
-``'%.17g' % v`` (for an integer, ``'%d' % k``) gives, made for a whole array at
-once: ``_float_fields`` and ``_int_fields`` turn an array into NUL-padded ASCII
-fields. A float's decimal exponent comes from its binary exponent and one
-comparison, its 17 digits from one exact product with no second scaling, four
-to a group by int64 floor division. Every line the CLI writes is laid out in
-one kind of table: ``_line_table`` writes a line's literal text once into
-every row and returns its fields as views to fill, and ``_write_lines`` drops
-the padding and writes a block of lines as one bytes object, without a Python
-string per number. ``check``'s listing and each CSV file reuse one table for
-all of their blocks, and the polyline files share one.
+``'%.17g' % v`` gives, made for a whole array at once: ``_float_fields`` turns
+an array into NUL-padded ASCII fields. Step numbers are doubles, whose
+'%.17g' is their '%d' below 2^53 (``_step_fields``). A float's decimal
+exponent comes from its binary exponent and one comparison, its 17 digits
+from one exact product with no second scaling, four to a group by int64 floor
+division. Every line the CLI writes is laid out in one kind of table:
+``_line_table`` writes a line's literal text once into every row and returns
+its fields as views to fill, and ``_write_lines``, the one writer of a table
+to a file or to stdout's buffer, drops the padding and writes a block of
+lines at once, without a Python string per number. ``check``'s listing and
+each CSV file reuse one table for all of their blocks, and the polyline files
+share one.
 """
 
 from __future__ import annotations
@@ -238,23 +240,6 @@ def _float_fields(values, out: np.ndarray | None = None) -> np.ndarray:
     return fields.reshape(values.shape + (FIELD_WIDTH,))
 
 
-def _int_fields(values) -> np.ndarray:
-    """'%d' % k of each element of a 1-D array of integers in [0, 10^16), as
-    NUL-padded ASCII fields four digits per group wide, read from the digit
-    table; leading zeros are NUL."""
-    values = np.asarray(values, dtype=np.int64)
-    width = 4 * max(1, -(-len(str(int(values.max(initial=0)))) // 4))
-    words = np.empty((values.size, width // 4), np.uint32)
-    rest = values
-    for column in range(width // 4 - 1, -1, -1):
-        rest, words[:, column] = np.divmod(rest, 10000)
-    fields = _GROUP_DIGITS[words].view(np.uint8).reshape(values.size, width)
-    # Digit j counts 10^(width - 1 - j): a leading zero while the value is
-    # below that. The last digit always stays.
-    fields[:, :-1][values[:, None] < 10 ** np.arange(width - 1, 0, -1)] = 0
-    return fields
-
-
 def _text_fields(texts: list[bytes], width: int | None = None) -> np.ndarray:
     """Byte strings as NUL-padded fields, ``width`` wide or as wide as the longest."""
     fields = np.array(texts, dtype=f"S{width or max([1, *map(len, texts)])}")
@@ -262,9 +247,11 @@ def _text_fields(texts: list[bytes], width: int | None = None) -> np.ndarray:
 
 
 def _step_fields(first: int, count: int) -> np.ndarray:
-    """Fields of the step numbers first, first + 1, ..., first + count - 1."""
-    if first + count <= 10**16:  # an integer field holds at most four groups of digits
-        return _int_fields(np.arange(first, first + count))
+    """The step numbers first, first + 1, ..., first + count - 1 as a column of
+    ``_write_csv``: doubles, whose '%.17g' is their '%d' below 2^53, and text
+    fields past it."""
+    if first + count <= 2**53:
+        return np.arange(first, first + count, dtype=float)
     return _text_fields([b"%d" % k for k in range(first, first + count)])
 
 
@@ -294,20 +281,23 @@ def _line_table(rows: int, parts: list) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def _write_lines(fh, lines: np.ndarray) -> None:
-    """Write the rows of a line table to a binary file, NUL padding dropped."""
-    fh.write(lines[lines != 0].tobytes())
+    """Write the rows of a line table to a binary stream, NUL padding dropped.
+    A stream that takes fewer bytes than it is given (a raw buffer, as stdout
+    is under python -u) gets the rest written again."""
+    view = memoryview(lines[lines != 0])
+    while view:
+        view = view[fh.write(view):]
 
 
 def _stdout_lines():
     """A function that writes the rows of a line table to stdout, NUL padding
     dropped, as print would write their text.
 
-    The bytes go straight to stdout's binary buffer, after one flush of its
-    text layer so that they follow what was printed before. A raw buffer
-    (stdout under python -u) may take fewer bytes than it is given, so the
-    rest is written again. A stdout without a binary buffer (a StringIO), one
-    that is None, or one whose text layer would change ASCII text (an encoding
-    that is not ASCII's on it, or a line end other than "\n") takes print.
+    The lines go to stdout's binary buffer through ``_write_lines``, after one
+    flush of its text layer so that they follow what was printed before. A
+    stdout without a binary buffer (a StringIO), one that is None, or one
+    whose text layer would change ASCII text (an encoding that is not ASCII's
+    on it, or a line end other than "\n") takes print.
     """
     stdout = sys.stdout
     buffer, encoding = getattr(stdout, "buffer", None), getattr(stdout, "encoding", None)
@@ -315,12 +305,7 @@ def _stdout_lines():
             or _LISTED.decode("ascii").encode(encoding) != _LISTED):
         return lambda lines: print(lines[lines != 0].tobytes().decode("ascii"), end="")
     stdout.flush()
-
-    def write(lines: np.ndarray) -> None:
-        view = memoryview(lines[lines != 0])
-        while view:
-            view = view[buffer.write(view):]
-    return write
+    return functools.partial(_write_lines, buffer)
 
 
 # The JSON name of each Python type that json.load returns.

@@ -256,13 +256,15 @@ def _bumped_fusion_matrix(W: np.ndarray, P: np.ndarray) -> np.ndarray:
     """``optimal_fusion_matrix`` of W + b I and P + b I, for n x n shapes whose
     sum ``_singular`` finds singular.
 
-    b = max(1e-12/n, n ``_SINGULAR_RATIO``) Tr(W + P) (1e-12 Tr/n up to
-    n = 10), which lifts a PSD sum to twice the rule's floor at any n. A sum of
-    zero trace stays singular, and ``optimal_fusion_matrix`` raises
-    SingularShapeError.
+    b = max(1e-12/n, n ``_SINGULAR_RATIO``) Tr(W + P) (1e-12 Tr/n while
+    n^2 ``_SINGULAR_RATIO`` <= 1e-12), which lifts a PSD sum to twice the
+    rule's floor at any n. A sum of zero trace stays singular, and
+    ``optimal_fusion_matrix`` raises SingularShapeError. The lift divides n^2
+    by 1e-12 / ``_SINGULAR_RATIO``, a quotient that rounds to 100.0 exactly.
     """
     n = len(W)
-    bump = 1e-12 * float(np.trace(W + P)) / n * max(1.0, n * n / 100.0) * np.eye(n)
+    lift = max(1.0, n * n / (1e-12 / _SINGULAR_RATIO))
+    bump = 1e-12 * float(np.trace(W + P)) / n * lift * np.eye(n)
     return optimal_fusion_matrix(W + bump, P + bump)
 
 

@@ -202,7 +202,7 @@ def assert_log_outcome(edits: list[tuple], log: Path) -> None:
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(edits=mutations())
-# A first step near 2^63, and one past 10^16 that the step field writes with %d.
+# A first step near 2^63, and one past 2^53 that the step column writes as '%d' text.
 @example(edits=[("first", 2**63 - 10)])
 @example(edits=[("first", 10**30)])
 def test_every_log_ends_in_an_exit_code_and_at_most_one_line(edits, log):

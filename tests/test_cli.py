@@ -1028,12 +1028,12 @@ class TestReplay:
         assert ((tmp_path / "plain" / "replay_steps.csv").read_bytes()
                 == (tmp_path / "fast" / "replay_steps.csv").read_bytes())
 
-    @pytest.mark.parametrize("first", [9998, 10**16 - 3])
+    @pytest.mark.parametrize("first", [9998, 2**53 - 6, 10**16 - 3])
     @pytest.mark.bit_identity
     def test_step_column_of_a_late_log(self, bench_config_file, tmp_path, first):
-        # From k = 9998 the steps grow from one group of four digits to two
-        # inside the file; from 10^16 - 3 they outgrow the four groups of an
-        # integer field and are printed with '%d'.
+        # From k = 9998 the steps grow from four digits to five inside the
+        # file; up to 2^53 - 1 they are doubles printed with '%.17g', and past
+        # 2^53 text fields printed with '%d'.
         log = tmp_path / "late.csv"
         log.write_text("k,gamma,y_tau\n" + "".join(f"{first + i},{int(i % 3 == 0)},0.5\n"
                                                    for i in range(6)))

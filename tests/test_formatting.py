@@ -1,6 +1,6 @@
-"""The CLI's number formatting: fields equal to '%.17g' and '%d', lines laid
-out in a line table and written without their NUL padding, and the channel-log
-reader's row rules."""
+"""The CLI's number formatting: fields equal to '%.17g', step columns whose
+'%.17g' is their '%d', lines laid out in a line table and written without
+their NUL padding, and the channel-log reader's row rules."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from setobs.cli import (
     FIELD_WIDTH,
     ConfigError,
     _float_fields,
-    _int_fields,
     _line_table,
     _step_fields,
     _write_lines,
@@ -135,20 +134,35 @@ def test_mixed_arrays_equal_percent_g(values):
 
 
 @pytest.mark.bit_identity
-def test_int_fields_equal_percent_d():
-    rng = np.random.default_rng(7)
-    values = np.concatenate([
-        [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 10001, 10**8, 10**12 - 1, 10**16 - 1],
-        rng.integers(0, 10**16, 1000), rng.integers(0, 10**5, 1000),
-    ])
-    assert texts(_int_fields(values)) == [b"%d" % v for v in values.tolist()]
-    assert texts(_int_fields(np.array([False, True]))) == [b"0", b"1"]
-    assert texts(_int_fields(np.array([0, 0]))) == [b"0", b"0"]
+def test_step_fields_print_as_percent_d():
+    # Below 2^53 a step is a double, whose '%.17g' is its '%d'; from 2^53 on,
+    # where doubles skip integers, steps are text fields.
+    for first in [0, 7, 9998, 10**8 - 2, 2**53 - 5]:
+        steps = _step_fields(first, 5)
+        assert steps.dtype == float
+        assert texts(_float_fields(steps)) == [b"%d" % k for k in range(first, first + 5)]
+    for first in [2**53 - 2, 10**20]:
+        steps = _step_fields(first, 5)
+        assert steps.dtype == np.uint8
+        assert texts(steps) == [b"%d" % k for k in range(first, first + 5)]
 
 
-@pytest.mark.parametrize("first", [0, 7, 10**16 - 3, 10**20])
-def test_step_fields_beyond_the_digit_table(first):
-    assert texts(_step_fields(first, 5)) == [b"%d" % k for k in range(first, first + 5)]
+def test_write_lines_completes_short_writes():
+    # A stream that takes at most three bytes a call gets every line, in order.
+    class ThreeBytes(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, data):
+            taken = bytes(data[:3])
+            written.extend(taken)
+            return len(taken)
+
+    written = bytearray()
+    lines, (fields,) = _line_table(4, [b"k=", FIELD_WIDTH, b"\n"])
+    fields[:] = _float_fields(np.array([0.0, 1.5, -2e-300, 12345.0]))
+    _write_lines(ThreeBytes(), lines)
+    assert bytes(written) == b"k=0\nk=1.5\nk=-2.0000000000000001e-300\nk=12345\n"
 
 
 @pytest.mark.parametrize("rows", [2**p for p in range(12)])

@@ -33,6 +33,7 @@ from setobs import (
     sample_point,
     spectral_norm,
 )
+import setobs.ellipsoid as ellipsoid_mod
 import setobs.observability as observability_mod
 import setobs.observer as observer_mod
 from setobs.ellipsoid import (
@@ -187,10 +188,15 @@ class TestFuse:
         with pytest.raises(ValueError, match="^dimension mismatch: 1 vs 2$"):
             fuse(Ellipsoid([0.0], [[1.0]]), Ellipsoid([0.0, 0.0], np.eye(2)))
 
+    @pytest.mark.parametrize("ratio_scale", [1.0, 100.0])
     @pytest.mark.parametrize("n", [2, 10, 14, 15, 16])
-    def test_singular_sum_is_regularized_at_every_n(self, n):
+    def test_singular_sum_is_regularized_at_every_n(self, monkeypatch, n, ratio_scale):
         # W + P = e1 e1^T is singular at every n; from n = 15 on a bump of
-        # 1e-12 Tr/n alone would not clear the singularity rule.
+        # 1e-12 Tr/n alone would not clear the singularity rule. The bump
+        # follows the rule's ratio: raised 100-fold, both read the new one.
+        ratio = ellipsoid_mod._SINGULAR_RATIO * ratio_scale
+        monkeypatch.setattr(ellipsoid_mod, "_SINGULAR_RATIO", ratio)
+        monkeypatch.setattr(observer_mod, "_SINGULAR_RATIO", ratio)
         line = np.zeros((n, n))
         line[0, 0] = 1.0
         posterior, M, p = fuse(Ellipsoid(np.zeros(n), line),
